@@ -2,13 +2,15 @@
 
 Candidate flows are laid out on a tan-mapped angular grid around a center
 flow; every incoming event is accumulated into all n*n grids and the
-sharpness metric argmax is tracked incrementally.  Once the argmax cell
-has been stable for p_stable consecutive events, the events backing the
-winning projection are extracted (statistical threshold over cell values
-plus 8-connected flood fill) and re-projected through progressively
-narrower arrays (range/q per level).  The final association seeds a
-tracking plane; everything else is re-projected into a fresh level-0
-array.
+sharpness metric argmax is tracked per event.  Events are accumulated in
+batches: one numpy pass projects a batch onto all candidates and groups
+the projections by sorting, and the cells of all grids share one sorted
+store.  Once the argmax cell has been stable for p_stable consecutive
+events, the events backing the winning projection are extracted
+(statistical threshold over cell values plus 8-connected flood fill) and
+re-projected through progressively narrower arrays (range/q per level).
+The final association seeds a tracking plane; everything else is
+re-projected into a fresh level-0 array.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .events import Event
-from .projection import (KEY_M, FlowVector, _round_array, event_columns,
-                         _project_sums)
+from .projection import KEY_M, FlowVector, event_columns, project_keys
 
 
 class AssociationError(Exception):
@@ -68,11 +69,32 @@ def index_to_flow(i: int, j: int, center_flow, angular_range: float,
                       center_flow[1] + cfg.v_ref * math.tan(theta_v))
 
 
+# The cells of all n*n grids live in one sorted int64 store: grid k's cell
+# `packed` (KEY_M packing) has store key k * 2**43 + packed.  Packed cells
+# lie in (-2**42, 2**42) whenever the KEY_M packing is valid, so store keys
+# order by grid, then by cell.
+_K_SHIFT = 43
+_HALF = 1 << 42
+# (candidate, event) pairs projected at once: bounds the temporaries
+_BLOCK_PAIRS = 1 << 17
+
+
+def _group_starts(ordered: np.ndarray) -> np.ndarray:
+    """Indices at which a new value begins in a sorted, non-empty array."""
+    new = np.empty(len(ordered), dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 class MetricArray:
     """n x n sparse accumulation grids sharing one event set.
 
     Grid k = j*n + i (row-major); the argmax ties break to the lowest
-    (j, i).  All grids share t_ref, frozen at the first event.
+    (j, i).  All grids share t_ref, frozen at the first event.  Cells of
+    every grid are kept in one sorted store (`cell_keys`, `cell_values`);
+    a cell may hold 0 until the next flush compacts it.  An event counts
+    by the sign of its polarity.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -90,8 +112,11 @@ class MetricArray:
         self.flows: list[FlowVector] = flows
         self.vu_arr = np.array([f.v_u for f in flows])
         self.vv_arr = np.array([f.v_v for f in flows])
-        self.cells: list[dict[int, int]] = [dict() for _ in range(n * n)]
-        self.metrics: list[int] = [0] * (n * n)
+        # store keys at which each grid's cells begin, and one past the last
+        self._edges = (np.arange(n * n + 1, dtype=np.int64) << _K_SHIFT) - _HALF
+        self.cell_keys = np.zeros(0, dtype=np.int64)
+        self.cell_values = np.zeros(0, dtype=np.int64)
+        self._metrics = np.zeros(n * n, dtype=np.int64)
         self.held: list[Event] = []
         self.t_ref_us: Optional[int] = None
         self.argmax_index: Optional[int] = None
@@ -99,109 +124,191 @@ class MetricArray:
     def __len__(self) -> int:
         return len(self.held)
 
+    @property
+    def metrics(self) -> list[int]:
+        return self._metrics.tolist()
+
+    def grid(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Grid k's stored cells: packed cell keys ascending, and values."""
+        lo, hi = np.searchsorted(self.cell_keys, self._edges[k:k + 2])
+        return (self.cell_keys[lo:hi] - (k << _K_SHIFT),
+                self.cell_values[lo:hi])
+
+    def _columns(self, events):
+        """Event columns (u, v, seconds since t_ref, s); sets t_ref."""
+        us, vs, ts, ss = event_columns(events)
+        if self.t_ref_us is None:
+            self.t_ref_us = events[0].t
+        return us, vs, (ts - self.t_ref_us) * 1e-6, ss
+
+    def _grouped(self, us, vs, dt, low: np.ndarray, bits: int):
+        """Project events onto every candidate, a block of candidates at
+        a time.
+
+        Yields (k0, k1, pairs) per block of candidates k0..k1-1: `pairs`
+        is sorted and holds, for each (candidate k, event) pair,
+        ((k - k0) * 2**43 + packed + 2**42) << bits | low[event], so that
+        pairs group by cell and, within a cell, by `low`.
+        """
+        rows = max(1, _BLOCK_PAIRS // len(us))
+        for k0 in range(0, len(self.flows), rows):
+            k1 = min(k0 + rows, len(self.flows))
+            pairs = project_keys(us, vs, dt, self.vu_arr[k0:k1, None],
+                                 self.vv_arr[k0:k1, None])
+            rows_k = np.arange(k1 - k0, dtype=np.int64)[:, None]
+            pairs += (rows_k << _K_SHIFT) + _HALF
+            pairs <<= bits
+            pairs |= low
+            yield k0, k1, np.sort(pairs, axis=None)
+
+    def _sums(self, events) -> tuple[np.ndarray, np.ndarray]:
+        """Store keys the events touch, ascending, and the signed sum of
+        their polarities in each."""
+        us, vs, dt, ss = self._columns(events)
+        keys, sums = [], []
+        for k0, _, pairs in self._grouped(us, vs, dt, ss > 0, 1):
+            cells = pairs >> 1
+            starts = _group_starts(cells)
+            count = np.diff(starts, append=len(cells))
+            keys.append(cells[starts] + ((k0 << _K_SHIFT) - _HALF))
+            sums.append(2 * np.add.reduceat(pairs & 1, starts) - count)
+        return np.concatenate(keys), np.concatenate(sums)
+
+    def _per_flow(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Sum of `values` over each grid, for ascending store keys."""
+        bounds = np.searchsorted(keys, self._edges)
+        total = np.concatenate(([0], np.cumsum(values)))
+        return total[bounds[1:]] - total[bounds[:-1]]
+
+    def _lookup(self, keys: np.ndarray):
+        """Store positions of ascending keys, whether each is stored, and
+        its value (0 when missing)."""
+        pos = np.searchsorted(self.cell_keys, keys)
+        if not len(self.cell_keys):
+            return pos, np.zeros(len(keys), dtype=bool), np.zeros_like(keys)
+        at = np.minimum(pos, len(self.cell_keys) - 1)
+        hit = self.cell_keys[at] == keys
+        return pos, hit, np.where(hit, self.cell_values[at], 0)
+
+    def _write(self, keys, adds, pos, hit) -> None:
+        """Add `adds` to the cells of `_lookup(keys)`, merging the cells
+        not yet stored into the store in one pass."""
+        if not len(self.cell_keys):
+            self.cell_keys, self.cell_values = keys, adds
+            return
+        self.cell_values[pos[hit]] += adds[hit]
+        miss = ~hit
+        if not miss.any():
+            return
+        new = pos[miss] + np.arange(np.count_nonzero(miss))
+        size = len(self.cell_keys) + len(new)
+        kept = np.ones(size, dtype=bool)
+        kept[new] = False
+        for name, added in (("cell_keys", keys), ("cell_values", adds)):
+            merged = np.empty(size, dtype=np.int64)
+            merged[new] = added[miss]
+            merged[kept] = getattr(self, name)
+            setattr(self, name, merged)
+
+    def _add(self, keys: np.ndarray, adds: np.ndarray) -> None:
+        pos, hit, old = self._lookup(keys)
+        self._metrics += self._per_flow(keys, adds * (2 * old + adds))
+        self._write(keys, adds, pos, hit)
+
+    def _update_argmax(self) -> None:
+        self.argmax_index = int(np.argmax(self._metrics)) if self.held else None
+
+    def ingest_batch(self, events: Sequence[Event]) -> np.ndarray:
+        """Accumulate events in order into every grid; returns the argmax
+        index after each event, as one-event batches would."""
+        b = len(events)
+        if not b:
+            return np.zeros(0, dtype=np.int64)
+        if b > _BLOCK_PAIRS:
+            # keeps the composite sort keys of _grouped within int64
+            return np.concatenate([self.ingest_batch(events[i:i + _BLOCK_PAIRS])
+                                   for i in range(0, b, _BLOCK_PAIRS)])
+        bits = max(1, (b - 1).bit_length())
+        us, vs, dt, ss = self._columns(events)
+        sign = np.where(ss > 0, 1, -1)
+        best = np.zeros(b, dtype=np.int64)
+        best_metric = np.full(b, -1, dtype=np.int64)
+        keys, adds, positions, hits = [], [], [], []
+        for k0, k1, pairs in self._grouped(us, vs, dt, np.arange(b), bits):
+            cells = pairs >> bits
+            event = pairs & ((1 << bits) - 1)
+            s = sign[event]
+            starts = _group_starts(cells)
+            count = np.diff(starts, append=len(cells))
+            cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
+            pos, hit, old = self._lookup(cell_keys)
+            # each pair's cell value before its event: the stored value
+            # plus the earlier events of the batch in that cell
+            before = np.cumsum(s) - s
+            before += np.repeat(old - before[starts], count)
+            # metric of each grid after each event: running sum of deltas
+            run = np.empty((k1 - k0, b), dtype=np.int64)
+            run[cells >> _K_SHIFT, event] = s * (2 * before + s)
+            np.cumsum(run, axis=1, out=run)
+            run += self._metrics[k0:k1, None]
+            self._metrics[k0:k1] = run[:, -1]
+            top = run.argmax(axis=0)
+            top_metric = run[top, np.arange(b)]
+            # strict: a tie keeps the lower index of an earlier block
+            better = top_metric > best_metric
+            best[better] = top[better] + k0
+            best_metric[better] = top_metric[better]
+            keys.append(cell_keys)
+            adds.append(np.add.reduceat(s, starts))
+            positions.append(pos)
+            hits.append(hit)
+        self._write(np.concatenate(keys), np.concatenate(adds),
+                    np.concatenate(positions), np.concatenate(hits))
+        self.held.extend(events)
+        self.argmax_index = int(best[-1])
+        return best
+
     def ingest(self, ev: Event) -> int:
         """Accumulate one event into every grid; returns the argmax index."""
-        u, v, t, s = ev
-        if self.t_ref_us is None:
-            self.t_ref_us = t
-        dt = (t - self.t_ref_us) * 1e-6
-        xs = _round_array(u - self.vu_arr * dt)
-        ys = _round_array(v - self.vv_arr * dt)
-        keys = (xs * KEY_M + ys).tolist()
-        self.held.append(ev)
-        mets = self.metrics
-        k = 0
-        if s > 0:
-            for cells, key in zip(self.cells, keys):
-                c = cells.get(key, 0)
-                cells[key] = c + 1
-                mets[k] += 2 * c + 1
-                k += 1
-        else:
-            for cells, key in zip(self.cells, keys):
-                c = cells.get(key, 0)
-                cells[key] = c - 1
-                mets[k] += 1 - 2 * c
-                k += 1
-        peak = max(mets)
-        self.argmax_index = mets.index(peak)
-        return self.argmax_index
+        return int(self.ingest_batch([ev])[0])
 
     def fill(self, events: Sequence[Event]) -> None:
         """Batch-accumulate an event list (order preserved for held)."""
         if not events:
             return
-        if self.t_ref_us is None:
-            self.t_ref_us = events[0].t
-        us, vs, ts, ss = event_columns(events)
-        for k, flow in enumerate(self.flows):
-            keys, sums = _project_sums(us, vs, ts, ss, flow, self.t_ref_us)
-            cells = self.cells[k]
-            if not cells:
-                # fresh grid: unique keys, so the dict builds in one shot
-                self.cells[k] = dict(zip(keys.tolist(), sums.tolist()))
-                self.metrics[k] = int(np.dot(sums, sums))
-                continue
-            metric = self.metrics[k]
-            for key, add in zip(keys.tolist(), sums.tolist()):
-                c = cells.get(key, 0)
-                cells[key] = c + add
-                metric += add * (2 * c + add)
-            self.metrics[k] = metric
+        self._add(*self._sums(events))
         self.held.extend(events)
-        peak = max(self.metrics)
-        self.argmax_index = self.metrics.index(peak)
+        self._update_argmax()
 
     def fill_scan(self, events: Sequence[Event]) -> None:
         """Metrics-only fill for single-shot arrays (refinement levels).
 
-        Leaves every cell dict empty, so the array must not be ingested
-        into afterwards; materialize_cells() builds the one grid a caller
-        actually reads.
+        Leaves the cell store empty, so the array must not be ingested
+        into afterwards.
         """
         if not events:
             return
-        if self.t_ref_us is None:
-            self.t_ref_us = events[0].t
-        us, vs, ts, ss = event_columns(events)
-        mets = self.metrics
-        for k, flow in enumerate(self.flows):
-            _, sums = _project_sums(us, vs, ts, ss, flow, self.t_ref_us)
-            mets[k] = int(np.dot(sums, sums))
+        keys, sums = self._sums(events)
+        self._metrics = self._per_flow(keys, sums * sums)
         self.held.extend(events)
-        peak = max(mets)
-        self.argmax_index = mets.index(peak)
-
-    def materialize_cells(self, k: int) -> dict[int, int]:
-        """Build (and cache) grid k's cell dict from the held events."""
-        if not self.cells[k] and self.held:
-            us, vs, ts, ss = event_columns(self.held)
-            keys, sums = _project_sums(us, vs, ts, ss, self.flows[k],
-                                       self.t_ref_us)
-            self.cells[k] = dict(zip(keys.tolist(), sums.tolist()))
-        return self.cells[k]
+        self._update_argmax()
 
     def flush_older_than(self, cutoff_us: int) -> int:
-        """Retract events with t < cutoff_us; returns how many."""
+        """Retract events with t < cutoff_us; returns how many.
+
+        Cells that drop to 0 leave the store.  A retraction from a cell
+        no longer stored reads it as 0: its events had cancelled.
+        """
         stale = [e for e in self.held if e.t < cutoff_us]
         if not stale:
             return 0
         self.held = [e for e in self.held if e.t >= cutoff_us]
-        us, vs, ts, ss = event_columns(stale)
-        for k, flow in enumerate(self.flows):
-            keys, sums = _project_sums(us, vs, ts, ss, flow, self.t_ref_us)
-            cells = self.cells[k]
-            metric = self.metrics[k]
-            for key, sub in zip(keys.tolist(), sums.tolist()):
-                c = cells[key]
-                cells[key] = c - sub
-                metric += sub * (sub - 2 * c)
-            self.metrics[k] = metric
-        if self.held:
-            peak = max(self.metrics)
-            self.argmax_index = self.metrics.index(peak)
-        else:
-            self.argmax_index = None
+        keys, sums = self._sums(stale)
+        self._add(keys, -sums)
+        kept = self.cell_values != 0
+        self.cell_keys = self.cell_keys[kept]
+        self.cell_values = self.cell_values[kept]
+        self._update_argmax()
         return len(stale)
 
     @property
@@ -285,13 +392,20 @@ class AssociationResult:
 
 
 def cell_value_stats(values: Sequence[int]) -> tuple[float, float]:
-    """Mean and population standard deviation of |f| over nonzero cells."""
-    mags = [abs(v) for v in values if v != 0]
-    if not mags:
+    """Mean and population standard deviation of |f| over nonzero cells.
+
+    Both come from exact integer sums, so they do not depend on the order
+    of the cells.
+    """
+    mags = np.abs(np.asarray(values, dtype=np.int64))
+    mags = mags[mags != 0]
+    count = len(mags)
+    if not count:
         raise AssociationError("winning grid has no nonzero cells")
-    mu = sum(mags) / len(mags)
-    var = sum((x - mu) ** 2 for x in mags) / len(mags)
-    return mu, math.sqrt(var)
+    total = int(mags.sum())
+    square = int(np.dot(mags, mags))
+    return total / count, math.sqrt((count * square - total * total)
+                                    / (count * count))
 
 
 def flood_fill_cells(nonzero: set[int], seeds: set[int]) -> set[int]:
@@ -326,23 +440,21 @@ def extract_associated(array: MetricArray,
     if w is None:
         w = array.cfg.w
     k = array.argmax_index
-    cells = array.cells[k]
-    mu, sigma = cell_value_stats(list(cells.values()))
+    cells, values = array.grid(k)
+    mu, sigma = cell_value_stats(values)
     threshold = mu + w * sigma
-    nonzero = {key for key, c in cells.items() if c != 0}
-    seeds = {key for key in nonzero if abs(cells[key]) > threshold}
+    nonzero = values != 0
+    seeds = set(cells[nonzero & (np.abs(values) > threshold)].tolist())
     if not seeds:
         raise AssociationError(
             f"no cell above threshold {threshold:.2f} (mu={mu:.2f}, sigma={sigma:.2f})")
-    footprint = flood_fill_cells(nonzero, seeds)
+    footprint = flood_fill_cells(set(cells[nonzero].tolist()), seeds)
 
     flow = array.flows[k]
-    us, vs, ts, ss = event_columns(array.held)
-    dt = (ts - array.t_ref_us) * 1e-6
-    xs = _round_array(us - flow.v_u * dt)
-    ys = _round_array(vs - flow.v_v * dt)
-    keys = (xs * KEY_M + ys).tolist()
-    indices = [i for i, key in enumerate(keys) if key in footprint]
+    us, vs, ts, _ = event_columns(array.held)
+    keys = project_keys(us, vs, (ts - array.t_ref_us) * 1e-6, flow.v_u, flow.v_v)
+    inside = np.isin(keys, np.fromiter(footprint, np.int64, len(footprint)))
+    indices = np.flatnonzero(inside).tolist()
     return AssociationResult(
         event_indices=indices,
         events=[array.held[i] for i in indices],
@@ -368,30 +480,59 @@ def refine(assoc: AssociationResult, cfg: FlowPlaneConfig, parent_range: float,
 class PlaneSeed(NamedTuple):
     events: list[Event]
     flow: FlowVector
-    footprint: set[int]
 
 
 class FlowPlane:
-    """Stateful initializer: ingest events, emit tracking seeds."""
+    """Stateful initializer: ingest events, emit tracking seeds.
+
+    Ingest is deferred: events wait in a pending list until
+    p_stable - stability_count of them are pending, then enter the array
+    as one batch.  The stability count grows by at most 1 per event, so
+    no emission can fall inside such a window and the result is the one
+    of ingesting event by event.  Pending events are drained before an
+    emission, a noise flush, and any read of `array`; `stability_count`
+    is that of the last drain.
+    """
 
     def __init__(self, cfg: Optional[FlowPlaneConfig] = None):
         self.cfg = cfg or FlowPlaneConfig()
-        self.array = MetricArray(self.cfg)
+        self._array = MetricArray(self.cfg)
+        self._pending: list[Event] = []
         self.stability_count = 0
         self._stable_index: Optional[int] = None
         self.total_ingested = 0
         self.emissions = 0
 
+    @property
+    def array(self) -> MetricArray:
+        self._drain()
+        return self._array
+
     def ingest(self, ev: Event) -> None:
-        index = self.array.ingest(ev)
+        self._pending.append(ev)
         self.total_ingested += 1
-        if index == self._stable_index:
-            self.stability_count += 1
+        if len(self._pending) >= self.cfg.p_stable - self.stability_count:
+            self._drain()
+
+    def _drain(self) -> None:
+        if not self._pending:
+            return
+        indices = self._array.ingest_batch(self._pending)
+        self._pending = []
+        # the run of equal argmaxes that ends the batch
+        last = int(indices[-1])
+        changed = np.flatnonzero(indices != last)
+        if len(changed):
+            self.stability_count = len(indices) - 1 - int(changed[-1])
+        elif last == self._stable_index:
+            self.stability_count += len(indices)
         else:
-            self._stable_index = index
-            self.stability_count = 1
+            self.stability_count = len(indices)
+        self._stable_index = last
 
     def stability_check(self) -> bool:
+        # pending events cannot reach p_stable before the drain that
+        # their window ends with, so the last drain's count decides
         return self.stability_count >= self.cfg.p_stable
 
     def try_emit(self) -> Optional[PlaneSeed]:
@@ -406,43 +547,38 @@ class FlowPlane:
         if not self.stability_check():
             return None
         cfg = self.cfg
+        array = self.array
         try:
-            assoc = extract_associated(self.array, cfg.w)
+            assoc = extract_associated(array, cfg.w)
         except AssociationError:
             self.stability_count = 0
             self._stable_index = None
             return None
 
         flow = assoc.flow
-        footprint = assoc.footprint
-        parent_range = self.array.angular_range
-        deepest = None
+        parent_range = array.angular_range
         for level in range(1, cfg.depth_max + 1):
-            deepest = refine(assoc, cfg, parent_range, level,
-                             center_flow=flow)
-            parent_range = deepest.angular_range
-            flow = deepest.argmax_flow
-        if deepest is not None:
-            k = deepest.argmax_index
-            winner = deepest.materialize_cells(k)
-            footprint = {key for key, c in winner.items() if c != 0}
+            deeper = refine(assoc, cfg, parent_range, level, center_flow=flow)
+            parent_range = deeper.angular_range
+            flow = deeper.argmax_flow
 
         taken = set(assoc.event_indices)
-        remaining = [e for i, e in enumerate(self.array.held) if i not in taken]
-        seed = PlaneSeed(assoc.events, flow, footprint)
-        self.array = MetricArray(cfg)
-        self.array.fill(remaining)
+        remaining = [e for i, e in enumerate(array.held) if i not in taken]
+        seed = PlaneSeed(assoc.events, flow)
+        self._array = MetricArray(cfg)
+        self._array.fill(remaining)
         self.stability_count = 0
-        self._stable_index = self.array.argmax_index
+        self._stable_index = self._array.argmax_index
         self.emissions += 1
         return seed
 
     def flush_noise(self, now_us: int) -> int:
         """Retract held events older than the noise lifespan."""
         cutoff = now_us - int(self.cfg.noise_lifespan_s * 1e6)
-        before = self.array.argmax_index
-        removed = self.array.flush_older_than(cutoff)
-        if removed and self.array.argmax_index != before:
+        array = self.array
+        before = array.argmax_index
+        removed = array.flush_older_than(cutoff)
+        if removed and array.argmax_index != before:
             self.stability_count = 0
-            self._stable_index = self.array.argmax_index
+            self._stable_index = array.argmax_index
         return removed

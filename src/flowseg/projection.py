@@ -161,15 +161,22 @@ class AccumulatorGrid:
         return rows
 
 
+def project_keys(us, vs, dt, v_u, v_v):
+    """Packed projected cells of event columns along flows (v_u, v_v).
+
+    `dt` is each event's time since the reference, in seconds.  The flow
+    components broadcast against the columns: scalars give one key per
+    event, (K, 1) columns a (K, B) block, one row per flow.
+    """
+    return _round_array(us - v_u * dt) * KEY_M + _round_array(vs - v_v * dt)
+
+
 def _project_sums(us, vs, ts, ss, flow, t_ref_us):
     """Project event columns and reduce to (unique packed keys, signed sums).
 
     Keys come back sorted ascending.
     """
-    dt = (ts - t_ref_us) * 1e-6
-    xs = _round_array(us - flow[0] * dt)
-    ys = _round_array(vs - flow[1] * dt)
-    keys = xs * KEY_M + ys
+    keys = project_keys(us, vs, (ts - t_ref_us) * 1e-6, flow[0], flow[1])
     if keys.size == 0:
         return keys, np.zeros(0, dtype=np.int64)
     order = np.argsort(keys, kind="stable")

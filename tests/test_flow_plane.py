@@ -9,7 +9,8 @@ from flowseg.flow_plane import (AssociationError, FlowPlane, FlowPlaneConfig,
                                 MetricArray, cell_value_stats,
                                 extract_associated, flood_fill_cells,
                                 index_to_flow, metric_local_maxima)
-from flowseg.projection import KEY_M, metric_bruteforce, pack_cell
+from flowseg.projection import (KEY_M, metric_bruteforce, pack_cell,
+                                project_event)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
 from test_projection import random_events
@@ -63,10 +64,19 @@ def test_metric_array_fill_equals_ingest():
     scan = MetricArray(cfg)
     scan.fill_scan(events)
     assert scan.metrics == one.metrics
-    k = scan.argmax_index
-    materialized = scan.materialize_cells(k)
-    assert ({key: c for key, c in materialized.items() if c != 0}
-            == {key: c for key, c in one.cells[k].items() if c != 0})
+    for k in range(cfg.n * cfg.n):
+        grids = []
+        for array in (one, two):
+            cells, values = array.grid(k)
+            grids.append(dict(zip(cells[values != 0].tolist(),
+                                  values[values != 0].tolist())))
+        assert grids[0] == grids[1]
+        # the store holds exactly the cells of the brute-force image
+        expected = {}
+        for e in events:
+            key = pack_cell(*project_event(e, one.flows[k], one.t_ref_us))
+            expected[key] = expected.get(key, 0) + e.s
+        assert grids[0] == {key: c for key, c in expected.items() if c}
 
 
 def test_flush_older_than_retracts_exactly():
@@ -172,7 +182,7 @@ def test_flow_plane_emits_accurate_seed():
     angle = math.degrees(abs(
         math.atan2(seed.flow.v_v, seed.flow.v_u) - math.atan2(10.0, 58.0)))
     assert angle < 10.0
-    assert seed.events and seed.footprint
+    assert seed.events
     # the emitting plane restarts on the leftovers
     assert plane.emissions == 1
     assert len(plane.array.held) < plane.total_ingested
