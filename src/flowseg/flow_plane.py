@@ -23,7 +23,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .events import Event
-from .projection import KEY_M, FlowVector, event_columns, project_keys
+from .projection import (KEY_M, FlowVector, event_columns, group_starts,
+                         project_keys)
 
 
 class AssociationError(Exception):
@@ -77,14 +78,6 @@ _K_SHIFT = 43
 _HALF = 1 << 42
 # (candidate, event) pairs projected at once: bounds the temporaries
 _BLOCK_PAIRS = 1 << 17
-
-
-def _group_starts(ordered: np.ndarray) -> np.ndarray:
-    """Indices at which a new value begins in a sorted, non-empty array."""
-    new = np.empty(len(ordered), dtype=bool)
-    new[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    return np.flatnonzero(new)
 
 
 class MetricArray:
@@ -168,7 +161,7 @@ class MetricArray:
         keys, sums = [], []
         for k0, _, pairs in self._grouped(us, vs, dt, ss > 0, 1):
             cells = pairs >> 1
-            starts = _group_starts(cells)
+            starts = group_starts(cells)
             count = np.diff(starts, append=len(cells))
             keys.append(cells[starts] + ((k0 << _K_SHIFT) - _HALF))
             sums.append(2 * np.add.reduceat(pairs & 1, starts) - count)
@@ -238,7 +231,7 @@ class MetricArray:
             cells = pairs >> bits
             event = pairs & ((1 << bits) - 1)
             s = sign[event]
-            starts = _group_starts(cells)
+            starts = group_starts(cells)
             count = np.diff(starts, append=len(cells))
             cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
             pos, hit, old = self._lookup(cell_keys)

@@ -171,6 +171,14 @@ def project_keys(us, vs, dt, v_u, v_v):
     return _round_array(us - v_u * dt) * KEY_M + _round_array(vs - v_v * dt)
 
 
+def group_starts(ordered: np.ndarray) -> np.ndarray:
+    """Indices at which a new value begins in a sorted, non-empty array."""
+    new = np.empty(len(ordered), dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def _project_sums(us, vs, ts, ss, flow, t_ref_us):
     """Project event columns and reduce to (unique packed keys, signed sums).
 
@@ -181,10 +189,7 @@ def _project_sums(us, vs, ts, ss, flow, t_ref_us):
         return keys, np.zeros(0, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
-    is_start = np.empty(len(sk), dtype=bool)
-    is_start[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
+    starts = group_starts(sk)
     sums = np.add.reduceat(ss[order], starts).astype(np.int64)
     return sk[starts], sums
 
