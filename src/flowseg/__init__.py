@@ -10,52 +10,23 @@ scene generator with per-event ground truth and a timestamp-surface
 plane-fit baseline support evaluation.
 """
 
-from .engine import (Engine, EngineConfig, EngineStats, FlowLabeledEvent,
-                     UNLABELED, read_labeled, run_stream, write_labeled)
-from .events import (DEFAULT_GEOMETRY, Event, EventStream, GeometryError,
-                     OrderingError, ParseError, SensorGeometry, StreamError,
-                     decode_event, encode_event, load_stream, save_stream)
-from .evaluation import (ErrorSummary, FlowError, angle_error_deg,
-                         cross_label_fraction, flow_errors,
-                         magnitude_pct_error, majority_structure_map,
-                         report_lines, robot_ground_truth, summarize)
-from .flow_plane import (AssociationError, AssociationResult, FlowPlane,
-                         FlowPlaneConfig, MetricArray, PlaneSeed,
-                         extract_associated, index_to_flow,
-                         metric_local_maxima, refine)
-from .lk import LKConfig, TimestampSurfaces, fit_plane_flow, run_lk
-from .projection import (AccumulatorGrid, ConsistencyError, FlowVector,
-                         accumulate, metric_bruteforce, pack_cell,
-                         project_event, retract, round_half_away, unpack_cell)
-from .render import RenderConfig, render_frames, render_to_dir, write_pgm, write_ppm
-from .synth import (ConstantMotion, GroundTruth, PendulumMotion,
-                    RotationMotion, ShapeContour, build_contour,
-                    generate_events, generate_scene, read_gt, write_gt)
-from .track_plane import TrackPlane, TrackPlaneConfig, event_lifetime_s
-from .config import (ConfigError, build_config, config_lines, load_config,
-                     parse_assignments)
-
 __version__ = "0.1.0"
 
+from .engine import (Engine, EngineConfig, UNLABELED, read_labeled,
+                     run_stream, write_labeled)
+from .events import Event, load_stream, save_stream
+from .evaluation import (cross_label_fraction, flow_errors,
+                         majority_structure_map)
+from .flow_plane import FlowPlaneConfig
+from .lk import run_lk
+from .render import RenderConfig, render_to_dir
+from .synth import ConstantMotion, PendulumMotion, build_contour, generate_scene
+from .track_plane import TrackPlaneConfig
+
 __all__ = [
-    "AccumulatorGrid", "AssociationError", "AssociationResult",
-    "ConfigError", "ConsistencyError", "ConstantMotion", "DEFAULT_GEOMETRY",
-    "Engine", "EngineConfig", "EngineStats", "ErrorSummary", "Event",
-    "EventStream", "FlowError", "FlowLabeledEvent", "FlowPlane",
-    "FlowPlaneConfig", "FlowVector", "GeometryError", "GroundTruth",
-    "LKConfig", "MetricArray", "OrderingError", "ParseError",
-    "PendulumMotion", "PlaneSeed", "RenderConfig", "RotationMotion",
-    "SensorGeometry", "ShapeContour", "StreamError", "TimestampSurfaces",
-    "TrackPlane", "TrackPlaneConfig", "UNLABELED", "accumulate",
-    "angle_error_deg", "build_config", "build_contour", "config_lines",
-    "cross_label_fraction", "decode_event", "encode_event",
-    "event_lifetime_s", "extract_associated", "fit_plane_flow",
-    "flow_errors", "generate_events", "generate_scene", "index_to_flow",
-    "load_config", "load_stream", "magnitude_pct_error",
-    "majority_structure_map", "metric_bruteforce", "metric_local_maxima",
-    "pack_cell", "parse_assignments", "project_event", "read_gt",
-    "read_labeled", "refine", "render_frames", "render_to_dir",
-    "report_lines", "retract", "robot_ground_truth", "round_half_away",
-    "run_lk", "run_stream", "save_stream", "summarize", "unpack_cell",
-    "write_gt", "write_labeled", "write_pgm", "write_ppm",
+    "ConstantMotion", "Engine", "EngineConfig", "Event", "FlowPlaneConfig",
+    "PendulumMotion", "RenderConfig", "TrackPlaneConfig", "UNLABELED",
+    "build_contour", "cross_label_fraction", "flow_errors", "generate_scene",
+    "load_stream", "majority_structure_map", "read_labeled", "render_to_dir",
+    "run_lk", "run_stream", "save_stream", "write_labeled",
 ]

@@ -14,11 +14,10 @@ import dataclasses
 import time
 from typing import Iterable, Optional, Sequence, Union
 
+from . import __version__
 from .engine import EngineConfig
 from .flow_plane import FlowPlaneConfig
 from .track_plane import TrackPlaneConfig
-
-PACKAGE_VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -125,7 +124,7 @@ def manifest_lines(command: str, input_path: Optional[str],
                    cfg: Optional[EngineConfig] = None) -> list[str]:
     lines = [
         "# run manifest",
-        f"version={PACKAGE_VERSION}",
+        f"version={__version__}",
         f"command={command}",
         f"wall_clock={time.strftime('%Y-%m-%dT%H:%M:%S')}",
         f"elapsed_s={elapsed_s:.3f}",

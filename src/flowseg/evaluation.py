@@ -138,14 +138,6 @@ def summarize(values: Sequence[float], bin_width: float = 5.0) -> ErrorSummary:
         bin_width=bin_width)
 
 
-def robot_ground_truth(width_px: int = 240, speed_m_s: float = 0.1,
-                       fov_width_m: float = 0.414) -> float:
-    """Translating-camera flow magnitude: width * speed / field width."""
-    if fov_width_m <= 0:
-        raise ValueError("fov_width_m must be positive")
-    return width_px * speed_m_s / fov_width_m
-
-
 def report_lines(labeled: Sequence[FlowLabeledEvent],
                  gt_records: Sequence[tuple[int, int, float, float]],
                  mag_bin: float = 5.0, angle_bin: float = 5.0) -> list[str]:

@@ -317,68 +317,12 @@ class MetricArray:
             return None
         return self.flows[self.argmax_index]
 
-    def metrics_grid(self) -> np.ndarray:
-        n = self.cfg.n
-        return np.array(self.metrics, dtype=np.int64).reshape(n, n)
-
-    def dump_csv_rows(self) -> list[str]:
-        rows = ["i,j,v_u,v_v,m"]
-        n = self.cfg.n
-        for j in range(n):
-            for i in range(n):
-                k = j * n + i
-                f = self.flows[k]
-                rows.append(f"{i},{j},{f.v_u!r},{f.v_v!r},{self.metrics[k]}")
-        return rows
-
-
-def metric_local_maxima(metrics_2d: np.ndarray,
-                        floor_frac: float = 0.05) -> list[tuple[int, int]]:
-    """(i, j) local maxima over 8-neighborhoods, one per connected plateau,
-    ignoring cells below floor_frac of the global max."""
-    m = np.asarray(metrics_2d)
-    peak = m.max()
-    if peak <= 0:
-        return []
-    floor = floor_frac * peak
-    n_rows, n_cols = m.shape
-    padded = np.full((n_rows + 2, n_cols + 2), -np.inf)
-    padded[1:-1, 1:-1] = m
-    qualifies = m >= floor
-    for dj in (-1, 0, 1):
-        for di in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            qualifies &= m >= padded[1 + dj:n_rows + 1 + dj, 1 + di:n_cols + 1 + di]
-    seen = np.zeros_like(qualifies)
-    result = []
-    for j in range(n_rows):
-        for i in range(n_cols):
-            if not qualifies[j, i] or seen[j, i]:
-                continue
-            # flood one plateau of equal-valued qualifying neighbors
-            queue = deque([(j, i)])
-            seen[j, i] = True
-            while queue:
-                cj, ci = queue.popleft()
-                for dj in (-1, 0, 1):
-                    for di in (-1, 0, 1):
-                        nj, ni = cj + dj, ci + di
-                        if (0 <= nj < n_rows and 0 <= ni < n_cols
-                                and qualifies[nj, ni] and not seen[nj, ni]
-                                and m[nj, ni] == m[j, i]):
-                            seen[nj, ni] = True
-                            queue.append((nj, ni))
-            result.append((i, j))
-    return result
-
 
 @dataclass
 class AssociationResult:
     event_indices: list[int]       # into the array's held list
     events: list[Event]
     flow: FlowVector
-    footprint: set[int]            # packed projected cells
     mu: float
     sigma: float
     threshold: float
@@ -452,7 +396,6 @@ def extract_associated(array: MetricArray,
         event_indices=indices,
         events=[array.held[i] for i in indices],
         flow=flow,
-        footprint=footprint,
         mu=mu, sigma=sigma, threshold=threshold)
 
 

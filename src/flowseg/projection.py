@@ -64,6 +64,12 @@ def _round_array(z: np.ndarray) -> np.ndarray:
     return np.trunc(z + np.copysign(0.5, z)).astype(np.int64)
 
 
+def cell_key(u, v, dt: float, v_u: float, v_v: float) -> int:
+    """Packed cell of (u, v) projected back `dt` seconds along (v_u, v_v)."""
+    return (round_half_away(u - v_u * dt) * KEY_M
+            + round_half_away(v - v_v * dt))
+
+
 def project_event(e: Event, flow: FlowVector, t_ref_us: int) -> tuple[int, int]:
     """Projected cell of `e` along `flow` relative to `t_ref_us`."""
     dt = (e.t - t_ref_us) * 1e-6
@@ -88,12 +94,8 @@ class AccumulatorGrid:
         self.t_ref_us = t_ref_us
 
     def cell_of(self, e: Event, flow) -> int:
-        dt = (e.t - self.t_ref_us) * 1e-6
-        x = e.u - flow[0] * dt
-        y = e.v - flow[1] * dt
-        xi = int(x + 0.5) if x >= 0.0 else -int(0.5 - x)
-        yi = int(y + 0.5) if y >= 0.0 else -int(0.5 - y)
-        return xi * KEY_M + yi
+        return cell_key(e.u, e.v, (e.t - self.t_ref_us) * 1e-6,
+                        flow[0], flow[1])
 
     def accumulate(self, e: Event, flow) -> int:
         """Add one event; returns the metric delta."""
@@ -132,11 +134,13 @@ class AccumulatorGrid:
             metric += add * (2 * c + add)
         self.metric = metric
 
-    def retract_batch(self, us, vs, ts, ss, flow) -> None:
+    def retract_batch(self, us, vs, ts, ss, flow) -> list[int]:
+        """Vectorized retract; returns the packed cells it touched."""
         keys, sums = _project_sums(us, vs, ts, ss, flow, self.t_ref_us)
+        touched = keys.tolist()
         cells = self.cells
         metric = self.metric
-        for key, sub in zip(keys.tolist(), sums.tolist()):
+        for key, sub in zip(touched, sums.tolist()):
             c = cells.get(key)
             if c is None:
                 raise ConsistencyError(
@@ -144,21 +148,10 @@ class AccumulatorGrid:
             cells[key] = c - sub
             metric += sub * (sub - 2 * c)
         self.metric = metric
+        return touched
 
     def nonzero_cells(self) -> set[int]:
         return {k for k, c in self.cells.items() if c != 0}
-
-    def iter_cells(self):
-        """Yields ((x, y), value) for touched cells, insertion order."""
-        for key, value in self.cells.items():
-            yield unpack_cell(key), value
-
-    def dump_csv_rows(self) -> list[str]:
-        rows = ["x,y,f"]
-        items = sorted(((unpack_cell(k), c) for k, c in self.cells.items()
-                        if c != 0), key=lambda it: it[0])
-        rows.extend(f"{x},{y},{c}" for (x, y), c in items)
-        return rows
 
 
 def project_keys(us, vs, dt, v_u, v_v):
@@ -203,19 +196,12 @@ def event_columns(events: Sequence[Event]):
     return table[:, 0], table[:, 1], table[:, 2], table[:, 3]
 
 
-def accumulate(grid: AccumulatorGrid, e: Event, flow) -> int:
-    return grid.accumulate(e, flow)
-
-
-def retract(grid: AccumulatorGrid, e: Event, flow) -> int:
-    return grid.retract(e, flow)
-
-
 def metric_bruteforce(events: Iterable[Event], flow, t_ref_us: int) -> int:
     """Rebuild the accumulation image from scratch and sum squared cells.
 
-    Oracle for the incremental metric; uses the same projection and
-    rounding as the incremental path.
+    Oracle for the incremental metric.  It writes the projection and the
+    half-away rounding out itself rather than calling `cell_key`, so that
+    a fault in the shared kernel cannot hide behind the oracle.
     """
     f: dict[int, int] = {}
     vu, vv = flow[0], flow[1]

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .events import DEFAULT_GEOMETRY, Event, EventStream, GeometryError, SensorGeometry
+from .projection import KEY_M, _round_array, round_half_away
 
 CONTOUR_SPACING = 0.5         # px between contour sample points
 _MAX_STEP_PX = 0.2            # max motion per simulation step
@@ -40,17 +41,6 @@ class ShapeContour:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.points.mean(axis=0)
-
-    def max_extent(self) -> float:
-        """Largest pairwise point distance (shape 'width' in the widest sense)."""
-        pts = self.points
-        # hull-free O(N^2) is fine at a few hundred points
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        return float(np.sqrt(d2.max()))
 
 
 def _polygon_contour(vertices: Sequence[tuple[float, float]], label: str,
@@ -156,9 +146,6 @@ class ConstantMotion:
     def max_speed(self, points: np.ndarray) -> float:
         return math.hypot(self.v_u, self.v_v)
 
-    def mean_flow(self, t: float) -> tuple[float, float]:
-        return self.v_u, self.v_v
-
 
 class PendulumMotion:
     """Horizontal lossless pendulum swing.
@@ -204,9 +191,6 @@ class PendulumMotion:
     def max_speed(self, points: np.ndarray) -> float:
         return self.peak_flow
 
-    def mean_flow(self, t: float) -> tuple[float, float]:
-        return self.velocity_at(0.0, 0.0, t)
-
 
 class RotationMotion:
     kind = "rotation"
@@ -235,11 +219,6 @@ class RotationMotion:
         rel = points - self.center
         return abs(self.omega) * float(np.hypot(rel[:, 0], rel[:, 1]).max())
 
-    def mean_flow(self, t: float) -> tuple[float, float]:
-        # no single flow exists for a rotating structure; report the
-        # centroid's instantaneous velocity (zero when centered on the pivot)
-        return 0.0, 0.0
-
 
 MotionModel = Union[ConstantMotion, PendulumMotion, RotationMotion]
 
@@ -258,13 +237,6 @@ class GroundTruth:
     records: list[tuple[int, int, float, float]]
     models: list[MotionModel]
     clipped: bool = False
-
-    @property
-    def n_structures(self) -> int:
-        return len(self.models)
-
-    def flow_at(self, t_s: float, structure: int = 0) -> tuple[float, float]:
-        return self.models[structure].mean_flow(t_s)
 
 
 def write_gt(gt: GroundTruth, destination) -> None:
@@ -295,10 +267,6 @@ def read_gt(source) -> list[tuple[int, int, float, float]]:
 # ---------------------------------------------------------------------------
 # generation
 
-def _round_half_away_vec(z: np.ndarray) -> np.ndarray:
-    return np.trunc(z + np.copysign(0.5, z)).astype(np.int64)
-
-
 def _simulate_structure(contour: ShapeContour, model: MotionModel,
                         duration: float, geometry: SensorGeometry,
                         structure_id: int):
@@ -319,12 +287,11 @@ def _simulate_structure(contour: ShapeContour, model: MotionModel,
     step = duration / n_steps
 
     pos0 = model.positions(points, 0.0)
-    px = _round_half_away_vec(pos0[:, 0])
-    py = _round_half_away_vec(pos0[:, 1])
+    px = _round_array(pos0[:, 0])
+    py = _round_array(pos0[:, 1])
     occupancy: dict[int, int] = {}
-    key_m = 1 << 21
     for x, y in zip(px.tolist(), py.tolist()):
-        k = x * key_m + y
+        k = x * KEY_M + y
         occupancy[k] = occupancy.get(k, 0) + 1
 
     records: list[tuple[int, int, int, int, int, float, float]] = []
@@ -337,8 +304,8 @@ def _simulate_structure(contour: ShapeContour, model: MotionModel,
         t0 = n * step
         t1 = (n + 1) * step
         pos1 = model.positions(points, t1)
-        nx = _round_half_away_vec(pos1[:, 0])
-        ny = _round_half_away_vec(pos1[:, 1])
+        nx = _round_array(pos1[:, 0])
+        ny = _round_array(pos1[:, 1])
         changed = np.nonzero((nx != px) | (ny != py))[0]
 
         if changed.size:
@@ -361,12 +328,12 @@ def _simulate_structure(contour: ShapeContour, model: MotionModel,
             transitions.sort(key=lambda tr: (tr[0], tr[1], tr[2]))
 
             for t_cross, idx, axis, new_value in transitions:
-                old_key = cur_x[idx] * key_m + cur_y[idx]
+                old_key = cur_x[idx] * KEY_M + cur_y[idx]
                 if axis == 0:
                     cur_x[idx] = new_value
                 else:
                     cur_y[idx] = new_value
-                new_key = cur_x[idx] * key_m + cur_y[idx]
+                new_key = cur_x[idx] * KEY_M + cur_y[idx]
                 count = occupancy.get(old_key, 0)
                 if count <= 1:
                     occupancy.pop(old_key, None)
@@ -387,7 +354,7 @@ def _simulate_structure(contour: ShapeContour, model: MotionModel,
                 vel_u, vel_v = model.velocity_at(pu, pv, t_cross)
                 w_n = model.world_normal(normals[idx], t_cross)
                 s = 1 if (w_n[0] * vel_u + w_n[1] * vel_v) >= 0 else -1
-                records.append((int(t_cross * 1e6 + 0.5), eu, ev, s,
+                records.append((round_half_away(t_cross * 1e6), eu, ev, s,
                                 structure_id, vel_u, vel_v))
             px = nx
             py = ny
@@ -438,8 +405,8 @@ def generate_scene(objects: Sequence[tuple[ShapeContour, MotionModel]],
         vs = rng.integers(0, geometry.height, n_noise)
         ss = rng.choice((-1, 1), n_noise)
         for i in range(n_noise):
-            all_records.append((int(ts[i] * 1e6 + 0.5), int(us[i]), int(vs[i]),
-                                int(ss[i]), -1, 0.0, 0.0))
+            all_records.append((round_half_away(ts[i] * 1e6), int(us[i]),
+                                int(vs[i]), int(ss[i]), -1, 0.0, 0.0))
 
     all_records.sort(key=lambda r: r[0])
 
@@ -450,11 +417,10 @@ def generate_scene(objects: Sequence[tuple[ShapeContour, MotionModel]],
         all_records.sort(key=lambda r: r[0])
 
     if refractory_us > 0:
-        key_m = 1 << 21
         last_kept: dict[int, int] = {}
         kept = []
         for r in all_records:
-            k = r[1] * key_m + r[2]
+            k = r[1] * KEY_M + r[2]
             prev = last_kept.get(k)
             if prev is not None and r[0] - prev < refractory_us:
                 continue

@@ -10,7 +10,7 @@ flow, halving h when the center wins and doubling it otherwise.  Misses
 are counted per projected cell; a cell missed evolve_threshold times is
 promoted into the footprint, which is how the plane follows contour
 change.  Events expire lifetime_px / speed seconds after arrival and
-retract from all grids.
+retract from all grids in one batch.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .events import Event
 from .projection import (KEY_M, AccumulatorGrid, ConsistencyError, FlowVector,
-                         event_columns, round_half_away)
+                         cell_key, event_columns, round_half_away)
 
 
 @dataclass
@@ -106,11 +106,6 @@ class TrackPlane:
         self._g_vv = [f[1] for f in self.flows]
         self._lifetime_us = int(self.event_lifetime_s() * 1e6)
 
-    @classmethod
-    def from_seed(cls, plane_id: int, seed,
-                  cfg: Optional[TrackPlaneConfig] = None) -> "TrackPlane":
-        return cls(plane_id, seed.flow, seed.events, cfg)
-
     def _perturb(self, value: float, steps: int) -> float:
         if steps == 0:
             return value
@@ -141,12 +136,8 @@ class TrackPlane:
         if held and held[0].t < t - self._lifetime_us:
             self.expire(t)
         center = self.center_index
-        dt = (t - self._g_tref[center]) * 1e-6
-        x = u - self._g_vu[center] * dt
-        y = v - self._g_vv[center] * dt
-        xi = int(x + 0.5) if x >= 0.0 else -int(0.5 - x)
-        yi = int(y + 0.5) if y >= 0.0 else -int(0.5 - y)
-        key = xi * KEY_M + yi
+        key = cell_key(u, v, (t - self._g_tref[center]) * 1e-6,
+                       self._g_vu[center], self._g_vv[center])
 
         if key not in self.active:
             self.total_misses += 1
@@ -172,11 +163,7 @@ class TrackPlane:
             if k == center:
                 gkey = key
             else:
-                gdt = (t - trefs[k]) * 1e-6
-                gx = u - vus[k] * gdt
-                gy = v - vvs[k] * gdt
-                gkey = ((int(gx + 0.5) if gx >= 0.0 else -int(0.5 - gx)) * KEY_M
-                        + (int(gy + 0.5) if gy >= 0.0 else -int(0.5 - gy)))
+                gkey = cell_key(u, v, (t - trefs[k]) * 1e-6, vus[k], vvs[k])
             cells = cells_list[k]
             c = cells.get(gkey, 0)
             if c != 0:
@@ -199,39 +186,28 @@ class TrackPlane:
         """Retract events older than the lifetime; returns how many."""
         cutoff = now_us - self._lifetime_us
         held = self.held
-        if not held or held[0].t >= cutoff:
-            return 0
-        center = self.center_index
-        trefs = self._g_tref
-        vus = self._g_vu
-        vvs = self._g_vv
-        cells_list = self._g_cells
-        grids = self.grids
-        removed = 0
+        stale = []
         while held and held[0].t < cutoff:
-            u, v, t, s = held.popleft()
-            for k in range(len(grids)):
-                gdt = (t - trefs[k]) * 1e-6
-                gx = u - vus[k] * gdt
-                gy = v - vvs[k] * gdt
-                gkey = ((int(gx + 0.5) if gx >= 0.0 else -int(0.5 - gx)) * KEY_M
-                        + (int(gy + 0.5) if gy >= 0.0 else -int(0.5 - gy)))
-                cells = cells_list[k]
-                c = cells.get(gkey)
-                if c is None:
-                    raise ConsistencyError(
-                        f"plane {self.plane_id}: expiry retract from untouched cell")
-                cells[gkey] = c - s
-                grids[k].metric += s * (s - 2 * c)
-                if k == center:
-                    if c - s == 0 and gkey not in self.promoted:
-                        self.active.discard(gkey)
-                    elif c == 0 and gkey not in self.active:
-                        # cancelled cell went nonzero again
-                        self.active.add(gkey)
-            removed += 1
-        self.expired += removed
-        return removed
+            stale.append(held.popleft())
+        if not stale:
+            return 0
+        cols = event_columns(stale)
+        for k, (grid, flow) in enumerate(zip(self.grids, self.flows)):
+            try:
+                touched = grid.retract_batch(*cols, flow)
+            except ConsistencyError as exc:
+                raise ConsistencyError(f"plane {self.plane_id}: {exc}") from exc
+            if k == self.center_index:
+                # the footprint is the nonzero center cells plus the
+                # promoted ones; only the touched cells can have changed
+                cells = grid.cells
+                for key in touched:
+                    if cells[key]:
+                        self.active.add(key)
+                    elif key not in self.promoted:
+                        self.active.discard(key)
+        self.expired += len(stale)
+        return len(stale)
 
     def recenter(self, now_us: int) -> None:
         """Adopt the winning grid's flow and rebuild the perturbations.

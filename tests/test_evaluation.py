@@ -6,10 +6,7 @@ from flowseg.engine import FlowLabeledEvent, UNLABELED
 from flowseg.evaluation import (ErrorSummary, FlowError, angle_error_deg,
                                 cross_label_fraction, flow_errors,
                                 magnitude_pct_error, majority_structure_map,
-                                robot_ground_truth, summarize)
-
-# 240 px * 0.1 m/s / 0.414 m, frozen at full precision
-ROBOT_FLOW = 57.971014492753625
+                                summarize)
 
 
 def test_magnitude_error_examples():
@@ -40,14 +37,6 @@ def test_angle_error_symmetric_and_scale_free():
     assert a == pytest.approx(b, rel=1e-12)
     scaled = angle_error_deg(30.0, 10.0, -2.0, 5.0)
     assert scaled == pytest.approx(a, rel=1e-12)
-
-
-def test_robot_ground_truth():
-    assert robot_ground_truth() == pytest.approx(ROBOT_FLOW, rel=1e-12)
-    assert robot_ground_truth(speed_m_s=0.2) == pytest.approx(2 * ROBOT_FLOW)
-    assert robot_ground_truth(speed_m_s=0.0) == 0.0
-    with pytest.raises(ValueError):
-        robot_ground_truth(fov_width_m=0.0)
 
 
 def test_summarize_stats():

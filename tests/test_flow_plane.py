@@ -1,14 +1,13 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from flowseg.events import Event
 from flowseg.flow_plane import (AssociationError, FlowPlane, FlowPlaneConfig,
                                 MetricArray, cell_value_stats,
                                 extract_associated, flood_fill_cells,
-                                index_to_flow, metric_local_maxima)
+                                index_to_flow)
 from flowseg.projection import (KEY_M, metric_bruteforce, pack_cell,
                                 project_event)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
@@ -93,25 +92,6 @@ def test_flush_older_than_retracts_exactly():
     for k, flow in enumerate(array.flows):
         assert array.metrics[k] == metric_bruteforce(survivors, flow,
                                                      array.t_ref_us)
-
-
-def test_metric_local_maxima_finds_separated_peaks():
-    m = np.zeros((6, 6), dtype=np.int64)
-    m[1, 1] = 50
-    m[4, 4] = 40
-    m[4, 5] = 40      # plateau neighbor, same peak
-    found = metric_local_maxima(m)
-    assert (1, 1) in found
-    assert ((4, 4) in found) != ((5, 4) in found)  # plateau counted once
-    assert len(found) == 2
-
-
-def test_metric_local_maxima_floor():
-    m = np.zeros((4, 4), dtype=np.int64)
-    m[0, 0] = 100
-    m[3, 3] = 2       # below 5% of the peak
-    assert metric_local_maxima(m) == [(0, 0)]
-    assert metric_local_maxima(np.zeros((3, 3), dtype=np.int64)) == []
 
 
 def test_cell_value_stats():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from flowseg.events import Event
-from flowseg.projection import FlowVector, pack_cell
+from flowseg.projection import ConsistencyError, FlowVector, pack_cell
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig, event_lifetime_s
 
 
@@ -82,6 +82,29 @@ def test_expire_drops_old_events():
     assert removed == held_before
     assert len(plane) == 0
     assert plane.grids[plane.center_index].metric == 0
+
+
+def test_expire_keeps_promoted_cell_in_footprint():
+    cfg = TrackPlaneConfig(evolve_threshold=1)
+    plane = make_plane((0.0, 0.0), cfg, n_events=1)
+    stray = Event(90, 90, 1000, 1)
+    assert plane.try_match(stray) is False       # promoted at once
+    assert plane.try_match(stray._replace(t=2000)) is True
+    key = pack_cell(90, 90)
+    plane.expire(2000 + int(plane.event_lifetime_s() * 1e6) + 1)
+    assert len(plane) == 0
+    # the cell is back at 0, but a promoted cell stays in the footprint
+    assert plane.grids[plane.center_index].cells[key] == 0
+    assert key in plane.active
+
+
+def test_expire_raises_on_event_never_accumulated():
+    cfg = TrackPlaneConfig(evolve_threshold=1000)
+    plane = make_plane((100.0, 0.0), cfg)
+    # a foreign event in `held` has no cell to retract from in any grid
+    plane.held.append(Event(200, 170, plane.held[-1].t + 1, 1))
+    with pytest.raises(ConsistencyError, match="plane 0"):
+        plane.expire(plane.held[-1].t + 10 ** 6)
 
 
 def test_recenter_tie_widens_perturbations():

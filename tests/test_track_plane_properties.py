@@ -1,0 +1,144 @@
+"""Property tests of tracking.
+
+A tracking plane keeps its m x m grids incrementally: hits add one
+event to every grid, expiry retracts a batch of events, and recenters
+rebuild grids.  After every call each grid must equal the image
+rebuilt from the plane's held events, and the footprint must be the
+nonzero center cells plus the promoted ones.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from flowseg.events import Event
+from flowseg.projection import (AccumulatorGrid, event_columns,
+                                metric_bruteforce, pack_cell, project_event)
+from flowseg.track_plane import TrackPlane, TrackPlaneConfig
+
+SETTINGS = settings(max_examples=150, deadline=None)
+# small patches and slow flows make projections collide and cells cancel
+PATCH = st.integers(0, 2)
+FLOWS = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+# short steps stay within one event lifetime (at least 70 ms here),
+# medium ones expire part of the held events, long ones all of them at
+# any speed (3 s at the 1 px/s floor)
+STEPS = st.one_of(st.integers(0, 3_000), st.integers(0, 300_000),
+                  st.integers(0, 3_000_000))
+
+OPS = st.one_of(
+    st.tuples(st.just("offer"), PATCH, PATCH, STEPS, st.sampled_from((1, -1))),
+    st.tuples(st.just("expire"), STEPS),
+    st.tuples(st.just("recenter"), st.lists(st.integers(0, 60),
+                                            min_size=9, max_size=9)),
+)
+
+
+def image(events, flow, t_ref_us):
+    cells = {}
+    for e in events:
+        key = pack_cell(*project_event(e, flow, t_ref_us))
+        cells[key] = cells.get(key, 0) + e.s
+    return {k: c for k, c in cells.items() if c}
+
+
+def nonzero(grid):
+    return {k: c for k, c in grid.cells.items() if c}
+
+
+def check_plane(plane):
+    center = plane.grids[plane.center_index]
+    assert plane.active == center.nonzero_cells() | plane.promoted
+    for grid, flow in zip(plane.grids, plane.flows):
+        assert nonzero(grid) == image(plane.held, flow, grid.t_ref_us)
+        assert grid.metric == metric_bruteforce(plane.held, flow,
+                                                grid.t_ref_us)
+
+
+def on_track(flow, du, dv, t, s):
+    """An event at patch offset (du, dv) of a structure moving at flow."""
+    return Event(du + round(flow[0] * t * 1e-6),
+                 dv + round(flow[1] * t * 1e-6), t, s)
+
+
+@SETTINGS
+@given(flow=FLOWS,
+       seed=st.lists(st.tuples(PATCH, PATCH, st.integers(0, 2_000),
+                               st.sampled_from((1, -1))),
+                     min_size=1, max_size=8),
+       ops=st.lists(OPS, max_size=40),
+       evolve=st.integers(1, 2),
+       recenter_hits=st.integers(1, 8),
+       h0_deg=st.sampled_from((0.02, 1.0, 5.0)))
+# a promoted cell takes a hit, and expiry brings it back to 0
+@example(flow=(0, 25), seed=[(0, 0, 0, 1)],
+         ops=[("offer", 0, 1, 0, 1), ("offer", 0, 1, 0, 1),
+              ("expire", 3_000_000)],
+         evolve=1, recenter_hits=1, h0_deg=0.02)
+# a hit cancels a cell, and expiring the older event revives it
+@example(flow=(0, 25), seed=[(0, 0, 0, 1)],
+         ops=[("offer", 0, 0, 50_000, -1), ("expire", 100_000)],
+         evolve=2, recenter_hits=8, h0_deg=0.02)
+def test_track_plane_matches_bruteforce(flow, seed, ops, evolve,
+                                        recenter_hits, h0_deg):
+    cfg = TrackPlaneConfig(evolve_threshold=evolve,
+                           min_recenter_hits=recenter_hits, h0_deg=h0_deg)
+    t = 0
+    events = []
+    for du, dv, dt, s in seed:
+        t += dt
+        events.append(on_track(flow, du, dv, t, s))
+    plane = TrackPlane(0, flow, events, cfg)
+    check_plane(plane)
+    for op in ops:
+        if op[0] == "offer":
+            _, du, dv, dt, s = op
+            t += dt
+            plane.try_match(on_track(flow, du, dv, t, s))
+        elif op[0] == "expire":
+            t += op[1]
+            plane.expire(t)
+        else:
+            plane.hits = list(op[1])
+            plane.recenter(t)
+        check_plane(plane)
+
+
+EVENTS = st.lists(st.tuples(PATCH, PATCH, st.integers(0, 40_000),
+                            st.sampled_from((1, -1))),
+                  min_size=1, max_size=15)
+
+
+@SETTINGS
+@given(flow=FLOWS,
+       ops=st.lists(st.one_of(st.tuples(st.just("add"), EVENTS),
+                              st.tuples(st.just("retract"),
+                                        st.lists(st.integers(0, 10 ** 6),
+                                                 max_size=15))),
+                    max_size=12))
+def test_accumulator_batches_match_scalar_path(flow, ops):
+    t = 0
+    scalar = AccumulatorGrid(t)
+    batched = AccumulatorGrid(t)
+    live = []
+    for op in ops:
+        if op[0] == "add":
+            batch = []
+            for u, v, dt, s in op[1]:
+                t += dt
+                batch.append(Event(u, v, t, s))
+            for e in batch:
+                scalar.accumulate(e, flow)
+            batched.accumulate_batch(*event_columns(batch), flow)
+            live.extend(batch)
+        else:
+            picks = {i % len(live) for i in op[1]} if live else set()
+            batch = [e for i, e in enumerate(live) if i in picks]
+            live = [e for i, e in enumerate(live) if i not in picks]
+            for e in batch:
+                scalar.retract(e, flow)
+            touched = batched.retract_batch(*event_columns(batch), flow)
+            assert touched == sorted({scalar.cell_of(e, flow) for e in batch})
+        # zero cells too: both paths keep a cancelled cell retractable
+        assert batched.cells == scalar.cells
+        assert batched.metric == scalar.metric
+        assert batched.metric == metric_bruteforce(live, flow, 0)
