@@ -123,12 +123,18 @@ class Engine:
 
     def process(self, ev: Event) -> FlowLabeledEvent:
         """Label one event; may create, merge or prune planes as a side
-        effect.  Events must arrive in non-decreasing time order."""
-        if self._last_t is not None and ev.t < self._last_t:
+        effect.  Events must arrive in non-decreasing time order, with
+        polarity +1 or -1."""
+        u, v, t, s = ev
+        if s != 1 and s != -1:
+            # the grids count an event by s with s*s == 1
+            raise ValueError(f"event {self.stats.events_in}: polarity must "
+                             f"be +1 or -1, got {s}")
+        if self._last_t is not None and t < self._last_t:
             raise OrderingError(
-                f"event at {ev.t} us arrived after {self._last_t} us",
+                f"event at {t} us arrived after {self._last_t} us",
                 index=self.stats.events_in)
-        self._last_t = ev.t
+        self._last_t = t
         self.stats.events_in += 1
 
         label = UNLABELED
@@ -156,8 +162,8 @@ class Engine:
         self._since_maintenance += 1
         if self._since_maintenance >= self.cfg.maintenance_period:
             self._since_maintenance = 0
-            self.maintenance(ev.t)
-        return FlowLabeledEvent(ev.u, ev.v, ev.t, ev.s, label, flow_u, flow_v)
+            self.maintenance(t)
+        return FlowLabeledEvent(u, v, t, s, label, flow_u, flow_v)
 
     def run(self, events: Iterable[Event]) -> list[FlowLabeledEvent]:
         out = [self.process(ev) for ev in events]

@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .events import Event
-from .projection import (KEY_M, FlowVector, event_columns, group_starts,
-                         project_keys)
+from .projection import (KEY_M, FlowVector, _round_array, event_columns,
+                         group_starts, project_keys)
 
 
 class AssociationError(Exception):
@@ -76,7 +76,7 @@ def index_to_flow(i: int, j: int, center_flow, angular_range: float,
 # order by grid, then by cell.
 _K_SHIFT = 43
 _HALF = 1 << 42
-# (candidate, event) pairs projected at once: bounds the temporaries
+# (candidate, event) pairs sorted per block: bounds the block temporaries
 _BLOCK_PAIRS = 1 << 17
 
 
@@ -103,8 +103,9 @@ class MetricArray:
                 flows.append(index_to_flow(i, j, self.center_flow,
                                            self.angular_range, cfg))
         self.flows: list[FlowVector] = flows
-        self.vu_arr = np.array([f.v_u for f in flows])
-        self.vv_arr = np.array([f.v_v for f in flows])
+        # grid k = j*n + i takes v_u from column i and v_v from row j
+        self.col_vu = np.array([[f.v_u] for f in flows[:n]])
+        self.row_vv = np.array([[f.v_v] for f in flows[::n]])
         # store keys at which each grid's cells begin, and one past the last
         self._edges = (np.arange(n * n + 1, dtype=np.int64) << _K_SHIFT) - _HALF
         self.cell_keys = np.zeros(0, dtype=np.int64)
@@ -142,17 +143,33 @@ class MetricArray:
         is sorted and holds, for each (candidate k, event) pair,
         ((k - k0) * 2**43 + packed + 2**42) << bits | low[event], so that
         pairs group by cell and, within a cell, by `low`.
+
+        Each axis is rounded once per column or row of the grid.  A
+        block is whole rows, or part of one row, and its pairs are the
+        sums of its rows' y and its columns' x, which carry the block
+        offset k - k0 between them.  The pairs of one candidate are
+        contiguous and share their high bits, so sorting each
+        candidate's pairs sorts the block.
         """
-        rows = max(1, _BLOCK_PAIRS // len(us))
-        for k0 in range(0, len(self.flows), rows):
-            k1 = min(k0 + rows, len(self.flows))
-            pairs = project_keys(us, vs, dt, self.vu_arr[k0:k1, None],
-                                 self.vv_arr[k0:k1, None])
-            rows_k = np.arange(k1 - k0, dtype=np.int64)[:, None]
-            pairs += (rows_k << _K_SHIFT) + _HALF
-            pairs <<= bits
-            pairs |= low
-            yield k0, k1, np.sort(pairs, axis=None)
+        n = self.cfg.n
+        b = len(us)
+        cols = min(n, max(1, _BLOCK_PAIRS // b))
+        rows = max(1, _BLOCK_PAIRS // (n * b)) if cols == n else 1
+        at = np.arange(n)[:, None]
+        xs = (_round_array(us - self.col_vu * dt) * KEY_M + _HALF
+              + ((at % cols) << _K_SHIFT))
+        xs <<= bits
+        xs |= low
+        ys = (_round_array(vs - self.row_vv * dt)
+              + ((at % rows * n) << _K_SHIFT))
+        ys <<= bits
+        for j0 in range(0, n, rows):
+            j1 = min(j0 + rows, n)
+            for i0 in range(0, n, cols):
+                i1 = min(i0 + cols, n)
+                pairs = ys[j0:j1, None] + xs[None, i0:i1]
+                pairs.sort()
+                yield j0 * n + i0, (j1 - 1) * n + i1, pairs.ravel()
 
     def _sums(self, events) -> tuple[np.ndarray, np.ndarray]:
         """Store keys the events touch, ascending, and the signed sum of

@@ -155,11 +155,10 @@ class AccumulatorGrid:
 
 
 def project_keys(us, vs, dt, v_u, v_v):
-    """Packed projected cells of event columns along flows (v_u, v_v).
+    """Packed projected cells of event columns along one flow (v_u, v_v).
 
-    `dt` is each event's time since the reference, in seconds.  The flow
-    components broadcast against the columns: scalars give one key per
-    event, (K, 1) columns a (K, B) block, one row per flow.
+    `dt` is each event's time since the reference, in seconds; one key
+    per event.
     """
     return _round_array(us - v_u * dt) * KEY_M + _round_array(vs - v_v * dt)
 

@@ -100,10 +100,16 @@ class TrackPlane:
     def _sync_cache(self) -> None:
         # flat copies of the per-grid hot fields; the match loop runs per
         # event and attribute chains there cost real time
-        self._g_tref = [g.t_ref_us for g in self.grids]
+        m = self.cfg.m_grid
+        center = self.center_index
         self._g_cells = [g.cells for g in self.grids]
-        self._g_vu = [f[0] for f in self.flows]
-        self._g_vv = [f[1] for f in self.flows]
+        self._c_tref = self.grids[center].t_ref_us
+        self._c_vu, self._c_vv = self.flows[center]
+        # the perturbed grids share one t_ref; grid k = j*m + i takes v_u
+        # from column i and v_v from row j
+        self._p_tref = self.grids[0].t_ref_us
+        self._col_vu = [f[0] for f in self.flows[:m]]
+        self._row_vv = [f[1] for f in self.flows[::m]]
         self._lifetime_us = int(self.event_lifetime_s() * 1e6)
 
     def _perturb(self, value: float, steps: int) -> float:
@@ -135,9 +141,8 @@ class TrackPlane:
         held = self.held
         if held and held[0].t < t - self._lifetime_us:
             self.expire(t)
-        center = self.center_index
-        key = cell_key(u, v, (t - self._g_tref[center]) * 1e-6,
-                       self._g_vu[center], self._g_vv[center])
+        key = cell_key(u, v, (t - self._c_tref) * 1e-6,
+                       self._c_vu, self._c_vv)
 
         if key not in self.active:
             self.total_misses += 1
@@ -153,25 +158,28 @@ class TrackPlane:
             return False
 
         self.total_hits += 1
-        trefs = self._g_tref
-        vus = self._g_vu
-        vvs = self._g_vv
+        # each axis is rounded once per column or row of the perturbed
+        # grids; the center grid keeps the key found above
+        dt = (t - self._p_tref) * 1e-6
+        xs = [round_half_away(u - vu * dt) * KEY_M for vu in self._col_vu]
+        center = self.center_index
         cells_list = self._g_cells
         grids = self.grids
         hits = self.hits
-        for k in range(len(grids)):
-            if k == center:
-                gkey = key
-            else:
-                gkey = cell_key(u, v, (t - trefs[k]) * 1e-6, vus[k], vvs[k])
-            cells = cells_list[k]
-            c = cells.get(gkey, 0)
-            if c != 0:
-                hits[k] += 1
-            cells[gkey] = c + s
-            grids[k].metric += s * (2 * c + s)
-            if k == center and c + s == 0 and gkey not in self.promoted:
-                self.active.discard(gkey)
+        k = 0
+        for vv in self._row_vv:
+            y = round_half_away(v - vv * dt)
+            for x in xs:
+                gkey = key if k == center else x + y
+                cells = cells_list[k]
+                c = cells.get(gkey, 0)
+                if c != 0:
+                    hits[k] += 1
+                cells[gkey] = c + s
+                grids[k].metric += s * (2 * c + s)
+                k += 1
+        if cells_list[center][key] == 0 and key not in self.promoted:
+            self.active.discard(key)
         held.append(ev)
         self.hit_times.append(t)
 

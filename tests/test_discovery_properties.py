@@ -5,6 +5,7 @@ only: batch boundaries, flushes and drain timing may not move a metric,
 an argmax or an emission.
 """
 
+import math
 from unittest import mock
 
 from hypothesis import given, settings
@@ -105,6 +106,39 @@ def test_ingest_and_flush_match_bruteforce(events, ops, n, block):
             assert array.metrics[k] == metric_bruteforce(array.held, flow,
                                                          array.t_ref_us)
         assert nonzero_grids(array) == bruteforce_grids(array)
+
+
+# refinement ranges pi/q**level of the default q, and arbitrary ones
+RANGES = st.one_of(st.sampled_from([math.pi / 9.0 ** level
+                                    for level in range(4)]),
+                   st.floats(1e-3, math.pi))
+CENTERS = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+
+
+@SETTINGS
+@given(events=event_streams(span=40), n=st.integers(2, 5), center=CENTERS,
+       angular_range=RANGES, block=BLOCKS,
+       cuts=st.lists(st.integers(0, 60), max_size=4))
+def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
+                                            block, cuts):
+    # every grid rounds its column's v_u and its row's v_v once per
+    # event; around any center and at any range, each candidate must
+    # still see its own flow
+    cfg = FlowPlaneConfig(n=n)
+    scan, filled, ingested = (MetricArray(cfg, center, angular_range)
+                              for _ in range(3))
+    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
+        scan.fill_scan(events)
+        filled.fill(events)
+        for batch in split(events, cuts):
+            ingested.ingest_batch(batch)
+    expected = [metric_bruteforce(events, flow, events[0].t)
+                for flow in scan.flows]
+    for array in (scan, filled, ingested):
+        assert array.metrics == expected
+    images = bruteforce_grids(filled)
+    assert nonzero_grids(filled) == images
+    assert nonzero_grids(ingested) == images
 
 
 def test_cancelled_cell_retracts_after_compaction():

@@ -91,6 +91,18 @@ def test_out_of_order_event_rejected(small_scene):
     assert "after" in str(err.value)
 
 
+@pytest.mark.parametrize("s", [0, 2, -2])
+def test_polarity_outside_unit_rejected(s):
+    engine = Engine(EngineConfig())
+    engine.process(Event(3, 3, 0, 1))
+    with pytest.raises(ValueError, match=f"event 1: polarity .* got {s}"):
+        engine.process(Event(3, 3, 1, s))
+    # the rejected event left no trace
+    assert engine.stats.events_in == 1
+    assert engine.process(Event(3, 3, 2, -1)).s == -1
+    assert engine.stats.events_in == 2
+
+
 def test_merge_combines_agreeing_overlapping_planes():
     events = [Event(30 + i % 5, 40, i * 500, 1) for i in range(30)]
     engine = Engine(EngineConfig())

@@ -48,6 +48,13 @@ def nonzero(grid):
 def check_plane(plane):
     center = plane.grids[plane.center_index]
     assert plane.active == center.nonzero_cells() | plane.promoted
+    # a hit rounds each axis once for all perturbed grids: they share one
+    # t_ref, and grid k = j*m + i has column i's v_u and row j's v_v
+    m = plane.cfg.m_grid
+    assert len({grid.t_ref_us for k, grid in enumerate(plane.grids)
+                if k != plane.center_index}) == 1
+    for k, flow in enumerate(plane.flows):
+        assert flow == (plane.flows[k % m].v_u, plane.flows[k // m * m].v_v)
     for grid, flow in zip(plane.grids, plane.flows):
         assert nonzero(grid) == image(plane.held, flow, grid.t_ref_us)
         assert grid.metric == metric_bruteforce(plane.held, flow,
@@ -77,6 +84,13 @@ def on_track(flow, du, dv, t, s):
 # a hit cancels a cell, and expiring the older event revives it
 @example(flow=(0, 25), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 50_000, -1), ("expire", 100_000)],
+         evolve=2, recenter_hits=8, h0_deg=0.02)
+# expiry moves the oldest held event, and a center win regenerates the
+# perturbed grids on it: the center grid keeps an older t_ref than they
+@example(flow=(20, 0), seed=[(0, 0, 0, 1)],
+         ops=[("offer", 0, 0, 100_000, 1), ("expire", 100_000),
+              ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
+              ("offer", 0, 0, 0, 1)],
          evolve=2, recenter_hits=8, h0_deg=0.02)
 def test_track_plane_matches_bruteforce(flow, seed, ops, evolve,
                                         recenter_hits, h0_deg):
