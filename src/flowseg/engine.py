@@ -4,9 +4,10 @@ Events are offered to tracking planes oldest-first; the first hit labels
 the event with that plane's id and current flow.  Events every plane
 misses feed the flow initializer, which emits a new tracking plane once
 a candidate flow has been stable and its support extracted.  Every
-maintenance_period events the engine flushes stale initializer events,
-merges planes that agree in flow and overlap in footprint, and prunes
-planes whose hit rate has collapsed.
+maintenance_period events the engine flushes stale initializer events
+(they are retracted with the initializer's next batch), expires old
+tracking events, merges planes that agree in flow and overlap in
+footprint, and prunes planes whose hit rate has collapsed.
 """
 
 from __future__ import annotations

@@ -5,26 +5,30 @@ flow; every incoming event is accumulated into all n*n grids and the
 sharpness metric argmax is tracked per event.  Events are accumulated in
 batches: one numpy pass projects a batch onto all candidates and groups
 the projections by sorting, and the cells of all grids share one sorted
-store.  Once the argmax cell has been stable for p_stable consecutive
-events, the events backing the winning projection are extracted
-(statistical threshold over cell values plus 8-connected flood fill) and
-re-projected through progressively narrower arrays (range/q per level).
-The final association seeds a tracking plane; everything else is
-re-projected into a fresh level-0 array.
+store.  A noise flush rides the next batch as retractions at its own
+place in it.  Once the argmax cell has been stable for p_stable
+consecutive events, the events backing the winning projection are
+extracted (statistical threshold over cell values plus 8-connected flood
+fill) and re-projected through progressively narrower arrays (range/q
+per level).  The final association seeds a tracking plane; everything
+else is re-projected into a fresh level-0 array.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .events import Event
-from .projection import (KEY_M, FlowVector, _round_array, event_columns,
-                         group_starts, project_keys)
+from .projection import (_HALF, _K_SHIFT, KEY_M, FlowVector, event_columns,
+                         grid_edges, grid_pairs, grid_sums, group_starts,
+                         project_keys)
 
 
 class AssociationError(Exception):
@@ -70,14 +74,11 @@ def index_to_flow(i: int, j: int, center_flow, angular_range: float,
                       center_flow[1] + cfg.v_ref * math.tan(theta_v))
 
 
-# The cells of all n*n grids live in one sorted int64 store: grid k's cell
-# `packed` (KEY_M packing) has store key k * 2**43 + packed.  Packed cells
-# lie in (-2**42, 2**42) whenever the KEY_M packing is valid, so store keys
-# order by grid, then by cell.
-_K_SHIFT = 43
-_HALF = 1 << 42
-# (candidate, event) pairs sorted per block: bounds the block temporaries
-_BLOCK_PAIRS = 1 << 17
+# rows (events ingested or retracted) per part of an ordered batch: with
+# the kernel's blocks of at most this many pairs, keeps the composite
+# sort keys of `grid_pairs` within int64
+_BATCH_ROWS = 1 << 17
+_time = itemgetter(2)
 
 
 class MetricArray:
@@ -85,9 +86,10 @@ class MetricArray:
 
     Grid k = j*n + i (row-major); the argmax ties break to the lowest
     (j, i).  All grids share t_ref, frozen at the first event.  Cells of
-    every grid are kept in one sorted store (`cell_keys`, `cell_values`);
-    a cell may hold 0 until the next flush compacts it.  An event counts
-    by the sign of its polarity.
+    every grid are kept in one sorted store (`cell_keys`, `cell_values`,
+    grid keys of `projection.grid_edges`); a cell may hold 0 until the
+    next batch that retracts events compacts it.  An event counts by the
+    sign of its polarity.  `held` is in time order.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -104,10 +106,9 @@ class MetricArray:
                                            self.angular_range, cfg))
         self.flows: list[FlowVector] = flows
         # grid k = j*n + i takes v_u from column i and v_v from row j
-        self.col_vu = np.array([[f.v_u] for f in flows[:n]])
-        self.row_vv = np.array([[f.v_v] for f in flows[::n]])
-        # store keys at which each grid's cells begin, and one past the last
-        self._edges = (np.arange(n * n + 1, dtype=np.int64) << _K_SHIFT) - _HALF
+        self.col_vu = np.array([f.v_u for f in flows[:n]])
+        self.row_vv = np.array([f.v_v for f in flows[::n]])
+        self._edges = grid_edges(n * n)
         self.cell_keys = np.zeros(0, dtype=np.int64)
         self.cell_values = np.zeros(0, dtype=np.int64)
         self._metrics = np.zeros(n * n, dtype=np.int64)
@@ -135,54 +136,11 @@ class MetricArray:
             self.t_ref_us = events[0].t
         return us, vs, (ts - self.t_ref_us) * 1e-6, ss
 
-    def _grouped(self, us, vs, dt, low: np.ndarray, bits: int):
-        """Project events onto every candidate, a block of candidates at
-        a time.
-
-        Yields (k0, k1, pairs) per block of candidates k0..k1-1: `pairs`
-        is sorted and holds, for each (candidate k, event) pair,
-        ((k - k0) * 2**43 + packed + 2**42) << bits | low[event], so that
-        pairs group by cell and, within a cell, by `low`.
-
-        Each axis is rounded once per column or row of the grid.  A
-        block is whole rows, or part of one row, and its pairs are the
-        sums of its rows' y and its columns' x, which carry the block
-        offset k - k0 between them.  The pairs of one candidate are
-        contiguous and share their high bits, so sorting each
-        candidate's pairs sorts the block.
-        """
-        n = self.cfg.n
-        b = len(us)
-        cols = min(n, max(1, _BLOCK_PAIRS // b))
-        rows = max(1, _BLOCK_PAIRS // (n * b)) if cols == n else 1
-        at = np.arange(n)[:, None]
-        xs = (_round_array(us - self.col_vu * dt) * KEY_M + _HALF
-              + ((at % cols) << _K_SHIFT))
-        xs <<= bits
-        xs |= low
-        ys = (_round_array(vs - self.row_vv * dt)
-              + ((at % rows * n) << _K_SHIFT))
-        ys <<= bits
-        for j0 in range(0, n, rows):
-            j1 = min(j0 + rows, n)
-            for i0 in range(0, n, cols):
-                i1 = min(i0 + cols, n)
-                pairs = ys[j0:j1, None] + xs[None, i0:i1]
-                pairs.sort()
-                yield j0 * n + i0, (j1 - 1) * n + i1, pairs.ravel()
-
     def _sums(self, events) -> tuple[np.ndarray, np.ndarray]:
         """Store keys the events touch, ascending, and the signed sum of
         their polarities in each."""
         us, vs, dt, ss = self._columns(events)
-        keys, sums = [], []
-        for k0, _, pairs in self._grouped(us, vs, dt, ss > 0, 1):
-            cells = pairs >> 1
-            starts = group_starts(cells)
-            count = np.diff(starts, append=len(cells))
-            keys.append(cells[starts] + ((k0 << _K_SHIFT) - _HALF))
-            sums.append(2 * np.add.reduceat(pairs & 1, starts) - count)
-        return np.concatenate(keys), np.concatenate(sums)
+        return grid_sums(us, vs, dt, ss, self.col_vu, self.row_vv)
 
     def _per_flow(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sum of `values` over each grid, for ascending store keys."""
@@ -228,37 +186,105 @@ class MetricArray:
     def _update_argmax(self) -> None:
         self.argmax_index = int(np.argmax(self._metrics)) if self.held else None
 
-    def ingest_batch(self, events: Sequence[Event]) -> np.ndarray:
-        """Accumulate events in order into every grid; returns the argmax
-        index after each event, as one-event batches would."""
-        b = len(events)
+    def apply_batch(self, events: Sequence[Event],
+                    flushes: Sequence[tuple[int, int]] = ()
+                    ) -> tuple[np.ndarray, list[Optional[int]]]:
+        """Apply one ordered batch: accumulate `events` in order and, at
+        each (at, count) of `flushes` (ascending `at`), once the first `at`
+        of them are in, retract the `count` oldest events still held.
+
+        Returns the argmax after each event, and after each flush (None
+        when the flush empties the array), as applying one event or one
+        flush at a time would.  Cells that drop to 0 leave the store if
+        the batch retracted anything.  A retraction from a cell no longer
+        stored reads it as 0: its events had cancelled.
+        """
+        if len(events) + sum(count for _, count in flushes) > _BATCH_ROWS:
+            return self._apply_in_parts(events, flushes)
+        return self._apply(events, flushes)
+
+    def _apply_in_parts(self, events, flushes):
+        """`apply_batch` in consecutive parts of at most _BATCH_ROWS rows.
+
+        Parts end between operations; only a flush longer than the limit
+        is split, and its result is the argmax after its last part.
+        """
+        best, after = [], []
+        start = at = rows = 0       # the open part: events[start:at]
+        part: list[tuple[int, int]] = []
+
+        def close():
+            nonlocal start, rows, part
+            if rows:
+                top, tops = self._apply(events[start:at], part)
+                best.append(top)
+                after.extend(tops)
+            start, rows, part = at, 0, []
+
+        for pos, count in [*flushes, (len(events), 0)]:
+            while at < pos:
+                if rows == _BATCH_ROWS:
+                    close()
+                step = min(pos - at, _BATCH_ROWS - rows)
+                at += step
+                rows += step
+            if not count:
+                continue
+            if rows + count > _BATCH_ROWS:
+                close()
+            while count > _BATCH_ROWS:
+                self._apply([], [(0, _BATCH_ROWS)])
+                count -= _BATCH_ROWS
+            part.append((at - start, count))
+            rows += count
+        close()
+        return (np.concatenate(best) if best else np.zeros(0, np.int64),
+                after)
+
+    def _apply(self, events, flushes):
+        """One part of `apply_batch`: its events and retractions are the
+        rows of one pass of the kernel."""
+        held = self.held
+        retired = sum(count for _, count in flushes)
+        stale = held[:retired] + list(events[:max(0, retired - len(held))])
+        rows: list[Event] = []
+        ends, emptied = [], []      # each flush's last row; nothing left?
+        at = gone = 0
+        for pos, count in flushes:
+            rows += events[at:pos]
+            rows += stale[gone:gone + count]
+            at, gone = pos, gone + count
+            ends.append(len(rows) - 1)
+            emptied.append(gone == len(held) + pos)
+        rows += events[at:]
+        b = len(rows)
         if not b:
-            return np.zeros(0, dtype=np.int64)
-        if b > _BLOCK_PAIRS:
-            # keeps the composite sort keys of _grouped within int64
-            return np.concatenate([self.ingest_batch(events[i:i + _BLOCK_PAIRS])
-                                   for i in range(0, b, _BLOCK_PAIRS)])
+            return np.zeros(0, dtype=np.int64), []
+        retract = np.zeros(b, dtype=bool)
+        for end, (_, count) in zip(ends, flushes):
+            retract[end + 1 - count:end + 1] = True
         bits = max(1, (b - 1).bit_length())
-        us, vs, dt, ss = self._columns(events)
-        sign = np.where(ss > 0, 1, -1)
+        us, vs, dt, ss = self._columns(rows)
+        sign = np.where((ss > 0) != retract, 1, -1)
         best = np.zeros(b, dtype=np.int64)
         best_metric = np.full(b, -1, dtype=np.int64)
         keys, adds, positions, hits = [], [], [], []
-        for k0, k1, pairs in self._grouped(us, vs, dt, np.arange(b), bits):
+        for k0, k1, pairs in grid_pairs(us, vs, dt, self.col_vu, self.row_vv,
+                                        np.arange(b), bits):
             cells = pairs >> bits
-            event = pairs & ((1 << bits) - 1)
-            s = sign[event]
+            row = pairs & ((1 << bits) - 1)
+            s = sign[row]
             starts = group_starts(cells)
             count = np.diff(starts, append=len(cells))
             cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
             pos, hit, old = self._lookup(cell_keys)
-            # each pair's cell value before its event: the stored value
-            # plus the earlier events of the batch in that cell
+            # each pair's cell value before its row: the stored value
+            # plus the earlier rows of the batch in that cell
             before = np.cumsum(s) - s
             before += np.repeat(old - before[starts], count)
-            # metric of each grid after each event: running sum of deltas
+            # metric of each grid after each row: running sum of deltas
             run = np.empty((k1 - k0, b), dtype=np.int64)
-            run[cells >> _K_SHIFT, event] = s * (2 * before + s)
+            run[cells >> _K_SHIFT, row] = s * (2 * before + s)
             np.cumsum(run, axis=1, out=run)
             run += self._metrics[k0:k1, None]
             self._metrics[k0:k1] = run[:, -1]
@@ -274,9 +300,21 @@ class MetricArray:
             hits.append(hit)
         self._write(np.concatenate(keys), np.concatenate(adds),
                     np.concatenate(positions), np.concatenate(hits))
-        self.held.extend(events)
-        self.argmax_index = int(best[-1])
-        return best
+        if retired:
+            kept = self.cell_values != 0
+            self.cell_keys = self.cell_keys[kept]
+            self.cell_values = self.cell_values[kept]
+        tops = [None if empty else int(best[end])
+                for end, empty in zip(ends, emptied)]
+        held.extend(events)
+        del held[:retired]
+        self.argmax_index = int(best[-1]) if held else None
+        return best[~retract], tops
+
+    def ingest_batch(self, events: Sequence[Event]) -> np.ndarray:
+        """Accumulate events in order into every grid; returns the argmax
+        index after each event, as one-event batches would."""
+        return self.apply_batch(events)[0]
 
     def ingest(self, ev: Event) -> int:
         """Accumulate one event into every grid; returns the argmax index."""
@@ -304,22 +342,12 @@ class MetricArray:
         self._update_argmax()
 
     def flush_older_than(self, cutoff_us: int) -> int:
-        """Retract events with t < cutoff_us; returns how many.
-
-        Cells that drop to 0 leave the store.  A retraction from a cell
-        no longer stored reads it as 0: its events had cancelled.
-        """
-        stale = [e for e in self.held if e.t < cutoff_us]
-        if not stale:
-            return 0
-        self.held = [e for e in self.held if e.t >= cutoff_us]
-        keys, sums = self._sums(stale)
-        self._add(keys, -sums)
-        kept = self.cell_values != 0
-        self.cell_keys = self.cell_keys[kept]
-        self.cell_values = self.cell_values[kept]
-        self._update_argmax()
-        return len(stale)
+        """Retract the held events with t < cutoff_us, a prefix of `held`;
+        returns how many.  A one-flush `apply_batch`."""
+        stale = bisect_left(self.held, cutoff_us, key=_time)
+        if stale:
+            self.apply_batch((), [(0, stale)])
+        return stale
 
     @property
     def argmax_cell(self) -> Optional[tuple[int, int]]:
@@ -440,17 +468,22 @@ class FlowPlane:
 
     Ingest is deferred: events wait in a pending list until
     p_stable - stability_count of them are pending, then enter the array
-    as one batch.  The stability count grows by at most 1 per event, so
-    no emission can fall inside such a window and the result is the one
-    of ingesting event by event.  Pending events are drained before an
-    emission, a noise flush, and any read of `array`; `stability_count`
-    is that of the last drain.
+    as one batch (a drain).  The stability count grows by at most 1 per
+    event and a flush can only lower it, so no emission can fall inside
+    such a window and the result is the one of ingesting event by event.
+    A noise flush only marks its stale events, a prefix of the held then
+    pending ones; the next drain retracts them at the flush's place among
+    the pending events, and applies each flush's stability reset there.
+    Pending events and flushes are drained before an emission and any
+    read of `array`; `stability_count` is that of the last drain.
     """
 
     def __init__(self, cfg: Optional[FlowPlaneConfig] = None):
         self.cfg = cfg or FlowPlaneConfig()
         self._array = MetricArray(self.cfg)
         self._pending: list[Event] = []
+        # (pending events before the flush, events it retracts)
+        self._flushes: list[tuple[int, int]] = []
         self.stability_count = 0
         self._stable_index: Optional[int] = None
         self.total_ingested = 0
@@ -468,10 +501,28 @@ class FlowPlane:
             self._drain()
 
     def _drain(self) -> None:
-        if not self._pending:
+        if not self._pending and not self._flushes:
             return
-        indices = self._array.ingest_batch(self._pending)
+        last = self._array.argmax_index
+        best, after = self._array.apply_batch(self._pending, self._flushes)
+        start = 0
+        for (at, _), top in zip(self._flushes, after):
+            if at > start:
+                self._settle(best[start:at])
+                last, start = int(best[at - 1]), at
+            # a flush that moves the argmax restarts the stable run
+            if top != last:
+                self.stability_count = 0
+                self._stable_index = top
+            last = top
+        if start < len(best):
+            self._settle(best[start:])
         self._pending = []
+        self._flushes = []
+
+    def _settle(self, indices: np.ndarray) -> None:
+        """Advance the stable run over the argmax after each of a run of
+        ingested events."""
         # the run of equal argmaxes that ends the batch
         last = int(indices[-1])
         changed = np.flatnonzero(indices != last)
@@ -526,12 +577,17 @@ class FlowPlane:
         return seed
 
     def flush_noise(self, now_us: int) -> int:
-        """Retract held events older than the noise lifespan."""
+        """Mark the events older than the noise lifespan for retraction at
+        the next drain; returns how many.  Does no work on the array."""
         cutoff = now_us - int(self.cfg.noise_lifespan_s * 1e6)
-        array = self.array
-        before = array.argmax_index
-        removed = array.flush_older_than(cutoff)
-        if removed and array.argmax_index != before:
-            self.stability_count = 0
-            self._stable_index = array.argmax_index
-        return removed
+        held, pending = self._array.held, self._pending
+        marked = sum(count for _, count in self._flushes)
+        end = marked
+        if end < len(held):
+            end = bisect_left(held, cutoff, lo=end, key=_time)
+        if end >= len(held):
+            end = len(held) + bisect_left(pending, cutoff,
+                                          lo=end - len(held), key=_time)
+        if end > marked:
+            self._flushes.append((len(pending), end - marked))
+        return end - marked

@@ -10,7 +10,9 @@ flow, halving h when the center wins and doubling it otherwise.  Misses
 are counted per projected cell; a cell missed evolve_threshold times is
 promoted into the footprint, which is how the plane follows contour
 change.  Events expire lifetime_px / speed seconds after arrival and
-retract from all grids in one batch.
+retract from all grids in one batch.  Bulk updates (a new plane, an
+expiry, a regeneration) project their events onto all m x m grids in
+one pass of the column/row kernel that discovery uses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 from .events import Event
 from .projection import (KEY_M, AccumulatorGrid, ConsistencyError, FlowVector,
-                         cell_key, event_columns, round_half_away)
+                         cell_key, event_columns, grid_images, round_half_away)
 
 
 @dataclass
@@ -80,9 +82,9 @@ class TrackPlane:
         self.flows = self._grid_flows()
         t_ref = events[0].t
         self.grids = [AccumulatorGrid(t_ref) for _ in range(m * m)]
-        cols = event_columns(events)
-        for grid, gflow in zip(self.grids, self.flows):
-            grid.accumulate_batch(*cols, gflow)
+        images = self._images(self.flows, event_columns(events), t_ref)
+        for grid, image in zip(self.grids, images):
+            grid.accumulate_batch(*image)
         self.held: deque[Event] = deque(events)
         self.active: set[int] = self.grids[self.center_index].nonzero_cells()
         self.promoted: set[int] = set()
@@ -111,6 +113,13 @@ class TrackPlane:
         self._col_vu = [f[0] for f in self.flows[:m]]
         self._row_vv = [f[1] for f in self.flows[::m]]
         self._lifetime_us = int(self.event_lifetime_s() * 1e6)
+
+    def _images(self, flows, columns, t_ref_us: int):
+        """Each grid's projected cells and signed sums of event columns,
+        for grid flows `flows` and one t_ref, in one kernel pass."""
+        m = self.cfg.m_grid
+        return grid_images(columns, t_ref_us, [f.v_u for f in flows[:m]],
+                           [f.v_v for f in flows[::m]])
 
     def _perturb(self, value: float, steps: int) -> float:
         if steps == 0:
@@ -200,12 +209,18 @@ class TrackPlane:
         if not stale:
             return 0
         cols = event_columns(stale)
-        for k, (grid, flow) in enumerate(zip(self.grids, self.flows)):
+        images = self._images(self.flows, cols, self._p_tref)
+        center = self.center_index
+        if self._c_tref != self._p_tref:
+            # the center kept its t_ref through a center win
+            images[center] = grid_images(cols, self._c_tref, [self._c_vu],
+                                         [self._c_vv])[0]
+        for k, (grid, image) in enumerate(zip(self.grids, images)):
             try:
-                touched = grid.retract_batch(*cols, flow)
+                touched = grid.retract_batch(*image)
             except ConsistencyError as exc:
                 raise ConsistencyError(f"plane {self.plane_id}: {exc}") from exc
-            if k == self.center_index:
+            if k == center:
                 # the footprint is the nonzero center cells plus the
                 # promoted ones; only the touched cells can have changed
                 cells = grid.cells
@@ -275,13 +290,14 @@ class TrackPlane:
             t_ref = self.held[0].t
         else:
             t_ref = self.grids[center].t_ref_us
-        cols = event_columns(self.held) if self.held else None
+        images = (self._images(flows, event_columns(self.held), t_ref)
+                  if self.held else None)
         for k in range(len(self.grids)):
             if keep_center and k == center:
                 continue
             grid = AccumulatorGrid(t_ref)
-            if cols is not None:
-                grid.accumulate_batch(*cols, flows[k])
+            if images is not None:
+                grid.accumulate_batch(*images[k])
             self.grids[k] = grid
         self.flows = flows
         if not keep_center:

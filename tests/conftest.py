@@ -1,20 +1,32 @@
-"""Shared scene fixtures.
+"""Shared scene fixtures and the hypothesis profiles.
 
 The two expensive end-to-end scenes (fast hexagon, rotated rectangle)
 are generated and segmented once per session; several tests slice
 different assertions out of the same run.
+
+Property tests draw the same examples on every run: the `default`
+profile derandomizes hypothesis and keeps no example database.  The
+opt-in `explore` profile (`pytest --hypothesis-profile=explore`) draws
+fresh random examples, ten times as many.
 """
 
 import math
 import time
 
 import pytest
+from hypothesis import settings
 
 from flowseg.engine import Engine, EngineConfig
 from flowseg.flow_plane import FlowPlaneConfig
 from flowseg.lk import run_lk
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 from flowseg.track_plane import TrackPlaneConfig
+
+settings.register_profile("default", derandomize=True, database=None,
+                          deadline=None)
+settings.register_profile("explore", derandomize=False, max_examples=1000,
+                          deadline=None)
+settings.load_profile("default")
 
 OFF_AXIS = math.radians(3.0)   # slight tilt keeps the argmax off knife edges
 

@@ -8,27 +8,37 @@ an argmax or an emission.
 import math
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowseg import flow_plane
+from flowseg import flow_plane, projection
 from flowseg.events import Event
 from flowseg.flow_plane import FlowPlane, FlowPlaneConfig, MetricArray
 from flowseg.projection import metric_bruteforce, pack_cell, project_event
 
-SETTINGS = settings(max_examples=60, deadline=None)
+# 60 examples in the default profile (tests/conftest.py), scaled with
+# the active one
+SETTINGS = settings(max_examples=settings.default.max_examples * 6 // 10)
 # (candidate, event) pairs per projected block: tiny blocks put block
 # boundaries (and argmax ties across them) inside every batch
-BLOCKS = st.sampled_from((1, 5, flow_plane._BLOCK_PAIRS))
+BLOCKS = st.sampled_from((1, 5, projection._BLOCK_PAIRS))
+
+
+# rows per part of an ordered batch: small limits split batches inside
+# and around flushes, and split flushes longer than the limit
+BATCH_ROWS = st.sampled_from((1, 3, 7, flow_plane._BATCH_ROWS))
+STEPS = st.integers(0, 40_000)
+# with gaps longer than a 0.2 s noise lifespan
+GAPPY_STEPS = st.one_of(STEPS, STEPS, st.integers(200_000, 600_000))
 
 
 @st.composite
-def event_streams(draw, min_size=1, max_size=60, span=4):
+def event_streams(draw, min_size=1, max_size=60, span=4, steps=STEPS):
     """Time-ordered events on a small patch, so that projections collide
     and cells cancel often."""
     steps = draw(st.lists(
-        st.tuples(st.integers(0, span), st.integers(0, span),
-                  st.integers(0, 40_000), st.sampled_from((1, -1))),
+        st.tuples(st.integers(0, span), st.integers(0, span), steps,
+                  st.sampled_from((1, -1))),
         min_size=min_size, max_size=max_size))
     t = 0
     events = []
@@ -72,7 +82,7 @@ def test_ingest_batch_splits_match_single_events(events, cuts, n, block):
     expected = [single.ingest(e) for e in events]
     batched = MetricArray(cfg)
     got = []
-    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
+    with mock.patch.object(projection, "_BLOCK_PAIRS", block):
         for batch in split(events, cuts):
             got.extend(batched.ingest_batch(batch).tolist())
     assert got == expected
@@ -92,7 +102,7 @@ def test_ingest_and_flush_match_bruteforce(events, ops, n, block):
     for size, by_fill, cutoff_pct in ops:
         batch = events[at:at + size]
         at += size
-        with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
+        with mock.patch.object(projection, "_BLOCK_PAIRS", block):
             if by_fill:
                 array.fill(batch)
             else:
@@ -127,7 +137,7 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
     cfg = FlowPlaneConfig(n=n)
     scan, filled, ingested = (MetricArray(cfg, center, angular_range)
                               for _ in range(3))
-    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
+    with mock.patch.object(projection, "_BLOCK_PAIRS", block):
         scan.fill_scan(events)
         filled.fill(events)
         for batch in split(events, cuts):
@@ -139,6 +149,66 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
     images = bruteforce_grids(filled)
     assert nonzero_grids(filled) == images
     assert nonzero_grids(ingested) == images
+
+
+def bruteforce_argmax(array):
+    """The argmax of the brute-force metrics of the held events, lowest
+    index on ties; None when nothing is held."""
+    if not array.held:
+        return None
+    metrics = [metric_bruteforce(array.held, flow, array.t_ref_us)
+               for flow in array.flows]
+    return metrics.index(max(metrics))
+
+
+@SETTINGS
+@given(events=event_streams(max_size=80),
+       prefill=st.integers(0, 20),
+       ops=st.lists(st.one_of(st.tuples(st.just("ingest"), st.integers(1, 12)),
+                              st.tuples(st.just("flush"), st.integers(0, 100))),
+                    min_size=1, max_size=16),
+       n=st.integers(2, 3), block=BLOCKS, rows=BATCH_ROWS)
+def test_ordered_batch_matches_one_operation_at_a_time(events, prefill, ops,
+                                                       n, block, rows):
+    # the operations applied one at a time, each checked against brute
+    # force, give the argmax after every event and every flush
+    cfg = FlowPlaneConfig(n=n)
+    single = MetricArray(cfg)
+    single.fill(events[:prefill])
+    at = prefill
+    batch, flushes, expected, expected_flushes = [], [], [], []
+    for kind, value in ops:
+        if kind == "ingest":
+            for e in events[at:at + value]:
+                expected.append(single.ingest(e))
+                assert expected[-1] == bruteforce_argmax(single)
+                batch.append(e)
+            at += value
+        elif single.held:
+            # from nothing (0) to every held event (100)
+            first, last = single.held[0].t, single.held[-1].t + 1
+            count = single.flush_older_than(
+                first + (last - first) * value // 100)
+            assert single.argmax_index == bruteforce_argmax(single)
+            if count:
+                flushes.append((len(batch), count))
+                expected_flushes.append(single.argmax_index)
+    # the same operations as one ordered batch
+    batched = MetricArray(cfg)
+    batched.fill(events[:prefill])
+    with mock.patch.object(projection, "_BLOCK_PAIRS", block), \
+            mock.patch.object(flow_plane, "_BATCH_ROWS", rows):
+        best, after = batched.apply_batch(batch, flushes)
+    assert best.tolist() == expected
+    assert after == expected_flushes
+    assert batched.argmax_index == single.argmax_index
+    assert batched.held == single.held
+    assert batched.metrics == single.metrics
+    if batched.t_ref_us is not None:
+        assert batched.metrics == [
+            metric_bruteforce(batched.held, flow, batched.t_ref_us)
+            for flow in batched.flows]
+        assert nonzero_grids(batched) == bruteforce_grids(batched)
 
 
 def test_cancelled_cell_retracts_after_compaction():
@@ -158,29 +228,71 @@ def test_cancelled_cell_retracts_after_compaction():
     assert nonzero_grids(array) == bruteforce_grids(array)
 
 
-def run_plane(events, cfg, eager, flush_every):
-    """Drive a FlowPlane as the engine does; with `eager`, read its array
-    after every event, which drains the pending events one at a time."""
-    plane = FlowPlane(cfg)
-    record = []
-    for i, ev in enumerate(events):
-        plane.ingest(ev)
-        if eager:
-            plane.array  # the read drains the pending event
-        if plane.stability_check():
-            seed = plane.try_emit()
-            if seed is not None:
-                record.append(("emit", i, seed.flow, seed.events))
-        if i % flush_every == flush_every - 1:
-            record.append(("flush", i, plane.flush_noise(ev.t)))
-    return record, plane.array.held, plane.array.metrics
+def flush_now(plane, now_us):
+    """A noise flush applied on the spot: the pending events enter the
+    array, the stale ones leave it, and a moved argmax (None when the
+    array empties) restarts the stable run."""
+    array = plane.array
+    before = array.argmax_index
+    removed = array.flush_older_than(
+        now_us - int(plane.cfg.noise_lifespan_s * 1e6))
+    if removed and array.argmax_index != before:
+        plane.stability_count = 0
+        plane._stable_index = array.argmax_index
+    return removed
+
+
+def offer(plane, ev, eager):
+    """Ingest one event as the engine does and try to emit; with `eager`,
+    read the array first, which drains the pending event on its own."""
+    plane.ingest(ev)
+    if eager:
+        plane.array
+    if plane.stability_check():
+        seed = plane.try_emit()
+        if seed is not None:
+            return seed.flow, seed.events
+    return None
+
+
+def stable_run(plane):
+    return plane.stability_count, plane._stable_index
 
 
 @SETTINGS
-@given(events=event_streams(min_size=20, max_size=200, span=3),
+@given(events=event_streams(min_size=20, max_size=200, span=3,
+                            steps=GAPPY_STEPS),
        p_stable=st.integers(1, 25), n=st.integers(2, 3),
-       w=st.sampled_from((0.0, 0.5, 1.0)), flush_every=st.integers(7, 60))
-def test_deferred_plane_emits_like_eager(events, p_stable, n, w, flush_every):
+       w=st.sampled_from((0.0, 0.5, 1.0)),
+       # several flushes per window, some after the last event; one 0.3 s
+       # ahead of its event retracts everything held and pending
+       flush_at=st.lists(st.tuples(st.integers(-3, 199),
+                                   st.sampled_from((0, 0, 0, 300_000))),
+                         max_size=40))
+# the flush after event 28 retracts the 27 events at t = 0 and moves the
+# argmax from grid 4 to grid 0; the next event takes it back to grid 4,
+# which starts a new stable run only because the flush restarted it
+@example(events=[Event(0, 0, 0, 1)] * 27
+         + [Event(0, 0, 2887, 1), Event(0, 1, 202887, 1),
+            Event(0, 0, 202887, 1)],
+         p_stable=4, n=3, w=0.0, flush_at=[(28, 0)])
+def test_deferred_plane_emits_like_eager(events, p_stable, n, w, flush_at):
+    # the deferred plane marks its flushes and drains once per window;
+    # the eager one drains every event and applies every flush on the
+    # spot.  They must emit the same seeds, and agree on the stable run
+    # whenever the deferred one has just drained
     cfg = FlowPlaneConfig(n=n, p_stable=p_stable, w=w, noise_lifespan_s=0.2)
-    assert (run_plane(events, cfg, False, flush_every)
-            == run_plane(events, cfg, True, flush_every))
+    flushes = {}
+    for i, ahead in flush_at:
+        flushes.setdefault(i % len(events), []).append(ahead)
+    deferred, eager = FlowPlane(cfg), FlowPlane(cfg)
+    for i, ev in enumerate(events):
+        assert offer(deferred, ev, False) == offer(eager, ev, True)
+        if not deferred._pending:
+            assert stable_run(deferred) == stable_run(eager)
+        for ahead in flushes.get(i, ()):
+            assert (deferred.flush_noise(ev.t + ahead)
+                    == flush_now(eager, ev.t + ahead))
+    assert deferred.array.held == eager.array.held
+    assert deferred.array.metrics == eager.array.metrics
+    assert stable_run(deferred) == stable_run(eager)

@@ -17,7 +17,9 @@ from flowseg.engine import UNLABELED, Engine, EngineConfig
 from flowseg.events import DEFAULT_GEOMETRY, Event
 from flowseg.flow_plane import FlowPlaneConfig
 
-SETTINGS = settings(max_examples=80, deadline=None)
+# 80 examples in the default profile (tests/conftest.py), scaled with
+# the active one
+SETTINGS = settings(max_examples=settings.default.max_examples * 4 // 5)
 W, H = DEFAULT_GEOMETRY.width, DEFAULT_GEOMETRY.height
 POLARITY = st.sampled_from((1, -1))
 

@@ -1,8 +1,10 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
+from flowseg import flow_plane
 from flowseg.events import Event
 from flowseg.flow_plane import (AssociationError, FlowPlane, FlowPlaneConfig,
                                 MetricArray, cell_value_stats,
@@ -178,6 +180,32 @@ def test_flow_plane_noise_flush_retracts():
     cutoff = events[-1].t - 100_000
     assert removed == sum(1 for e in events if e.t < cutoff)
     assert all(e.t >= cutoff for e in plane.array.held)
+
+
+def test_flow_plane_noise_flush_waits_for_next_drain():
+    rng = random.Random(45)
+    plane = FlowPlane(FlowPlaneConfig(n=4, p_stable=200, noise_lifespan_s=0.1))
+    events = random_events(rng, 300, t_span_us=400_000)
+    for ev in events:
+        plane.ingest(ev)
+    array = plane._array
+    keys, values, held = array.cell_keys, array.cell_values, list(array.held)
+    cutoff = events[-1].t - 100_000
+    stale = sum(1 for e in events if e.t < cutoff)
+    # the stale events reach past the held ones into the pending ones
+    assert len(held) < stale < len(events)
+    with mock.patch.object(flow_plane, "grid_pairs",
+                           side_effect=AssertionError("kernel called")), \
+            mock.patch.object(MetricArray, "apply_batch",
+                              side_effect=AssertionError("store written")):
+        assert plane.flush_noise(events[-1].t) == stale
+    assert array.cell_keys is keys and array.cell_values is values
+    assert array.held == held
+    # the next read of the array drains the pending events and the flush
+    assert plane.array.held == events[stale:]
+    for k, flow in enumerate(array.flows):
+        assert array.metrics[k] == metric_bruteforce(events[stale:], flow,
+                                                     array.t_ref_us)
 
 
 def test_config_validation():

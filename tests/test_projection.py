@@ -5,9 +5,9 @@ import pytest
 
 from flowseg.events import Event
 from flowseg.projection import (AccumulatorGrid, ConsistencyError, FlowVector,
-                                KEY_M, event_columns, metric_bruteforce,
-                                pack_cell, project_event, round_half_away,
-                                unpack_cell)
+                                KEY_M, event_columns, grid_images,
+                                metric_bruteforce, pack_cell, project_event,
+                                round_half_away, unpack_cell)
 
 
 def random_events(rng, count, t_span_us=500_000, width=240, height=180):
@@ -93,6 +93,12 @@ def test_incremental_matches_bruteforce_small():
         assert grid.metric == metric_bruteforce(live, flow, grid.t_ref_us)
 
 
+def projected(events, flow, t_ref_us):
+    """The batch image of events along one flow: a 1 x 1 candidate array."""
+    return grid_images(event_columns(events), t_ref_us, [flow[0]],
+                       [flow[1]])[0]
+
+
 def test_batch_matches_scalar():
     rng = random.Random(7)
     events = random_events(rng, 300)
@@ -101,8 +107,7 @@ def test_batch_matches_scalar():
     for e in events:
         scalar.accumulate(e, flow)
     batched = AccumulatorGrid(events[0].t)
-    cols = event_columns(events)
-    batched.accumulate_batch(*cols, flow)
+    batched.accumulate_batch(*projected(events, flow, batched.t_ref_us))
     assert batched.metric == scalar.metric
     assert ({k: c for k, c in batched.cells.items() if c != 0}
             == {k: c for k, c in scalar.cells.items() if c != 0})
@@ -112,10 +117,10 @@ def test_batch_matches_scalar():
     shifted = [Event(e.u, e.v, e.t + events[-1].t, e.s) for e in more]
     for e in shifted:
         scalar.accumulate(e, flow)
-    batched.accumulate_batch(*event_columns(shifted), flow)
+    batched.accumulate_batch(*projected(shifted, flow, batched.t_ref_us))
     assert batched.metric == scalar.metric
 
-    batched.retract_batch(*event_columns(shifted), flow)
+    batched.retract_batch(*projected(shifted, flow, batched.t_ref_us))
     for e in shifted:
         scalar.retract(e, flow)
     assert batched.metric == scalar.metric

@@ -7,15 +7,20 @@ rebuilt from the plane's held events, and the footprint must be the
 nonzero center cells plus the promoted ones.
 """
 
+from unittest import mock
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowseg import projection
 from flowseg.events import Event
-from flowseg.projection import (AccumulatorGrid, event_columns,
+from flowseg.projection import (AccumulatorGrid, event_columns, grid_images,
                                 metric_bruteforce, pack_cell, project_event)
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig
 
-SETTINGS = settings(max_examples=150, deadline=None)
+# 150 examples in the default profile (tests/conftest.py), scaled with
+# the active one
+SETTINGS = settings(max_examples=settings.default.max_examples * 3 // 2)
 # small patches and slow flows make projections collide and cells cancel
 PATCH = st.integers(0, 2)
 FLOWS = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
@@ -92,6 +97,13 @@ def on_track(flow, du, dv, t, s):
               ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
               ("offer", 0, 0, 0, 1)],
          evolve=2, recenter_hits=8, h0_deg=0.02)
+# then everything expires: the center retracts through its own t_ref,
+# the perturbed grids through theirs
+@example(flow=(20, 0), seed=[(0, 0, 0, 1)],
+         ops=[("offer", 0, 0, 100_000, 1), ("expire", 100_000),
+              ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
+              ("offer", 0, 0, 0, 1), ("expire", 3_000_000)],
+         evolve=2, recenter_hits=8, h0_deg=0.02)
 def test_track_plane_matches_bruteforce(flow, seed, ops, evolve,
                                         recenter_hits, h0_deg):
     cfg = TrackPlaneConfig(evolve_threshold=evolve,
@@ -142,7 +154,8 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
                 batch.append(Event(u, v, t, s))
             for e in batch:
                 scalar.accumulate(e, flow)
-            batched.accumulate_batch(*event_columns(batch), flow)
+            batched.accumulate_batch(*grid_images(event_columns(batch), 0,
+                                                  [flow[0]], [flow[1]])[0])
             live.extend(batch)
         else:
             picks = {i % len(live) for i in op[1]} if live else set()
@@ -150,9 +163,42 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
             live = [e for i, e in enumerate(live) if i not in picks]
             for e in batch:
                 scalar.retract(e, flow)
-            touched = batched.retract_batch(*event_columns(batch), flow)
+            touched = batched.retract_batch(
+                *grid_images(event_columns(batch), 0, [flow[0]], [flow[1]])[0])
             assert touched == sorted({scalar.cell_of(e, flow) for e in batch})
         # zero cells too: both paths keep a cancelled cell retractable
         assert batched.cells == scalar.cells
         assert batched.metric == scalar.metric
         assert batched.metric == metric_bruteforce(live, flow, 0)
+
+
+@SETTINGS
+@given(m=st.sampled_from((1, 3, 5)),
+       speeds=st.lists(st.floats(-300.0, 300.0), min_size=10, max_size=10),
+       t_ref=st.integers(-200_000, 200_000),
+       events=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                 st.integers(0, 40_000),
+                                 st.sampled_from((1, -1))),
+                       min_size=1, max_size=40),
+       block=st.sampled_from((1, 5, projection._BLOCK_PAIRS)))
+def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events,
+                                                 block):
+    # grid k = j*m + i of the kernel is the flow (col[i], row[j]), and
+    # holds every cell its events touch, cancelled ones included
+    col, row = speeds[:m], speeds[5:5 + m]
+    t = 0
+    batch = []
+    for u, v, dt, s in events:
+        t += dt
+        batch.append(Event(u, v, t, s))
+    with mock.patch.object(projection, "_BLOCK_PAIRS", block):
+        images = grid_images(event_columns(batch), t_ref, col, row)
+    assert len(images) == m * m
+    for k, (keys, sums) in enumerate(images):
+        flow = (col[k % m], row[k // m])
+        expected = {}
+        for e in batch:
+            key = pack_cell(*project_event(e, flow, t_ref))
+            expected[key] = expected.get(key, 0) + e.s
+        assert keys.tolist() == sorted(expected)
+        assert sums.tolist() == [expected[key] for key in sorted(expected)]
