@@ -70,7 +70,9 @@ class EngineConfig:
     track_plane: TrackPlaneConfig = field(default_factory=TrackPlaneConfig)
     maintenance_period: int = 1000     # events between maintenance sweeps
     merge_flow_tol: float = 0.15       # relative flow difference
-    merge_overlap_tol: float = 0.25    # shared cells / smaller footprint
+    # cells of the larger footprint within one cell (8-neighborhood) of
+    # the smaller one, over the smaller footprint's size; can exceed 1
+    merge_overlap_tol: float = 0.25
     prune_fraction: float = 0.1        # expected_hit_fraction floor
     prune_window_lifetimes: float = 2.0
     prune_grace_lifetimes: float = 1.0
@@ -125,7 +127,11 @@ class Engine:
     def process(self, ev: Event) -> FlowLabeledEvent:
         """Label one event; may create, merge or prune planes as a side
         effect.  Events must arrive in non-decreasing time order, with
-        polarity +1 or -1."""
+        polarity +1 or -1.
+
+        The engine has no sensor geometry and projects any coordinate;
+        `events.load_stream` is where off-sensor events are rejected.
+        """
         u, v, t, s = ev
         if s != 1 and s != -1:
             # the grids count an event by s with s*s == 1

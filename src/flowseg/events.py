@@ -51,10 +51,6 @@ class Event(NamedTuple):
     t: int          # microseconds
     s: int          # +1 or -1
 
-    @property
-    def t_seconds(self) -> float:
-        return self.t * 1e-6
-
 
 class SensorGeometry(NamedTuple):
     width: int = 240
@@ -83,19 +79,12 @@ class EventStream:
     def __getitem__(self, i):
         return self.events[i]
 
-    @property
-    def duration_seconds(self) -> float:
-        if not self.events:
-            return 0.0
-        return (self.events[-1].t - self.events[0].t) * 1e-6
 
-
-def decode_event(record: str, geometry: Optional[SensorGeometry] = None,
-                 line: int = 0) -> Event:
+def decode_event(record: str, line: int = 0) -> Event:
     """Parse one ``t u v s`` record into an Event.
 
-    Raises ParseError for malformed fields, GeometryError for coordinates
-    outside `geometry` (when given).
+    Raises ParseError for malformed fields.  Coordinates are checked
+    against the sensor geometry by `load_stream`, once it is known.
     """
     fields = record.split()
     if len(fields) != 4:
@@ -111,9 +100,6 @@ def decode_event(record: str, geometry: Optional[SensorGeometry] = None,
         raise ParseError(f"polarity must be +1 or -1, got {s}", line, 4)
     if t < 0:
         raise ParseError(f"negative timestamp {t}", line, 1)
-    if geometry is not None and not geometry.contains(u, v):
-        raise GeometryError(
-            f"line {line}: coordinate ({u}, {v}) outside {geometry.width}x{geometry.height}")
     return Event(u, v, t, s)
 
 
@@ -154,7 +140,7 @@ def load_stream(source: Union[str, Iterable[str]],
             saw_data = True
             continue
         saw_data = True
-        events.append(decode_event(text, None, line_no))
+        events.append(decode_event(text, line_no))
 
     if geometry is not None and header_geometry is not None and geometry != header_geometry:
         raise GeometryError(

@@ -74,9 +74,10 @@ def index_to_flow(i: int, j: int, center_flow, angular_range: float,
                       center_flow[1] + cfg.v_ref * math.tan(theta_v))
 
 
-# rows (events ingested or retracted) per part of an ordered batch: with
-# the kernel's blocks of at most this many pairs, keeps the composite
-# sort keys of `grid_pairs` within int64
+# rows (events ingested or retracted) per kernel slice of an ordered
+# batch; slices may end inside a flush.  With the kernel's blocks of at
+# most this many pairs, keeps the composite sort keys of `grid_pairs`
+# within int64
 _BATCH_ROWS = 1 << 17
 _time = itemgetter(2)
 
@@ -93,11 +94,10 @@ class MetricArray:
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
-                 angular_range: Optional[float] = None, level: int = 0):
+                 angular_range: Optional[float] = None):
         self.cfg = cfg
         self.center_flow = FlowVector(float(center_flow[0]), float(center_flow[1]))
         self.angular_range = cfg.angular_range if angular_range is None else angular_range
-        self.level = level
         n = cfg.n
         flows = []
         for j in range(n):
@@ -195,55 +195,13 @@ class MetricArray:
 
         Returns the argmax after each event, and after each flush (None
         when the flush empties the array), as applying one event or one
-        flush at a time would.  Cells that drop to 0 leave the store if
-        the batch retracted anything.  A retraction from a cell no longer
-        stored reads it as 0: its events had cancelled.
+        flush at a time would.  The events and retractions are the rows
+        of the kernel, in order, taken in consecutive slices of at most
+        _BATCH_ROWS rows; each slice writes its cells to the store before
+        the next one looks them up.  Cells that drop to 0 leave the store
+        if the batch retracted anything.  A retraction from a cell no
+        longer stored reads it as 0: its events had cancelled.
         """
-        if len(events) + sum(count for _, count in flushes) > _BATCH_ROWS:
-            return self._apply_in_parts(events, flushes)
-        return self._apply(events, flushes)
-
-    def _apply_in_parts(self, events, flushes):
-        """`apply_batch` in consecutive parts of at most _BATCH_ROWS rows.
-
-        Parts end between operations; only a flush longer than the limit
-        is split, and its result is the argmax after its last part.
-        """
-        best, after = [], []
-        start = at = rows = 0       # the open part: events[start:at]
-        part: list[tuple[int, int]] = []
-
-        def close():
-            nonlocal start, rows, part
-            if rows:
-                top, tops = self._apply(events[start:at], part)
-                best.append(top)
-                after.extend(tops)
-            start, rows, part = at, 0, []
-
-        for pos, count in [*flushes, (len(events), 0)]:
-            while at < pos:
-                if rows == _BATCH_ROWS:
-                    close()
-                step = min(pos - at, _BATCH_ROWS - rows)
-                at += step
-                rows += step
-            if not count:
-                continue
-            if rows + count > _BATCH_ROWS:
-                close()
-            while count > _BATCH_ROWS:
-                self._apply([], [(0, _BATCH_ROWS)])
-                count -= _BATCH_ROWS
-            part.append((at - start, count))
-            rows += count
-        close()
-        return (np.concatenate(best) if best else np.zeros(0, np.int64),
-                after)
-
-    def _apply(self, events, flushes):
-        """One part of `apply_batch`: its events and retractions are the
-        rows of one pass of the kernel."""
         held = self.held
         retired = sum(count for _, count in flushes)
         stale = held[:retired] + list(events[:max(0, retired - len(held))])
@@ -257,49 +215,55 @@ class MetricArray:
             ends.append(len(rows) - 1)
             emptied.append(gone == len(held) + pos)
         rows += events[at:]
-        b = len(rows)
-        if not b:
+        if not rows:
             return np.zeros(0, dtype=np.int64), []
-        retract = np.zeros(b, dtype=bool)
+        retract = np.zeros(len(rows), dtype=bool)
         for end, (_, count) in zip(ends, flushes):
             retract[end + 1 - count:end + 1] = True
-        bits = max(1, (b - 1).bit_length())
         us, vs, dt, ss = self._columns(rows)
         sign = np.where((ss > 0) != retract, 1, -1)
-        best = np.zeros(b, dtype=np.int64)
-        best_metric = np.full(b, -1, dtype=np.int64)
-        keys, adds, positions, hits = [], [], [], []
-        for k0, k1, pairs in grid_pairs(us, vs, dt, self.col_vu, self.row_vv,
-                                        np.arange(b), bits):
-            cells = pairs >> bits
-            row = pairs & ((1 << bits) - 1)
-            s = sign[row]
-            starts = group_starts(cells)
-            count = np.diff(starts, append=len(cells))
-            cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
-            pos, hit, old = self._lookup(cell_keys)
-            # each pair's cell value before its row: the stored value
-            # plus the earlier rows of the batch in that cell
-            before = np.cumsum(s) - s
-            before += np.repeat(old - before[starts], count)
-            # metric of each grid after each row: running sum of deltas
-            run = np.empty((k1 - k0, b), dtype=np.int64)
-            run[cells >> _K_SHIFT, row] = s * (2 * before + s)
-            np.cumsum(run, axis=1, out=run)
-            run += self._metrics[k0:k1, None]
-            self._metrics[k0:k1] = run[:, -1]
-            top = run.argmax(axis=0)
-            top_metric = run[top, np.arange(b)]
-            # strict: a tie keeps the lower index of an earlier block
-            better = top_metric > best_metric
-            best[better] = top[better] + k0
-            best_metric[better] = top_metric[better]
-            keys.append(cell_keys)
-            adds.append(np.add.reduceat(s, starts))
-            positions.append(pos)
-            hits.append(hit)
-        self._write(np.concatenate(keys), np.concatenate(adds),
-                    np.concatenate(positions), np.concatenate(hits))
+        best = np.zeros(len(rows), dtype=np.int64)
+        best_metric = np.full(len(rows), -1, dtype=np.int64)
+        for r0 in range(0, len(rows), _BATCH_ROWS):
+            r1 = min(r0 + _BATCH_ROWS, len(rows))
+            b = r1 - r0
+            bits = max(1, (b - 1).bit_length())
+            # views: the slice's rows and the argmax after each of them
+            signs, top_index, top_so_far = (
+                sign[r0:r1], best[r0:r1], best_metric[r0:r1])
+            keys, adds, positions, hits = [], [], [], []
+            for k0, k1, pairs in grid_pairs(us[r0:r1], vs[r0:r1], dt[r0:r1],
+                                            self.col_vu, self.row_vv,
+                                            np.arange(b), bits):
+                cells = pairs >> bits
+                row = pairs & ((1 << bits) - 1)
+                s = signs[row]
+                starts = group_starts(cells)
+                count = np.diff(starts, append=len(cells))
+                cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
+                pos, hit, old = self._lookup(cell_keys)
+                # each pair's cell value before its row: the stored value
+                # plus the earlier rows of the slice in that cell
+                before = np.cumsum(s) - s
+                before += np.repeat(old - before[starts], count)
+                # metric of each grid after each row: running sum of deltas
+                run = np.empty((k1 - k0, b), dtype=np.int64)
+                run[cells >> _K_SHIFT, row] = s * (2 * before + s)
+                np.cumsum(run, axis=1, out=run)
+                run += self._metrics[k0:k1, None]
+                self._metrics[k0:k1] = run[:, -1]
+                top = run.argmax(axis=0)
+                top_metric = run[top, np.arange(b)]
+                # strict: a tie keeps the lower index of an earlier block
+                better = top_metric > top_so_far
+                top_index[better] = top[better] + k0
+                top_so_far[better] = top_metric[better]
+                keys.append(cell_keys)
+                adds.append(np.add.reduceat(s, starts))
+                positions.append(pos)
+                hits.append(hit)
+            self._write(np.concatenate(keys), np.concatenate(adds),
+                        np.concatenate(positions), np.concatenate(hits))
         if retired:
             kept = self.cell_values != 0
             self.cell_keys = self.cell_keys[kept]
@@ -311,17 +275,12 @@ class MetricArray:
         self.argmax_index = int(best[-1]) if held else None
         return best[~retract], tops
 
-    def ingest_batch(self, events: Sequence[Event]) -> np.ndarray:
-        """Accumulate events in order into every grid; returns the argmax
-        index after each event, as one-event batches would."""
-        return self.apply_batch(events)[0]
-
-    def ingest(self, ev: Event) -> int:
-        """Accumulate one event into every grid; returns the argmax index."""
-        return int(self.ingest_batch([ev])[0])
-
     def fill(self, events: Sequence[Event]) -> None:
         """Batch-accumulate an event list (order preserved for held)."""
+        # a second write path on purpose: `apply_batch` on a fresh array
+        # gives the same store, metrics and argmax, but builds the metric
+        # after every row, which only drains need, and took 1.4-1.6x as
+        # long over the emissions of perfbench's hexagon, bars and noise
         if not events:
             return
         self._add(*self._sums(events))
@@ -340,21 +299,6 @@ class MetricArray:
         self._metrics = self._per_flow(keys, sums * sums)
         self.held.extend(events)
         self._update_argmax()
-
-    def flush_older_than(self, cutoff_us: int) -> int:
-        """Retract the held events with t < cutoff_us, a prefix of `held`;
-        returns how many.  A one-flush `apply_batch`."""
-        stale = bisect_left(self.held, cutoff_us, key=_time)
-        if stale:
-            self.apply_batch((), [(0, stale)])
-        return stale
-
-    @property
-    def argmax_cell(self) -> Optional[tuple[int, int]]:
-        if self.argmax_index is None:
-            return None
-        n = self.cfg.n
-        return self.argmax_index % n, self.argmax_index // n
 
     @property
     def argmax_flow(self) -> Optional[FlowVector]:
@@ -445,7 +389,7 @@ def extract_associated(array: MetricArray,
 
 
 def refine(assoc: AssociationResult, cfg: FlowPlaneConfig, parent_range: float,
-           level: int, center_flow=None) -> MetricArray:
+           center_flow=None) -> MetricArray:
     """Re-project associated events through a range/q array around a flow.
 
     The center defaults to the association's flow; deeper levels pass the
@@ -453,7 +397,7 @@ def refine(assoc: AssociationResult, cfg: FlowPlaneConfig, parent_range: float,
     """
     if center_flow is None:
         center_flow = assoc.flow
-    child = MetricArray(cfg, center_flow, parent_range / cfg.q, level)
+    child = MetricArray(cfg, center_flow, parent_range / cfg.q)
     child.fill_scan(assoc.events)
     return child
 
@@ -561,8 +505,8 @@ class FlowPlane:
 
         flow = assoc.flow
         parent_range = array.angular_range
-        for level in range(1, cfg.depth_max + 1):
-            deeper = refine(assoc, cfg, parent_range, level, center_flow=flow)
+        for _ in range(cfg.depth_max):
+            deeper = refine(assoc, cfg, parent_range, center_flow=flow)
             parent_range = deeper.angular_range
             flow = deeper.argmax_flow
 

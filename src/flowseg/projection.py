@@ -17,7 +17,7 @@ only inside the projection arithmetic.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import math
 import numpy as np
@@ -37,19 +37,10 @@ class FlowVector(NamedTuple):
     def speed(self) -> float:
         return math.hypot(self.v_u, self.v_v)
 
-    @property
-    def normal(self) -> tuple[float, float, float]:
-        # direction of constant-brightness displacement in (u, v, t) space
-        return (self.v_u, self.v_v, 1.0)
-
 
 # cell keys are packed into a single int: key = x * KEY_M + y, |y| < 2**20
 KEY_M = 1 << 21
 _KEY_HALF = 1 << 20
-
-
-def pack_cell(x: int, y: int) -> int:
-    return x * KEY_M + y
 
 
 def unpack_cell(key: int) -> tuple[int, int]:
@@ -74,13 +65,6 @@ def cell_key(u, v, dt: float, v_u: float, v_v: float) -> int:
             + round_half_away(v - v_v * dt))
 
 
-def project_event(e: Event, flow: FlowVector, t_ref_us: int) -> tuple[int, int]:
-    """Projected cell of `e` along `flow` relative to `t_ref_us`."""
-    dt = (e.t - t_ref_us) * 1e-6
-    return (round_half_away(e.u - flow[0] * dt),
-            round_half_away(e.v - flow[1] * dt))
-
-
 class AccumulatorGrid:
     """Sparse signed accumulation image for one candidate flow.
 
@@ -96,31 +80,6 @@ class AccumulatorGrid:
         self.cells: dict[int, int] = {}
         self.metric: int = 0
         self.t_ref_us = t_ref_us
-
-    def cell_of(self, e: Event, flow) -> int:
-        return cell_key(e.u, e.v, (e.t - self.t_ref_us) * 1e-6,
-                        flow[0], flow[1])
-
-    def accumulate(self, e: Event, flow) -> int:
-        """Add one event; returns the metric delta."""
-        key = self.cell_of(e, flow)
-        c = self.cells.get(key, 0)
-        self.cells[key] = c + e.s
-        delta = 2 * c * e.s + 1
-        self.metric += delta
-        return delta
-
-    def retract(self, e: Event, flow) -> int:
-        """Exact inverse of accumulate; returns the metric delta."""
-        key = self.cell_of(e, flow)
-        c = self.cells.get(key)
-        if c is None:
-            raise ConsistencyError(
-                f"retract from untouched cell {unpack_cell(key)}")
-        self.cells[key] = c - e.s
-        delta = -2 * c * e.s + 1
-        self.metric += delta
-        return delta
 
     def accumulate_batch(self, keys: np.ndarray, sums: np.ndarray) -> None:
         """Add a projected batch: unique packed cells, ascending, and the
@@ -274,22 +233,3 @@ def grid_images(columns, t_ref_us: int, col_vu, row_vv):
     return [(cells[lo:hi], sums[lo:hi])
             for lo, hi in zip(bounds, bounds[1:])]
 
-
-def metric_bruteforce(events: Iterable[Event], flow, t_ref_us: int) -> int:
-    """Rebuild the accumulation image from scratch and sum squared cells.
-
-    Oracle for the incremental metric.  It writes the projection and the
-    half-away rounding out itself rather than calling `cell_key`, so that
-    a fault in the shared kernel cannot hide behind the oracle.
-    """
-    f: dict[int, int] = {}
-    vu, vv = flow[0], flow[1]
-    for u, v, t, s in events:
-        dt = (t - t_ref_us) * 1e-6
-        x = u - vu * dt
-        y = v - vv * dt
-        xi = int(x + 0.5) if x >= 0.0 else -int(0.5 - x)
-        yi = int(y + 0.5) if y >= 0.0 else -int(0.5 - y)
-        key = xi * KEY_M + yi
-        f[key] = f.get(key, 0) + s
-    return sum(c * c for c in f.values())

@@ -439,12 +439,3 @@ def generate_scene(objects: Sequence[tuple[ShapeContour, MotionModel]],
         clipped=clipped)
     return EventStream(geometry, events), gt
 
-
-def generate_events(contour: ShapeContour, model: MotionModel, duration: float,
-                    geometry: SensorGeometry = DEFAULT_GEOMETRY,
-                    noise_rate: float = 0.0, jitter_us: int = 0,
-                    refractory_us: int = 0, seed: int = 0
-                    ) -> tuple[EventStream, GroundTruth]:
-    """Single-structure convenience wrapper around generate_scene."""
-    return generate_scene([(contour, model)], duration, geometry,
-                          noise_rate, jitter_us, refractory_us, seed)

@@ -12,18 +12,21 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from flowseg.engine import Engine, EngineConfig, UNLABELED, write_labeled
 from flowseg.evaluation import cross_label_fraction, flow_errors
 from flowseg.events import Event
 from flowseg.flow_plane import FlowPlaneConfig, MetricArray, index_to_flow
-from flowseg.projection import AccumulatorGrid, FlowVector, metric_bruteforce
+from flowseg.projection import (AccumulatorGrid, FlowVector, event_columns,
+                                project_keys)
 from flowseg.synth import (ConstantMotion, PendulumMotion, RotationMotion,
                            build_contour, generate_scene)
 from flowseg.track_plane import TrackPlaneConfig, event_lifetime_s
 
 from conftest import angled
+from oracles import metric_bruteforce
 
 
 def median_errors(errors, t_cut_us):
@@ -46,18 +49,23 @@ def test_01_incremental_metric_equals_bruteforce():
                         rng.uniform(-300.0, 300.0)) for _ in range(50)]
     checkpoints = {2500, 5000, 7500, len(events)}
     start = time.perf_counter()
+    us, vs, ts, _ = event_columns(events)
+    polarities = np.array([e.s for e in events], dtype=np.int64)
     for flow in flows:
         grid = AccumulatorGrid(events[0].t)
-        live = []
-        for i, ev in enumerate(events, start=1):
-            grid.accumulate(ev, flow)
-            live.append(ev)
-            if i % 7 == 0:
-                victim = live.pop(rng.randrange(len(live)))
-                grid.retract(victim, flow)
-            if i in checkpoints:
-                assert grid.metric == metric_bruteforce(live, flow,
-                                                        grid.t_ref_us)
+        # each event's cell, projected once; one event per batch call
+        keys = project_keys(us, vs, (ts - grid.t_ref_us) * 1e-6,
+                            flow.v_u, flow.v_v)
+        live = []                   # indices of the events still in
+        for i in range(len(events)):
+            grid.accumulate_batch(keys[i:i + 1], polarities[i:i + 1])
+            live.append(i)
+            if (i + 1) % 7 == 0:
+                j = live.pop(rng.randrange(len(live)))
+                grid.retract_batch(keys[j:j + 1], polarities[j:j + 1])
+            if i + 1 in checkpoints:
+                assert grid.metric == metric_bruteforce(
+                    [events[j] for j in live], flow, grid.t_ref_us)
     elapsed = time.perf_counter() - start
     print(f"incremental==bruteforce for 50 flows x 10k events "
           f"with retractions, {elapsed:.2f} s (bound 10 s)")
@@ -83,7 +91,7 @@ def test_02_metric_argmax_lands_on_true_flow():
                 best, nearest = d, [(i, j)]
             elif d < best + 1e-9:
                 nearest.append((i, j))
-    got = array.argmax_cell
+    got = array.argmax_index % cfg.n, array.argmax_index // cfg.n
     print(f"argmax cell {got} after {len(events)} events; "
           f"nearest-to-truth cells {nearest}")
     assert got in nearest

@@ -6,6 +6,8 @@ an argmax or an emission.
 """
 
 import math
+from bisect import bisect_left
+from operator import itemgetter
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from flowseg import flow_plane, projection
 from flowseg.events import Event
 from flowseg.flow_plane import FlowPlane, FlowPlaneConfig, MetricArray
-from flowseg.projection import metric_bruteforce, pack_cell, project_event
+
+from oracles import bruteforce_image, metric_bruteforce
 
 # 60 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -24,8 +27,8 @@ SETTINGS = settings(max_examples=settings.default.max_examples * 6 // 10)
 BLOCKS = st.sampled_from((1, 5, projection._BLOCK_PAIRS))
 
 
-# rows per part of an ordered batch: small limits split batches inside
-# and around flushes, and split flushes longer than the limit
+# rows per kernel slice of an ordered batch: small limits put slice
+# boundaries between events, between flushes and inside flushes
 BATCH_ROWS = st.sampled_from((1, 3, 7, flow_plane._BATCH_ROWS))
 STEPS = st.integers(0, 40_000)
 # with gaps longer than a 0.2 s noise lifespan
@@ -63,14 +66,23 @@ def nonzero_grids(array):
 
 
 def bruteforce_grids(array):
-    grids = []
-    for flow in array.flows:
-        image = {}
-        for e in array.held:
-            key = pack_cell(*project_event(e, flow, array.t_ref_us))
-            image[key] = image.get(key, 0) + e.s
-        grids.append({c: v for c, v in image.items() if v})
-    return grids
+    return [{c: v for c, v in bruteforce_image(array.held, flow,
+                                               array.t_ref_us).items() if v}
+            for flow in array.flows]
+
+
+def ingest_one(array, e):
+    """Accumulate one event as a one-event batch; the argmax after it."""
+    return int(array.apply_batch([e])[0][0])
+
+
+def flush_before(array, cutoff_us):
+    """Retract the held events with t < cutoff_us, a prefix of `held`, as
+    a one-flush batch; returns how many."""
+    count = bisect_left(array.held, cutoff_us, key=itemgetter(2))
+    if count:
+        array.apply_batch((), [(0, count)])
+    return count
 
 
 @SETTINGS
@@ -79,12 +91,12 @@ def bruteforce_grids(array):
 def test_ingest_batch_splits_match_single_events(events, cuts, n, block):
     cfg = FlowPlaneConfig(n=n)
     single = MetricArray(cfg)
-    expected = [single.ingest(e) for e in events]
+    expected = [ingest_one(single, e) for e in events]
     batched = MetricArray(cfg)
     got = []
     with mock.patch.object(projection, "_BLOCK_PAIRS", block):
         for batch in split(events, cuts):
-            got.extend(batched.ingest_batch(batch).tolist())
+            got.extend(batched.apply_batch(batch)[0].tolist())
     assert got == expected
     assert batched.metrics == single.metrics
     assert batched.argmax_index == single.argmax_index
@@ -106,10 +118,10 @@ def test_ingest_and_flush_match_bruteforce(events, ops, n, block):
             if by_fill:
                 array.fill(batch)
             else:
-                array.ingest_batch(batch)
+                array.apply_batch(batch)
         if array.held:
             first, last = array.held[0].t, array.held[-1].t
-            array.flush_older_than(first + (last - first) * cutoff_pct // 100)
+            flush_before(array, first + (last - first) * cutoff_pct // 100)
         if array.t_ref_us is None:
             continue
         for k, flow in enumerate(array.flows):
@@ -141,7 +153,7 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
         scan.fill_scan(events)
         filled.fill(events)
         for batch in split(events, cuts):
-            ingested.ingest_batch(batch)
+            ingested.apply_batch(batch)
     expected = [metric_bruteforce(events, flow, events[0].t)
                 for flow in scan.flows]
     for array in (scan, filled, ingested):
@@ -180,15 +192,15 @@ def test_ordered_batch_matches_one_operation_at_a_time(events, prefill, ops,
     for kind, value in ops:
         if kind == "ingest":
             for e in events[at:at + value]:
-                expected.append(single.ingest(e))
+                expected.append(ingest_one(single, e))
                 assert expected[-1] == bruteforce_argmax(single)
                 batch.append(e)
             at += value
         elif single.held:
             # from nothing (0) to every held event (100)
             first, last = single.held[0].t, single.held[-1].t + 1
-            count = single.flush_older_than(
-                first + (last - first) * value // 100)
+            count = flush_before(single,
+                                 first + (last - first) * value // 100)
             assert single.argmax_index == bruteforce_argmax(single)
             if count:
                 flushes.append((len(batch), count))
@@ -219,9 +231,9 @@ def test_cancelled_cell_retracts_after_compaction():
     b = Event(5, 5, 10, -1)
     array = MetricArray(FlowPlaneConfig(n=3))
     array.fill([z, a, b])
-    assert array.flush_older_than(1) == 1
+    assert flush_before(array, 1) == 1
     assert all(len(array.grid(k)[0]) == 0 for k in range(9))
-    assert array.flush_older_than(5) == 1
+    assert flush_before(array, 5) == 1
     for k, flow in enumerate(array.flows):
         assert array.metrics[k] == metric_bruteforce([b], flow,
                                                      array.t_ref_us) == 1
@@ -234,8 +246,8 @@ def flush_now(plane, now_us):
     array empties) restarts the stable run."""
     array = plane.array
     before = array.argmax_index
-    removed = array.flush_older_than(
-        now_us - int(plane.cfg.noise_lifespan_s * 1e6))
+    removed = flush_before(array,
+                           now_us - int(plane.cfg.noise_lifespan_s * 1e6))
     if removed and array.argmax_index != before:
         plane.stability_count = 0
         plane._stable_index = array.argmax_index

@@ -6,9 +6,10 @@ from flowseg.engine import (Engine, EngineConfig, FlowLabeledEvent, UNLABELED,
                             _dilate_cells, read_labeled, run_stream,
                             write_labeled)
 from flowseg.events import Event
-from flowseg.projection import pack_cell
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 from flowseg.track_plane import TrackPlane
+
+from oracles import pack_cell
 
 
 @pytest.fixture(scope="module")

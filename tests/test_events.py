@@ -7,9 +7,7 @@ from flowseg.events import (DEFAULT_GEOMETRY, Event, GeometryError,
 
 
 def test_decode_basic():
-    e = decode_event("1000 12 34 1")
-    assert e == Event(12, 34, 1000, 1)
-    assert e.t_seconds == pytest.approx(1e-3)
+    assert decode_event("1000 12 34 1") == Event(12, 34, 1000, 1)
 
 
 def test_encode_decode_round_trip():
@@ -33,13 +31,19 @@ def test_decode_rejects_malformed():
         decode_event("-5 12 34 1")
 
 
-def test_decode_checks_geometry():
-    geom = SensorGeometry(240, 180)
-    decode_event("0 239 179 1", geom)
-    with pytest.raises(GeometryError):
-        decode_event("0 240 0 1", geom)
-    with pytest.raises(GeometryError):
-        decode_event("0 0 180 1", geom)
+def test_load_stream_rejects_off_sensor_events():
+    # the engine projects any coordinate: loading is where the sensor
+    # geometry, from the header or the argument, bounds the events
+    geometry = SensorGeometry(64, 48)
+    for header, argument in ((["geometry 64 48"], None), ([], geometry)):
+        stream = load_stream(header + ["0 5 5 1", "10 63 47 -1", "20 0 0 1"],
+                             argument)
+        assert stream.geometry == geometry
+        assert [(e.u, e.v) for e in stream] == [(5, 5), (63, 47), (0, 0)]
+        for u, v in [(64, 0), (0, 48), (-1, 0)]:
+            with pytest.raises(GeometryError,
+                               match=rf"event 1: .*\({u}, {v}\)"):
+                load_stream(header + ["0 5 5 1", f"10 {u} {v} 1"], argument)
 
 
 def test_geometry_contains():
@@ -53,7 +57,7 @@ def test_load_stream_orders_and_bounds():
     stream = load_stream(lines)
     assert len(stream) == 2
     assert stream.geometry == SensorGeometry(240, 180)
-    assert stream.duration_seconds == pytest.approx(1e-5)
+    assert [e.t for e in stream] == [10, 20]
 
     with pytest.raises(OrderingError) as err:
         load_stream(["geometry 240 180", "20 5 5 1", "10 6 5 1"])

@@ -10,10 +10,9 @@ from flowseg.flow_plane import (AssociationError, FlowPlane, FlowPlaneConfig,
                                 MetricArray, cell_value_stats,
                                 extract_associated, flood_fill_cells,
                                 index_to_flow)
-from flowseg.projection import (KEY_M, metric_bruteforce, pack_cell,
-                                project_event)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
+from oracles import bruteforce_image, metric_bruteforce, pack_cell
 from test_projection import random_events
 
 
@@ -43,7 +42,7 @@ def test_metric_array_matches_bruteforce():
     cfg = FlowPlaneConfig(n=4, p_stable=10)
     array = MetricArray(cfg)
     for e in events:
-        array.ingest(e)
+        array.apply_batch([e])
     for k, flow in enumerate(array.flows):
         assert array.metrics[k] == metric_bruteforce(events, flow,
                                                      array.t_ref_us)
@@ -56,7 +55,7 @@ def test_metric_array_fill_equals_ingest():
     cfg = FlowPlaneConfig(n=4)
     one = MetricArray(cfg)
     for e in events:
-        one.ingest(e)
+        one.apply_batch([e])
     two = MetricArray(cfg)
     two.fill(events)
     assert one.metrics == two.metrics
@@ -73,27 +72,26 @@ def test_metric_array_fill_equals_ingest():
                                   values[values != 0].tolist())))
         assert grids[0] == grids[1]
         # the store holds exactly the cells of the brute-force image
-        expected = {}
-        for e in events:
-            key = pack_cell(*project_event(e, one.flows[k], one.t_ref_us))
-            expected[key] = expected.get(key, 0) + e.s
+        expected = bruteforce_image(events, one.flows[k], one.t_ref_us)
         assert grids[0] == {key: c for key, c in expected.items() if c}
 
 
-def test_flush_older_than_retracts_exactly():
+def test_flush_retracts_exactly():
     rng = random.Random(33)
     events = random_events(rng, 600)
     cfg = FlowPlaneConfig(n=3)
     array = MetricArray(cfg)
     array.fill(events)
-    cutoff = events[len(events) // 2].t
-    removed = array.flush_older_than(cutoff)
-    survivors = [e for e in events if e.t >= cutoff]
-    assert removed == len(events) - len(survivors)
+    stale = len(events) // 2
+    survivors = events[stale:]
+    # a flush before any event of the batch: the `stale` oldest leave
+    best, after = array.apply_batch((), [(0, stale)])
+    assert len(best) == 0
     assert array.held == survivors
-    for k, flow in enumerate(array.flows):
-        assert array.metrics[k] == metric_bruteforce(survivors, flow,
-                                                     array.t_ref_us)
+    metrics = [metric_bruteforce(survivors, flow, array.t_ref_us)
+               for flow in array.flows]
+    assert array.metrics == metrics
+    assert after == [array.argmax_index] == [metrics.index(max(metrics))]
 
 
 def test_cell_value_stats():

@@ -1,5 +1,7 @@
-"""The package surface: one version string and the names the docs import."""
+"""The package surface: one version string, the names the docs import,
+and no definition that nothing names."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -32,6 +34,35 @@ def test_all_names_resolve():
     assert len(set(flowseg.__all__)) == len(flowseg.__all__)
     for name in flowseg.__all__:
         assert hasattr(flowseg, name), name
+
+
+def test_every_definition_is_named_elsewhere():
+    # each function, method and class of the package (dunders aside) is
+    # named, as a whole word, outside its own definition: in the package,
+    # the demos, the benchmark or the README.  Tests do not count, so
+    # code only they call shows up here
+    package = sorted((ROOT / "src" / "flowseg").glob("*.py"))
+    sources = [*package, *sorted((ROOT / "demos").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.md")), ROOT / "README.md"]
+    texts = {path: path.read_text() for path in sources}
+    unnamed = []
+    for path in package:
+        lines = texts[path].splitlines()
+        others = [text for other, text in texts.items() if other != path]
+        for node in ast.walk(ast.parse(texts[path])):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    or re.fullmatch(r"__\w+__", node.name)):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            # the definition's own lines, decorators included, do not count
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+            if not any(word.search(text) for text in [rest, *others]):
+                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unnamed == []
 
 
 def test_manifest_version_is_package_version():

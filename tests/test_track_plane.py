@@ -3,8 +3,10 @@ import math
 import pytest
 
 from flowseg.events import Event
-from flowseg.projection import ConsistencyError, FlowVector, pack_cell
+from flowseg.projection import ConsistencyError, FlowVector
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig, event_lifetime_s
+
+from oracles import pack_cell
 
 
 def make_plane(flow=(58.0, 0.0), cfg=None, n_events=5):

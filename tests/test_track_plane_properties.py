@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from flowseg import projection
 from flowseg.events import Event
-from flowseg.projection import (AccumulatorGrid, event_columns, grid_images,
-                                metric_bruteforce, pack_cell, project_event)
+from flowseg.projection import AccumulatorGrid, event_columns, grid_images
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig
+
+from oracles import bruteforce_image, metric_bruteforce
 
 # 150 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -38,16 +39,8 @@ OPS = st.one_of(
 )
 
 
-def image(events, flow, t_ref_us):
-    cells = {}
-    for e in events:
-        key = pack_cell(*project_event(e, flow, t_ref_us))
-        cells[key] = cells.get(key, 0) + e.s
+def nonzero(cells):
     return {k: c for k, c in cells.items() if c}
-
-
-def nonzero(grid):
-    return {k: c for k, c in grid.cells.items() if c}
 
 
 def check_plane(plane):
@@ -61,7 +54,8 @@ def check_plane(plane):
     for k, flow in enumerate(plane.flows):
         assert flow == (plane.flows[k % m].v_u, plane.flows[k // m * m].v_v)
     for grid, flow in zip(plane.grids, plane.flows):
-        assert nonzero(grid) == image(plane.held, flow, grid.t_ref_us)
+        assert nonzero(grid.cells) == nonzero(
+            bruteforce_image(plane.held, flow, grid.t_ref_us))
         assert grid.metric == metric_bruteforce(plane.held, flow,
                                                 grid.t_ref_us)
 
@@ -143,32 +137,30 @@ EVENTS = st.lists(st.tuples(PATCH, PATCH, st.integers(0, 40_000),
                     max_size=12))
 def test_accumulator_batches_match_scalar_path(flow, ops):
     t = 0
-    scalar = AccumulatorGrid(t)
     batched = AccumulatorGrid(t)
-    live = []
+    live, touched = [], set()
     for op in ops:
         if op[0] == "add":
             batch = []
             for u, v, dt, s in op[1]:
                 t += dt
                 batch.append(Event(u, v, t, s))
-            for e in batch:
-                scalar.accumulate(e, flow)
             batched.accumulate_batch(*grid_images(event_columns(batch), 0,
                                                   [flow[0]], [flow[1]])[0])
             live.extend(batch)
+            touched.update(bruteforce_image(batch, flow, 0))
         else:
             picks = {i % len(live) for i in op[1]} if live else set()
             batch = [e for i, e in enumerate(live) if i in picks]
             live = [e for i, e in enumerate(live) if i not in picks]
-            for e in batch:
-                scalar.retract(e, flow)
-            touched = batched.retract_batch(
+            cells = batched.retract_batch(
                 *grid_images(event_columns(batch), 0, [flow[0]], [flow[1]])[0])
-            assert touched == sorted({scalar.cell_of(e, flow) for e in batch})
-        # zero cells too: both paths keep a cancelled cell retractable
-        assert batched.cells == scalar.cells
-        assert batched.metric == scalar.metric
+            assert cells == sorted(bruteforce_image(batch, flow, 0))
+        # every cell ever touched stays, holding its live sum (0 when
+        # cancelled), so that a cancelled cell stays retractable
+        expected = dict.fromkeys(touched, 0)
+        expected.update(bruteforce_image(live, flow, 0))
+        assert batched.cells == expected
         assert batched.metric == metric_bruteforce(live, flow, 0)
 
 
@@ -196,9 +188,6 @@ def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events,
     assert len(images) == m * m
     for k, (keys, sums) in enumerate(images):
         flow = (col[k % m], row[k // m])
-        expected = {}
-        for e in batch:
-            key = pack_cell(*project_event(e, flow, t_ref))
-            expected[key] = expected.get(key, 0) + e.s
+        expected = bruteforce_image(batch, flow, t_ref)
         assert keys.tolist() == sorted(expected)
         assert sums.tolist() == [expected[key] for key in sorted(expected)]
