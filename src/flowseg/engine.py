@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .events import Event, OrderingError
 from .flow_plane import FlowPlane, FlowPlaneConfig
-from .projection import KEY_M, FlowVector
+from .projection import NEIGHBORS_8, FlowVector
 from .track_plane import TrackPlane, TrackPlaneConfig
 
 UNLABELED = -1
@@ -105,11 +105,9 @@ class EngineStats:
 
 def _dilate_cells(cells: set[int]) -> set[int]:
     """1-cell 8-neighborhood dilation over packed keys."""
-    out = set()
-    offsets = (0, 1, -1, KEY_M, -KEY_M, KEY_M + 1, KEY_M - 1,
-               -KEY_M + 1, -KEY_M - 1)
+    out = set(cells)
     for key in cells:
-        for off in offsets:
+        for off in NEIGHBORS_8:
             out.add(key + off)
     return out
 
@@ -223,11 +221,6 @@ class Engine:
         # empty window and kills the merged plane on the spot
         merged.hit_times.extend(sorted(list(keep.hit_times)
                                        + list(drop.hit_times)))
-        merged.total_hits = keep.total_hits + drop.total_hits
-        merged.total_misses = keep.total_misses + drop.total_misses
-        merged.recenters = keep.recenters + drop.recenters
-        merged.promotions = keep.promotions + drop.promotions
-        merged.expired = keep.expired + drop.expired
         return merged
 
     def _merge_planes(self, now_us: int) -> None:

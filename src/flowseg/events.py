@@ -111,15 +111,16 @@ def load_stream(source: Union[str, Iterable[str]],
                 geometry: Optional[SensorGeometry] = None) -> EventStream:
     """Load an event stream from a file path or an iterable of lines.
 
-    A ``geometry W H`` header in the file sets the geometry; an explicit
-    `geometry` argument must agree with the header when both are present.
-    Validates time ordering and coordinate bounds.
+    A ``geometry W H`` header in the file sets the geometry; it must come
+    before any event, and an explicit `geometry` argument must agree with
+    it when both are present.  Each event's coordinates and time order are
+    checked as its line is decoded; errors name the line.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="ascii") as fh:
             return load_stream(fh, geometry)
 
-    header_geometry: Optional[SensorGeometry] = None
+    effective = geometry or DEFAULT_GEOMETRY
     events: list[Event] = []
     saw_data = False
     for line_no, raw in enumerate(source, start=1):
@@ -136,25 +137,23 @@ def load_stream(source: Union[str, Iterable[str]],
                 raise ParseError("geometry dimensions must be integers", line_no) from None
             if w <= 0 or h <= 0:
                 raise GeometryError(f"line {line_no}: non-positive geometry {w}x{h}")
-            header_geometry = SensorGeometry(w, h)
+            effective = SensorGeometry(w, h)
+            if geometry is not None and geometry != effective:
+                raise GeometryError(
+                    f"geometry argument {geometry} disagrees with header {effective}")
             saw_data = True
             continue
         saw_data = True
-        events.append(decode_event(text, line_no))
-
-    if geometry is not None and header_geometry is not None and geometry != header_geometry:
-        raise GeometryError(
-            f"geometry argument {geometry} disagrees with header {header_geometry}")
-    effective = geometry or header_geometry or DEFAULT_GEOMETRY
-
-    for i, e in enumerate(events):
+        e = decode_event(text, line_no)
         if not effective.contains(e.u, e.v):
             raise GeometryError(
-                f"event {i}: coordinate ({e.u}, {e.v}) outside "
+                f"line {line_no}: coordinate ({e.u}, {e.v}) outside "
                 f"{effective.width}x{effective.height}")
-        if i and e.t < events[i - 1].t:
+        if events and e.t < events[-1].t:
             raise OrderingError(
-                f"event {i}: timestamp {e.t} before previous {events[i - 1].t}", i)
+                f"line {line_no}: timestamp {e.t} before previous "
+                f"{events[-1].t}", len(events))
+        events.append(e)
     return EventStream(effective, events)
 
 

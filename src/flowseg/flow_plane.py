@@ -26,9 +26,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .events import Event
-from .projection import (_HALF, _K_SHIFT, KEY_M, FlowVector, event_columns,
-                         grid_edges, grid_pairs, grid_sums, group_starts,
-                         project_keys)
+from .projection import (_HALF, _K_SHIFT, NEIGHBORS_8, FlowVector,
+                         event_columns, grid_edges, grid_pairs, grid_sums,
+                         group_starts, project_keys)
 
 
 class AssociationError(Exception):
@@ -136,18 +136,6 @@ class MetricArray:
             self.t_ref_us = events[0].t
         return us, vs, (ts - self.t_ref_us) * 1e-6, ss
 
-    def _sums(self, events) -> tuple[np.ndarray, np.ndarray]:
-        """Store keys the events touch, ascending, and the signed sum of
-        their polarities in each."""
-        us, vs, dt, ss = self._columns(events)
-        return grid_sums(us, vs, dt, ss, self.col_vu, self.row_vv)
-
-    def _per_flow(self, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Sum of `values` over each grid, for ascending store keys."""
-        bounds = np.searchsorted(keys, self._edges)
-        total = np.concatenate(([0], np.cumsum(values)))
-        return total[bounds[1:]] - total[bounds[:-1]]
-
     def _lookup(self, keys: np.ndarray):
         """Store positions of ascending keys, whether each is stored, and
         its value (0 when missing)."""
@@ -177,14 +165,6 @@ class MetricArray:
             merged[new] = added[miss]
             merged[kept] = getattr(self, name)
             setattr(self, name, merged)
-
-    def _add(self, keys: np.ndarray, adds: np.ndarray) -> None:
-        pos, hit, old = self._lookup(keys)
-        self._metrics += self._per_flow(keys, adds * (2 * old + adds))
-        self._write(keys, adds, pos, hit)
-
-    def _update_argmax(self) -> None:
-        self.argmax_index = int(np.argmax(self._metrics)) if self.held else None
 
     def apply_batch(self, events: Sequence[Event],
                     flushes: Sequence[tuple[int, int]] = ()
@@ -276,29 +256,23 @@ class MetricArray:
         return best[~retract], tops
 
     def fill(self, events: Sequence[Event]) -> None:
-        """Batch-accumulate an event list (order preserved for held)."""
+        """Accumulate an event list into the array, which must hold no
+        events yet (order preserved for held): the store is the events'
+        grid sums, and each metric is its grid's sum of squares."""
         # a second write path on purpose: `apply_batch` on a fresh array
         # gives the same store, metrics and argmax, but builds the metric
         # after every row, which only drains need, and took 1.4-1.6x as
         # long over the emissions of perfbench's hexagon, bars and noise
         if not events:
             return
-        self._add(*self._sums(events))
+        us, vs, dt, ss = self._columns(events)
+        keys, sums = grid_sums(us, vs, dt, ss, self.col_vu, self.row_vv)
+        self.cell_keys, self.cell_values = keys, sums
+        bounds = np.searchsorted(keys, self._edges)
+        total = np.concatenate(([0], np.cumsum(sums * sums)))
+        self._metrics = total[bounds[1:]] - total[bounds[:-1]]
         self.held.extend(events)
-        self._update_argmax()
-
-    def fill_scan(self, events: Sequence[Event]) -> None:
-        """Metrics-only fill for single-shot arrays (refinement levels).
-
-        Leaves the cell store empty, so the array must not be ingested
-        into afterwards.
-        """
-        if not events:
-            return
-        keys, sums = self._sums(events)
-        self._metrics = self._per_flow(keys, sums * sums)
-        self.held.extend(events)
-        self._update_argmax()
+        self.argmax_index = int(np.argmax(self._metrics))
 
     @property
     def argmax_flow(self) -> Optional[FlowVector]:
@@ -338,22 +312,19 @@ def flood_fill_cells(nonzero: set[int], seeds: set[int]) -> set[int]:
     """8-connected closure of seeds over the nonzero cell set (packed keys)."""
     footprint = set()
     queue = deque(sorted(seeds))
-    neighbor_offsets = (1, -1, KEY_M, -KEY_M, KEY_M + 1, KEY_M - 1,
-                        -KEY_M + 1, -KEY_M - 1)
     while queue:
         key = queue.popleft()
         if key in footprint:
             continue
         footprint.add(key)
-        for off in neighbor_offsets:
+        for off in NEIGHBORS_8:
             nb = key + off
             if nb in nonzero and nb not in footprint:
                 queue.append(nb)
     return footprint
 
 
-def extract_associated(array: MetricArray,
-                       w: Optional[float] = None) -> AssociationResult:
+def extract_associated(array: MetricArray) -> AssociationResult:
     """Select the events backing the winning projection.
 
     Seeds are cells with |f| strictly above mu + w*sigma (stats over the
@@ -363,12 +334,10 @@ def extract_associated(array: MetricArray,
     """
     if array.argmax_index is None:
         raise AssociationError("empty array")
-    if w is None:
-        w = array.cfg.w
     k = array.argmax_index
     cells, values = array.grid(k)
     mu, sigma = cell_value_stats(values)
-    threshold = mu + w * sigma
+    threshold = mu + array.cfg.w * sigma
     nonzero = values != 0
     seeds = set(cells[nonzero & (np.abs(values) > threshold)].tolist())
     if not seeds:
@@ -389,16 +358,12 @@ def extract_associated(array: MetricArray,
 
 
 def refine(assoc: AssociationResult, cfg: FlowPlaneConfig, parent_range: float,
-           center_flow=None) -> MetricArray:
-    """Re-project associated events through a range/q array around a flow.
-
-    The center defaults to the association's flow; deeper levels pass the
-    previous level's argmax flow instead.
-    """
-    if center_flow is None:
-        center_flow = assoc.flow
+           center_flow) -> MetricArray:
+    """Re-project associated events through a range/q array around
+    `center_flow`: the association's flow at the first level, the
+    previous level's argmax flow below it."""
     child = MetricArray(cfg, center_flow, parent_range / cfg.q)
-    child.fill_scan(assoc.events)
+    child.fill(assoc.events)
     return child
 
 
@@ -430,8 +395,6 @@ class FlowPlane:
         self._flushes: list[tuple[int, int]] = []
         self.stability_count = 0
         self._stable_index: Optional[int] = None
-        self.total_ingested = 0
-        self.emissions = 0
 
     @property
     def array(self) -> MetricArray:
@@ -440,7 +403,6 @@ class FlowPlane:
 
     def ingest(self, ev: Event) -> None:
         self._pending.append(ev)
-        self.total_ingested += 1
         if len(self._pending) >= self.cfg.p_stable - self.stability_count:
             self._drain()
 
@@ -497,7 +459,7 @@ class FlowPlane:
         cfg = self.cfg
         array = self.array
         try:
-            assoc = extract_associated(array, cfg.w)
+            assoc = extract_associated(array)
         except AssociationError:
             self.stability_count = 0
             self._stable_index = None
@@ -517,7 +479,6 @@ class FlowPlane:
         self._array.fill(remaining)
         self.stability_count = 0
         self._stable_index = self._array.argmax_index
-        self.emissions += 1
         return seed
 
     def flush_noise(self, now_us: int) -> int:

@@ -3,9 +3,9 @@
 Projecting an event along a flow (v_u, v_v) removes the motion component:
 ``proj(e) = (round(u - v_u*dt), round(v - v_v*dt))`` with dt relative to the
 grid's reference timestamp.  Signed polarities are summed per cell; the
-sharpness metric is the sum of squared cell values and is maintained
-incrementally (accumulating s into a cell holding c changes the metric by
-2*c*s + s**2).  Rounding is half-away-from-zero.  Batches of events are
+sharpness metric is the sum of squared cell values (accumulating s into a
+cell holding c changes it by 2*c*s + s**2).  A tracking grid computes it
+only when read.  Rounding is half-away-from-zero.  Batches of events are
 projected onto a whole Cartesian array of candidate flows in one pass
 (`grid_pairs`), which discovery's n x n array and tracking's m x m
 perturbation grids share.
@@ -41,6 +41,9 @@ class FlowVector(NamedTuple):
 # cell keys are packed into a single int: key = x * KEY_M + y, |y| < 2**20
 KEY_M = 1 << 21
 _KEY_HALF = 1 << 20
+# packed-key offsets of a cell's 8-neighborhood
+NEIGHBORS_8 = (1, -1, KEY_M, -KEY_M, KEY_M + 1, KEY_M - 1, -KEY_M + 1,
+               -KEY_M - 1)
 
 
 def unpack_cell(key: int) -> tuple[int, int]:
@@ -74,12 +77,16 @@ class AccumulatorGrid:
     must retract through the same reference they accumulated under.
     """
 
-    __slots__ = ("cells", "metric", "t_ref_us")
+    __slots__ = ("cells", "t_ref_us")
 
     def __init__(self, t_ref_us: int):
         self.cells: dict[int, int] = {}
-        self.metric: int = 0
         self.t_ref_us = t_ref_us
+
+    @property
+    def metric(self) -> int:
+        """Contrast: the sum of squared cell values, computed on each read."""
+        return sum(c * c for c in self.cells.values())
 
     def accumulate_batch(self, keys: np.ndarray, sums: np.ndarray) -> None:
         """Add a projected batch: unique packed cells, ascending, and the
@@ -88,29 +95,21 @@ class AccumulatorGrid:
         if not cells:
             # untouched grid: keys are unique, build the dict in one shot
             self.cells = dict(zip(keys.tolist(), sums.tolist()))
-            self.metric += int(np.dot(sums, sums))
             return
-        metric = self.metric
         for key, add in zip(keys.tolist(), sums.tolist()):
-            c = cells.get(key, 0)
-            cells[key] = c + add
-            metric += add * (2 * c + add)
-        self.metric = metric
+            cells[key] = cells.get(key, 0) + add
 
     def retract_batch(self, keys: np.ndarray, sums: np.ndarray) -> list[int]:
         """Exact inverse of accumulate_batch; returns the packed cells it
         touched."""
         touched = keys.tolist()
         cells = self.cells
-        metric = self.metric
         for key, sub in zip(touched, sums.tolist()):
             c = cells.get(key)
             if c is None:
                 raise ConsistencyError(
                     f"batch retract from untouched cell {unpack_cell(key)}")
             cells[key] = c - sub
-            metric += sub * (sub - 2 * c)
-        self.metric = metric
         return touched
 
     def nonzero_cells(self) -> set[int]:

@@ -356,11 +356,8 @@ def _simulate_structure(contour: ShapeContour, model: MotionModel,
                 s = 1 if (w_n[0] * vel_u + w_n[1] * vel_v) >= 0 else -1
                 records.append((round_half_away(t_cross * 1e6), eu, ev, s,
                                 structure_id, vel_u, vel_v))
-            px = nx
-            py = ny
-        else:
-            px = nx
-            py = ny
+        px = nx
+        py = ny
         pos0 = pos1
 
     return records, clipped

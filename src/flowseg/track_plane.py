@@ -92,11 +92,6 @@ class TrackPlane:
         self.miss_counts: dict[int, int] = {}
         self.hit_times: deque[int] = deque()
         self.created_us = events[-1].t
-        self.total_hits = 0
-        self.total_misses = 0
-        self.recenters = 0
-        self.promotions = 0
-        self.expired = 0
         self._sync_cache()
 
     def _sync_cache(self) -> None:
@@ -154,26 +149,22 @@ class TrackPlane:
                        self._c_vu, self._c_vv)
 
         if key not in self.active:
-            self.total_misses += 1
             count = self.miss_counts.get(key, 0) + 1
             if count >= self.cfg.evolve_threshold:
                 # persistent misses promote the cell; the footprint evolves
                 self.active.add(key)
                 self.promoted.add(key)
                 self.miss_counts.pop(key, None)
-                self.promotions += 1
             else:
                 self.miss_counts[key] = count
             return False
 
-        self.total_hits += 1
         # each axis is rounded once per column or row of the perturbed
         # grids; the center grid keeps the key found above
         dt = (t - self._p_tref) * 1e-6
         xs = [round_half_away(u - vu * dt) * KEY_M for vu in self._col_vu]
         center = self.center_index
         cells_list = self._g_cells
-        grids = self.grids
         hits = self.hits
         k = 0
         for vv in self._row_vv:
@@ -185,7 +176,6 @@ class TrackPlane:
                 if c != 0:
                     hits[k] += 1
                 cells[gkey] = c + s
-                grids[k].metric += s * (2 * c + s)
                 k += 1
         if cells_list[center][key] == 0 and key not in self.promoted:
             self.active.discard(key)
@@ -229,7 +219,6 @@ class TrackPlane:
                         self.active.add(key)
                     elif key not in self.promoted:
                         self.active.discard(key)
-        self.expired += len(stale)
         return len(stale)
 
     def recenter(self, now_us: int) -> None:
@@ -247,19 +236,20 @@ class TrackPlane:
         chasing it sends the flow on a runaway random walk.  The winner
         must also beat the center's contrast metric, otherwise a noisy
         hit surplus can drag the flow off a projection that is plainly
-        crisper.  And when every projection counted about the same hits
-        the perturbations are below what 1 px cells resolve over one
-        lifetime, so instead of the halve (which would ratchet h to the
-        floor and freeze the flow even as the true velocity drifts
-        away) the tie keeps the center flow and doubles h, widening the
-        net until the grids separate.
+        crisper; this is the only read of a tracking grid's contrast, so
+        it is summed here and not kept up to date per hit.  And when
+        every projection counted about the same hits the perturbations
+        are below what 1 px cells resolve over one lifetime, so instead
+        of the halve (which would ratchet h to the floor and freeze the
+        flow even as the true velocity drifts away) the tie keeps the
+        center flow and doubles h, widening the net until the grids
+        separate.
         """
         hits = self.hits
         peak = max(hits)
         center = self.center_index
         center_hits = hits[center]
         winner = center if center_hits == peak else hits.index(peak)
-        self.recenters += 1
         # spreads below this are boundary-rounding luck, not signal
         margin = max(3, math.ceil(0.25 * peak))
         if (winner != center and peak >= center_hits + margin

@@ -40,9 +40,12 @@ def test_load_stream_rejects_off_sensor_events():
                              argument)
         assert stream.geometry == geometry
         assert [(e.u, e.v) for e in stream] == [(5, 5), (63, 47), (0, 0)]
+        # the second event sits on line 3 under the header, 2 without it
+        line = len(header) + 2
         for u, v in [(64, 0), (0, 48), (-1, 0)]:
             with pytest.raises(GeometryError,
-                               match=rf"event 1: .*\({u}, {v}\)"):
+                               match=rf"^line {line}: coordinate \({u}, {v}\) "
+                                     rf"outside 64x48$"):
                 load_stream(header + ["0 5 5 1", f"10 {u} {v} 1"], argument)
 
 
@@ -59,9 +62,13 @@ def test_load_stream_orders_and_bounds():
     assert stream.geometry == SensorGeometry(240, 180)
     assert [e.t for e in stream] == [10, 20]
 
-    with pytest.raises(OrderingError) as err:
-        load_stream(["geometry 240 180", "20 5 5 1", "10 6 5 1"])
-    assert err.value.index == 1
+    for header in (["geometry 240 180"], []):
+        with pytest.raises(OrderingError,
+                           match=rf"^line {len(header) + 3}: timestamp 10 "
+                                 rf"before previous 20$") as err:
+            load_stream(header + ["# comment", "20 5 5 1", "10 6 5 1"],
+                        SensorGeometry(240, 180))
+        assert err.value.index == 1      # still the event index
 
 
 def test_save_load_round_trip(tmp_path):

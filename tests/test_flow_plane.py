@@ -60,10 +60,6 @@ def test_metric_array_fill_equals_ingest():
     two.fill(events)
     assert one.metrics == two.metrics
     assert one.argmax_index == two.argmax_index
-
-    scan = MetricArray(cfg)
-    scan.fill_scan(events)
-    assert scan.metrics == one.metrics
     for k in range(cfg.n * cfg.n):
         grids = []
         for array in (one, two):
@@ -149,8 +145,10 @@ def test_flow_plane_emits_accurate_seed():
         duration=0.8, noise_rate=200.0, burst_size=2, seed=3)
     plane = FlowPlane(FlowPlaneConfig(p_stable=400))
     seed = None
+    ingested = 0
     for ev in stream.events:
         plane.ingest(ev)
+        ingested += 1
         if plane.stability_check():
             seed = plane.try_emit()
             if seed is not None:
@@ -163,9 +161,8 @@ def test_flow_plane_emits_accurate_seed():
         math.atan2(seed.flow.v_v, seed.flow.v_u) - math.atan2(10.0, 58.0)))
     assert angle < 10.0
     assert seed.events
-    # the emitting plane restarts on the leftovers
-    assert plane.emissions == 1
-    assert len(plane.array.held) < plane.total_ingested
+    # the emitting plane restarts on the leftovers (nothing was flushed)
+    assert len(plane.array.held) == ingested - len(seed.events)
 
 
 def test_flow_plane_noise_flush_retracts():

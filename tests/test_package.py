@@ -2,6 +2,7 @@
 and no definition that nothing names."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -63,6 +64,21 @@ def test_every_definition_is_named_elsewhere():
             if not any(word.search(text) for text in [rest, *others]):
                 unnamed.append(f"{path.name}:{node.lineno} {node.name}")
     assert unnamed == []
+
+
+def test_perfbench_traced_names_resolve(monkeypatch):
+    # `perfbench/run.py --trace 1` wraps each (owner, attribute) of
+    # measure.TRACED by name; one deleted or renamed breaks traced runs,
+    # and the benchmark's own self-test is not part of this suite
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_measure", ROOT / "perfbench" / "measure.py")
+    measure = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(measure)
+    assert len(measure.TRACED) >= 14
+    missing = [f"{name}: {attr}" for name, owner, attr, _ in measure.TRACED
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
 
 
 def test_manifest_version_is_package_version():

@@ -15,6 +15,12 @@ def make_plane(flow=(58.0, 0.0), cfg=None, n_events=5):
     return TrackPlane(0, flow, events, cfg or TrackPlaneConfig())
 
 
+def set_cells(grid, values):
+    # in place: the plane's match loop holds each grid's cell dict
+    grid.cells.clear()
+    grid.cells.update(values)
+
+
 def test_event_lifetime_is_pixels_over_speed():
     cfg = TrackPlaneConfig()
     assert cfg.lifetime_px == 3.0
@@ -57,21 +63,25 @@ def test_try_match_hits_and_march():
     # projects straight back onto the footprint
     ev = Event(25, 40, 10_000, 1)
     assert plane.try_match(ev) is True
-    assert plane.total_hits == 1
+    assert len(plane) == 6 and plane.held[-1] == ev
     far = Event(200, 170, 11_000, 1)
     assert plane.try_match(far) is False
-    assert plane.total_misses == 1
+    # a miss is not held; its projected cell only counts toward promotion
+    assert len(plane) == 6
+    assert list(plane.miss_counts.values()) == [1]
+    assert not plane.promoted
 
 
 def test_persistent_misses_promote_cell():
     cfg = TrackPlaneConfig(evolve_threshold=3)
     plane = make_plane((0.0, 0.0), cfg)
     ev = Event(90, 90, 1000, 1)
+    key = pack_cell(90, 90)           # zero flow projects in place
     assert plane.try_match(ev) is False
     assert plane.try_match(ev._replace(t=2000)) is False
-    assert plane.promotions == 0
+    assert key not in plane.active and key not in plane.promoted
     assert plane.try_match(ev._replace(t=3000)) is False   # third strike
-    assert plane.promotions == 1
+    assert key in plane.active and key in plane.promoted
     assert plane.try_match(ev._replace(t=4000)) is True
 
 
@@ -147,31 +157,44 @@ def test_recenter_h_clamps():
     assert plane.h == pytest.approx(math.radians(cfg.h_max_deg))
 
 
+# cell values whose contrasts (sums of squares) read 100, 50 and 40
+CRISP = {pack_cell(0, 0): 10}
+MEDIUM = {pack_cell(0, 0): 5, pack_cell(1, 0): -5}
+BLURRY = {pack_cell(0, 0): 6, pack_cell(1, 0): 2}
+
+
 def test_recenter_adopts_decisive_off_center_winner():
     plane = make_plane((58.0, 0.0))
+    h0 = plane.h
     winner = plane.center_index + 1       # one step up in v_u
     target_flow = plane.flows[winner]
     plane.hits = [0] * 9
     plane.hits[plane.center_index] = 10
     plane.hits[winner] = 40               # clears the margin
-    plane.grids[winner].metric = 100
-    plane.grids[plane.center_index].metric = 50
+    set_cells(plane.grids[winner], CRISP)
+    set_cells(plane.grids[plane.center_index], MEDIUM)
+    assert (plane.grids[winner].metric,
+            plane.grids[plane.center_index].metric) == (100, 50)
     plane.recenter(10_000)
     assert plane.center_flow == target_flow
-    assert plane.recenters == 1
+    assert plane.h == pytest.approx(2 * h0)    # an edge win widens
 
 
 def test_recenter_rejects_weak_or_blurry_winner():
     # a small hit surplus is boundary luck; keep the center flow
+    # (both spreads clear the margin over the empty grids, so the refusal
+    # counts as a center win and narrows h)
     plane = make_plane((58.0, 0.0))
+    h0 = plane.h
     winner = plane.center_index + 1
     plane.hits = [0] * 9
     plane.hits[plane.center_index] = 38
     plane.hits[winner] = 40
-    plane.grids[winner].metric = 100
-    plane.grids[plane.center_index].metric = 50
+    set_cells(plane.grids[winner], CRISP)
+    set_cells(plane.grids[plane.center_index], MEDIUM)
     plane.recenter(10_000)
     assert plane.center_flow == FlowVector(58.0, 0.0)
+    assert plane.h == pytest.approx(h0 / 2)
 
     # a decisive surplus with a weaker contrast metric is also refused
     plane2 = make_plane((58.0, 0.0))
@@ -179,10 +202,13 @@ def test_recenter_rejects_weak_or_blurry_winner():
     plane2.hits = [0] * 9
     plane2.hits[plane2.center_index] = 10
     plane2.hits[winner2] = 40
-    plane2.grids[winner2].metric = 40
-    plane2.grids[plane2.center_index].metric = 50
+    set_cells(plane2.grids[winner2], BLURRY)
+    set_cells(plane2.grids[plane2.center_index], MEDIUM)
+    assert (plane2.grids[winner2].metric,
+            plane2.grids[plane2.center_index].metric) == (40, 50)
     plane2.recenter(10_000)
     assert plane2.center_flow == FlowVector(58.0, 0.0)
+    assert plane2.h == pytest.approx(h0 / 2)
 
 
 def test_config_validation():
