@@ -2,8 +2,8 @@
 
 Subcommands: synth (scene generation), run (segmentation engine), lk
 (plane-fit baseline), eval (labeled output vs ground truth), render
-(frame images), bench (throughput measurement).  Exit codes: 0 success,
-1 usage, 2 bad input data, 3 internal error.
+(frame images).  Exit codes: 0 success, 1 usage, 2 bad input data, 3
+internal error.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def parse_object_spec(text: str, geometry: SensorGeometry):
 
 
 def _engine_config(args):
-    overrides = getattr(args, "set", None) or []
-    if getattr(args, "config", None):
+    overrides = args.set or []
+    if args.config:
         return load_config(args.config, overrides)
     return build_config(parse_assignments(overrides))
 
@@ -193,21 +193,6 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    stream = load_stream(args.input)
-    cfg = _engine_config(args)
-    engine = Engine(cfg)
-    start = time.perf_counter()
-    engine.run(stream.events)
-    elapsed = time.perf_counter() - start
-    rate = len(stream) / elapsed if elapsed > 0 else math.inf
-    print(f"events={len(stream)} elapsed_s={elapsed:.3f} rate={rate:.0f}/s "
-          f"planes_live={len(engine.planes)}")
-    for line in engine.stats.as_lines():
-        print(line)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowseg",
                      description="Event-stream optical flow and segmentation")
@@ -264,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-sat", type=float, default=100.0)
     p.add_argument("--geometry", type=_geometry, default=DEFAULT_GEOMETRY)
     p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("bench", help="time the engine on a stream")
-    p.add_argument("input", help="event stream file")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

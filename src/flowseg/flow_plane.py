@@ -27,8 +27,8 @@ import numpy as np
 
 from .events import Event
 from .projection import (_HALF, _K_SHIFT, NEIGHBORS_8, FlowVector,
-                         event_columns, grid_edges, grid_pairs, grid_sums,
-                         group_starts, project_keys)
+                         event_columns, grid_edges, grid_flow, grid_pairs,
+                         grid_sums, group_starts, project_keys)
 
 
 class AssociationError(Exception):
@@ -65,13 +65,13 @@ class FlowPlaneConfig:
             raise ValueError("noise_lifespan_s must be positive")
 
 
-def index_to_flow(i: int, j: int, center_flow, angular_range: float,
-                  cfg: FlowPlaneConfig) -> FlowVector:
-    """Flow of array cell (i, j): center + v_ref*tan of the cell angle."""
-    theta_u = angular_range * ((i + 0.5) / cfg.n - 0.5)
-    theta_v = angular_range * ((j + 0.5) / cfg.n - 0.5)
-    return FlowVector(center_flow[0] + cfg.v_ref * math.tan(theta_u),
-                      center_flow[1] + cfg.v_ref * math.tan(theta_v))
+def axis_speeds(center: float, angular_range: float,
+                cfg: FlowPlaneConfig) -> list[float]:
+    """The n speeds of one array axis: center + v_ref*tan of each cell
+    angle."""
+    return [center + cfg.v_ref * math.tan(
+                angular_range * ((i + 0.5) / cfg.n - 0.5))
+            for i in range(cfg.n)]
 
 
 # rows (events ingested or retracted) per kernel slice of an ordered
@@ -85,33 +85,29 @@ _time = itemgetter(2)
 class MetricArray:
     """n x n sparse accumulation grids sharing one event set.
 
-    Grid k = j*n + i (row-major); the argmax ties break to the lowest
-    (j, i).  All grids share t_ref, frozen at the first event.  Cells of
-    every grid are kept in one sorted store (`cell_keys`, `cell_values`,
-    grid keys of `projection.grid_edges`); a cell may hold 0 until the
-    next batch that retracts events compacts it.  An event counts by the
-    sign of its polarity.  `held` is in time order.
+    The array is its two speed axes, `col_vu` and `row_vv`, laid out
+    around the center flow over the angular range: grid k = j*n + i
+    (row-major) has flow `grid_flow(col_vu, row_vv, k)`, and the argmax
+    ties break to the lowest (j, i).  All grids share t_ref, frozen at
+    the first event.  Cells of every grid are kept in one sorted store
+    (`cell_keys`, `cell_values`, grid keys of `projection.grid_edges`);
+    a cell may hold 0 until the next batch that retracts events compacts
+    it.  An event counts by the sign of its polarity.  `held` is in time
+    order.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
                  angular_range: Optional[float] = None):
         self.cfg = cfg
-        self.center_flow = FlowVector(float(center_flow[0]), float(center_flow[1]))
         self.angular_range = cfg.angular_range if angular_range is None else angular_range
-        n = cfg.n
-        flows = []
-        for j in range(n):
-            for i in range(n):
-                flows.append(index_to_flow(i, j, self.center_flow,
+        self.col_vu = np.array(axis_speeds(float(center_flow[0]),
                                            self.angular_range, cfg))
-        self.flows: list[FlowVector] = flows
-        # grid k = j*n + i takes v_u from column i and v_v from row j
-        self.col_vu = np.array([f.v_u for f in flows[:n]])
-        self.row_vv = np.array([f.v_v for f in flows[::n]])
-        self._edges = grid_edges(n * n)
+        self.row_vv = np.array(axis_speeds(float(center_flow[1]),
+                                           self.angular_range, cfg))
+        self._edges = grid_edges(cfg.n * cfg.n)
         self.cell_keys = np.zeros(0, dtype=np.int64)
         self.cell_values = np.zeros(0, dtype=np.int64)
-        self._metrics = np.zeros(n * n, dtype=np.int64)
+        self._metrics = np.zeros(cfg.n * cfg.n, dtype=np.int64)
         self.held: list[Event] = []
         self.t_ref_us: Optional[int] = None
         self.argmax_index: Optional[int] = None
@@ -278,7 +274,7 @@ class MetricArray:
     def argmax_flow(self) -> Optional[FlowVector]:
         if self.argmax_index is None:
             return None
-        return self.flows[self.argmax_index]
+        return grid_flow(self.col_vu, self.row_vv, self.argmax_index)
 
 
 @dataclass
@@ -345,7 +341,7 @@ def extract_associated(array: MetricArray) -> AssociationResult:
             f"no cell above threshold {threshold:.2f} (mu={mu:.2f}, sigma={sigma:.2f})")
     footprint = flood_fill_cells(set(cells[nonzero].tolist()), seeds)
 
-    flow = array.flows[k]
+    flow = grid_flow(array.col_vu, array.row_vv, k)
     us, vs, ts, _ = event_columns(array.held)
     keys = project_keys(us, vs, (ts - array.t_ref_us) * 1e-6, flow.v_u, flow.v_v)
     inside = np.isin(keys, np.fromiter(footprint, np.int64, len(footprint)))

@@ -5,10 +5,11 @@ Projecting an event along a flow (v_u, v_v) removes the motion component:
 grid's reference timestamp.  Signed polarities are summed per cell; the
 sharpness metric is the sum of squared cell values (accumulating s into a
 cell holding c changes it by 2*c*s + s**2).  A tracking grid computes it
-only when read.  Rounding is half-away-from-zero.  Batches of events are
-projected onto a whole Cartesian array of candidate flows in one pass
-(`grid_pairs`), which discovery's n x n array and tracking's m x m
-perturbation grids share.
+only when read.  Rounding is half-away-from-zero.  A grid's owner keeps
+its flow and reference time.  A candidate array is stored as its two
+speed axes, grid k's flow is `grid_flow(col_vu, row_vv, k)`, and batches
+of events are projected onto a whole array in one pass (`grid_pairs`),
+which discovery's n x n array and tracking's m x m grids share.
 
 Timestamps are integer microseconds everywhere; they become float seconds
 only inside the projection arithmetic.
@@ -68,20 +69,27 @@ def cell_key(u, v, dt: float, v_u: float, v_v: float) -> int:
             + round_half_away(v - v_v * dt))
 
 
+def grid_flow(col_vu, row_vv, k: int) -> FlowVector:
+    """Flow of grid k = j*n + i of a Cartesian array with n column speeds:
+    (col_vu[i], row_vv[j]), as Python floats."""
+    n = len(col_vu)
+    return FlowVector(float(col_vu[k % n]), float(row_vv[k // n]))
+
+
 class AccumulatorGrid:
     """Sparse signed accumulation image for one candidate flow.
 
     Cells live in a dict keyed by packed (x, y); entries are kept when a
     cell returns to zero so retraction can distinguish a cancelled cell
-    from one never touched.  `t_ref_us` is frozen at construction: events
-    must retract through the same reference they accumulated under.
+    from one never touched.  The grid's owner keeps the reference time:
+    events must retract through the same reference they accumulated
+    under.
     """
 
-    __slots__ = ("cells", "t_ref_us")
+    __slots__ = ("cells",)
 
-    def __init__(self, t_ref_us: int):
+    def __init__(self):
         self.cells: dict[int, int] = {}
-        self.t_ref_us = t_ref_us
 
     @property
     def metric(self) -> int:
@@ -164,13 +172,12 @@ def grid_pairs(us, vs, dt, col_vu, row_vv, low: np.ndarray, bits: int):
     """Project events onto every candidate of a Cartesian candidate array,
     a block of candidates at a time.
 
-    Candidate k = j*n + i of the array has flow (col_vu[i], row_vv[j]),
-    for n column speeds; `dt` is each event's time since the
-    reference, in seconds, and there is at least one event.  Yields
-    (k0, k1, pairs) per block of candidates k0..k1-1: `pairs` is sorted
-    and holds, for each (candidate k, event) pair,
-    ((k - k0) * 2**43 + packed + 2**42) << bits | low[event], so that
-    pairs group by cell and, within a cell, by `low`.
+    Candidate k has flow `grid_flow(col_vu, row_vv, k)`; `dt` is each
+    event's time since the reference, in seconds, and there is at least
+    one event.  Yields (k0, k1, pairs) per block of candidates
+    k0..k1-1: `pairs` is sorted and holds, for each (candidate k, event)
+    pair, ((k - k0) * 2**43 + packed + 2**42) << bits | low[event], so
+    that pairs group by cell and, within a cell, by `low`.
 
     Each axis is rounded once per column or row of the array.  A block
     is whole rows, or part of one row, and its pairs are the sums of its

@@ -128,8 +128,6 @@ def build_contour(shape: str, *, radius: float | None = None,
 # motion models
 
 class ConstantMotion:
-    kind = "constant"
-
     def __init__(self, v_u: float, v_v: float):
         self.v_u = float(v_u)
         self.v_v = float(v_v)
@@ -155,17 +153,11 @@ class PendulumMotion:
     Defaults give a peak flow of about 200 px/s.
     """
 
-    kind = "pendulum"
-
     def __init__(self, length_m: float = 0.72, theta_max_deg: float = 23.0,
                  g: float = 9.82, pixels_per_meter: float = 190.0,
                  phase: float = 0.0):
         if length_m <= 0 or g <= 0 or pixels_per_meter <= 0:
             raise ValueError("pendulum parameters must be positive")
-        self.length_m = length_m
-        self.theta_max_deg = theta_max_deg
-        self.g = g
-        self.pixels_per_meter = pixels_per_meter
         self.phase = phase
         self.v_max_ms = math.sqrt(
             2 * g * length_m * (1 - math.cos(math.radians(theta_max_deg))))
@@ -193,8 +185,6 @@ class PendulumMotion:
 
 
 class RotationMotion:
-    kind = "rotation"
-
     def __init__(self, omega: float, center: tuple[float, float]):
         self.omega = float(omega)   # rad/s, positive = +u toward +v
         self.center = (float(center[0]), float(center[1]))

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 from .events import Event
 from .projection import (KEY_M, AccumulatorGrid, ConsistencyError, FlowVector,
-                         cell_key, event_columns, grid_images, round_half_away)
+                         cell_key, event_columns, grid_flow, grid_images,
+                         round_half_away)
 
 
 @dataclass
@@ -65,7 +66,13 @@ def event_lifetime_s(flow, cfg: TrackPlaneConfig) -> float:
 
 
 class TrackPlane:
-    """Tracks one structure: its flow, its footprint, its recent events."""
+    """Tracks one structure: its flow, its footprint, its recent events.
+
+    The grids are an array stored as its two speed axes, `col_vu` and
+    `row_vv`, the center flow perturbed by -m//2..m//2 steps of h: grid
+    k's flow is `grid_flow(col_vu, row_vv, k)`.  The center grid projects
+    relative to `center_t_ref_us`, the others relative to `t_ref_us`.
+    """
 
     def __init__(self, plane_id: int, flow, events: Sequence[Event],
                  cfg: Optional[TrackPlaneConfig] = None):
@@ -79,59 +86,18 @@ class TrackPlane:
         self._h_max = math.radians(self.cfg.h_max_deg)
         m = self.cfg.m_grid
         self.center_index = (m // 2) * m + m // 2
-        self.flows = self._grid_flows()
-        t_ref = events[0].t
-        self.grids = [AccumulatorGrid(t_ref) for _ in range(m * m)]
-        images = self._images(self.flows, event_columns(events), t_ref)
-        for grid, image in zip(self.grids, images):
-            grid.accumulate_batch(*image)
         self.held: deque[Event] = deque(events)
-        self.active: set[int] = self.grids[self.center_index].nonzero_cells()
-        self.promoted: set[int] = set()
         self.hits = [0] * (m * m)
         self.miss_counts: dict[int, int] = {}
         self.hit_times: deque[int] = deque()
         self.created_us = events[-1].t
-        self._sync_cache()
-
-    def _sync_cache(self) -> None:
-        # flat copies of the per-grid hot fields; the match loop runs per
-        # event and attribute chains there cost real time
-        m = self.cfg.m_grid
-        center = self.center_index
-        self._g_cells = [g.cells for g in self.grids]
-        self._c_tref = self.grids[center].t_ref_us
-        self._c_vu, self._c_vv = self.flows[center]
-        # the perturbed grids share one t_ref; grid k = j*m + i takes v_u
-        # from column i and v_v from row j
-        self._p_tref = self.grids[0].t_ref_us
-        self._col_vu = [f[0] for f in self.flows[:m]]
-        self._row_vv = [f[1] for f in self.flows[::m]]
-        self._lifetime_us = int(self.event_lifetime_s() * 1e6)
-
-    def _images(self, flows, columns, t_ref_us: int):
-        """Each grid's projected cells and signed sums of event columns,
-        for grid flows `flows` and one t_ref, in one kernel pass."""
-        m = self.cfg.m_grid
-        return grid_images(columns, t_ref_us, [f.v_u for f in flows[:m]],
-                           [f.v_v for f in flows[::m]])
+        self._regenerate(keep_center=False)
 
     def _perturb(self, value: float, steps: int) -> float:
         if steps == 0:
             return value
         v_ref = self.cfg.v_ref
         return v_ref * math.tan(math.atan(value / v_ref) + steps * self.h)
-
-    def _grid_flows(self) -> list[FlowVector]:
-        m = self.cfg.m_grid
-        half = m // 2
-        flows = []
-        for j in range(m):
-            dv = self._perturb(self.center_flow.v_v, j - half)
-            for i in range(m):
-                flows.append(FlowVector(self._perturb(self.center_flow.v_u,
-                                                      i - half), dv))
-        return flows
 
     def event_lifetime_s(self) -> float:
         return event_lifetime_s(self.center_flow, self.cfg)
@@ -145,8 +111,8 @@ class TrackPlane:
         held = self.held
         if held and held[0].t < t - self._lifetime_us:
             self.expire(t)
-        key = cell_key(u, v, (t - self._c_tref) * 1e-6,
-                       self._c_vu, self._c_vv)
+        key = cell_key(u, v, (t - self.center_t_ref_us) * 1e-6,
+                       self._center_vu, self._center_vv)
 
         if key not in self.active:
             count = self.miss_counts.get(key, 0) + 1
@@ -161,23 +127,23 @@ class TrackPlane:
 
         # each axis is rounded once per column or row of the perturbed
         # grids; the center grid keeps the key found above
-        dt = (t - self._p_tref) * 1e-6
-        xs = [round_half_away(u - vu * dt) * KEY_M for vu in self._col_vu]
+        dt = (t - self.t_ref_us) * 1e-6
+        xs = [round_half_away(u - vu * dt) * KEY_M for vu in self.col_vu]
         center = self.center_index
-        cells_list = self._g_cells
+        grids = self.grids
         hits = self.hits
         k = 0
-        for vv in self._row_vv:
+        for vv in self.row_vv:
             y = round_half_away(v - vv * dt)
             for x in xs:
                 gkey = key if k == center else x + y
-                cells = cells_list[k]
+                cells = grids[k].cells
                 c = cells.get(gkey, 0)
                 if c != 0:
                     hits[k] += 1
                 cells[gkey] = c + s
                 k += 1
-        if cells_list[center][key] == 0 and key not in self.promoted:
+        if grids[center].cells[key] == 0 and key not in self.promoted:
             self.active.discard(key)
         held.append(ev)
         self.hit_times.append(t)
@@ -199,12 +165,13 @@ class TrackPlane:
         if not stale:
             return 0
         cols = event_columns(stale)
-        images = self._images(self.flows, cols, self._p_tref)
+        images = grid_images(cols, self.t_ref_us, self.col_vu, self.row_vv)
         center = self.center_index
-        if self._c_tref != self._p_tref:
+        if self.center_t_ref_us != self.t_ref_us:
             # the center kept its t_ref through a center win
-            images[center] = grid_images(cols, self._c_tref, [self._c_vu],
-                                         [self._c_vv])[0]
+            images[center] = grid_images(
+                cols, self.center_t_ref_us, [self._center_vu],
+                [self._center_vv])[0]
         for k, (grid, image) in enumerate(zip(self.grids, images)):
             try:
                 touched = grid.retract_batch(*image)
@@ -254,57 +221,59 @@ class TrackPlane:
         margin = max(3, math.ceil(0.25 * peak))
         if (winner != center and peak >= center_hits + margin
                 and self.grids[winner].metric > self.grids[center].metric):
-            self.center_flow = self.flows[winner]
+            self.center_flow = grid_flow(self.col_vu, self.row_vv, winner)
             self.h = min(self.h * 2.0, self._h_max)
             self._regenerate(keep_center=False)
-        elif peak - min(hits) >= margin:
-            new_h = max(self.h / 2.0, self._h_min)
-            # h pinned at the floor leaves every grid flow unchanged, so
-            # regeneration would rebuild identical grids; skip it
-            rebuild = new_h != self.h
-            self.h = new_h
-            if rebuild:
-                self._regenerate(keep_center=True)
         else:
-            new_h = min(self.h * 2.0, self._h_max)
-            rebuild = new_h != self.h
-            self.h = new_h
-            if rebuild:
+            if peak - min(hits) >= margin:
+                new_h = max(self.h / 2.0, self._h_min)
+            else:
+                new_h = min(self.h * 2.0, self._h_max)
+            # h pinned at a bound leaves every grid flow unchanged, so
+            # regeneration would rebuild identical grids; skip it
+            if new_h != self.h:
+                self.h = new_h
                 self._regenerate(keep_center=True)
         self.hits = [0] * (self.cfg.m_grid ** 2)
 
     def _regenerate(self, keep_center: bool) -> None:
-        flows = self._grid_flows()
+        """Lay the axes around the center flow and rebuild the grids from
+        the held events, all but the center one when `keep_center`."""
+        m = self.cfg.m_grid
+        half = m // 2
+        vu, vv = self.center_flow
+        # flat copies: the match loop runs per event
+        self._center_vu, self._center_vv = vu, vv
+        self.col_vu = [self._perturb(vu, i - half) for i in range(m)]
+        self.row_vv = [self._perturb(vv, j - half) for j in range(m)]
+        self._lifetime_us = int(self.event_lifetime_s() * 1e6)
         center = self.center_index
-        if self.held:
-            t_ref = self.held[0].t
-        else:
-            t_ref = self.grids[center].t_ref_us
-        images = (self._images(flows, event_columns(self.held), t_ref)
-                  if self.held else None)
-        for k in range(len(self.grids)):
+        self.t_ref_us = (self.held[0].t if self.held
+                         else self.center_t_ref_us)
+        images = grid_images(event_columns(self.held), self.t_ref_us,
+                             self.col_vu, self.row_vv)
+        grids = []
+        for k, image in enumerate(images):
             if keep_center and k == center:
-                continue
-            grid = AccumulatorGrid(t_ref)
-            if images is not None:
-                grid.accumulate_batch(*images[k])
-            self.grids[k] = grid
-        self.flows = flows
+                grids.append(self.grids[center])
+            else:
+                grids.append(AccumulatorGrid())
+                grids[-1].accumulate_batch(*image)
+        self.grids = grids
         if not keep_center:
-            self.active = self.grids[center].nonzero_cells()
+            self.center_t_ref_us = self.t_ref_us
+            self.active = grids[center].nonzero_cells()
             self.promoted = set()
             # miss counts survive: promotion pressure must outlive recenters
-        self._sync_cache()
 
     def footprint_at(self, now_us: int) -> set[int]:
         """Nonzero center cells translated to sensor position at now_us."""
-        cgrid = self.grids[self.center_index]
-        cflow = self.flows[self.center_index]
-        dt = (now_us - cgrid.t_ref_us) * 1e-6
-        dx = round_half_away(cflow[0] * dt)
-        dy = round_half_away(cflow[1] * dt)
+        dt = (now_us - self.center_t_ref_us) * 1e-6
+        dx = round_half_away(self._center_vu * dt)
+        dy = round_half_away(self._center_vv * dt)
         shift = dx * KEY_M + dy
-        return {key + shift for key in cgrid.nonzero_cells()}
+        cells = self.grids[self.center_index].nonzero_cells()
+        return {key + shift for key in cells}
 
     def expected_hit_fraction(self, now_us: int,
                               window_lifetimes: float = 2.0) -> float:

@@ -52,3 +52,13 @@ def bruteforce_image(events: Iterable[Event], flow,
         key = pack_cell(xi, yi)
         image[key] = image.get(key, 0) + s
     return image
+
+
+def array_flows(col_vu, row_vv) -> list[tuple[float, float]]:
+    """The candidate flows of a Cartesian array in grid order: row by
+    row, and within a row column by column."""
+    flows = []
+    for vv in row_vv:
+        for vu in col_vu:
+            flows.append((vu, vv))
+    return flows

@@ -18,7 +18,7 @@ import pytest
 from flowseg.engine import Engine, EngineConfig, UNLABELED, write_labeled
 from flowseg.evaluation import cross_label_fraction, flow_errors
 from flowseg.events import Event
-from flowseg.flow_plane import FlowPlaneConfig, MetricArray, index_to_flow
+from flowseg.flow_plane import FlowPlaneConfig, MetricArray, axis_speeds
 from flowseg.projection import (AccumulatorGrid, FlowVector, event_columns,
                                 project_keys)
 from flowseg.synth import (ConstantMotion, PendulumMotion, RotationMotion,
@@ -51,11 +51,11 @@ def test_01_incremental_metric_equals_bruteforce():
     start = time.perf_counter()
     us, vs, ts, _ = event_columns(events)
     polarities = np.array([e.s for e in events], dtype=np.int64)
+    t_ref = events[0].t
     for flow in flows:
-        grid = AccumulatorGrid(events[0].t)
+        grid = AccumulatorGrid()
         # each event's cell, projected once; one event per batch call
-        keys = project_keys(us, vs, (ts - grid.t_ref_us) * 1e-6,
-                            flow.v_u, flow.v_v)
+        keys = project_keys(us, vs, (ts - t_ref) * 1e-6, flow.v_u, flow.v_v)
         live = []                   # indices of the events still in
         for i in range(len(events)):
             grid.accumulate_batch(keys[i:i + 1], polarities[i:i + 1])
@@ -65,7 +65,7 @@ def test_01_incremental_metric_equals_bruteforce():
                 grid.retract_batch(keys[j:j + 1], polarities[j:j + 1])
             if i + 1 in checkpoints:
                 assert grid.metric == metric_bruteforce(
-                    [events[j] for j in live], flow, grid.t_ref_us)
+                    [events[j] for j in live], flow, t_ref)
     elapsed = time.perf_counter() - start
     print(f"incremental==bruteforce for 50 flows x 10k events "
           f"with retractions, {elapsed:.2f} s (bound 10 s)")
@@ -81,12 +81,12 @@ def test_02_metric_argmax_lands_on_true_flow():
     array = MetricArray(cfg)
     array.fill(events)
     # the cells whose flow is closest to the truth (symmetric ties allowed)
+    speeds = axis_speeds(0.0, cfg.angular_range, cfg)
     best = None
     nearest = []
     for j in range(cfg.n):
         for i in range(cfg.n):
-            f = index_to_flow(i, j, (0.0, 0.0), cfg.angular_range, cfg)
-            d = math.hypot(f.v_u - 58.0, f.v_v - 0.0)
+            d = math.hypot(speeds[i] - 58.0, speeds[j] - 0.0)
             if best is None or d < best - 1e-9:
                 best, nearest = d, [(i, j)]
             elif d < best + 1e-9:

@@ -71,7 +71,7 @@ def synth_files(tmp_path_factory):
     return root, events, gt
 
 
-def test_cli_run_eval_render_bench(tmp_path, synth_files, capsys):
+def test_cli_run_eval_render(tmp_path, synth_files, capsys):
     _, events, gt = synth_files
     labeled = str(tmp_path / "labeled.txt")
     manifest = str(tmp_path / "manifest.txt")
@@ -90,9 +90,6 @@ def test_cli_run_eval_render_bench(tmp_path, synth_files, capsys):
     assert run_cli("render", "--labeled", labeled, "--out-dir", frames,
                    "--mode", "flow") == 0
     assert any(name.endswith(".ppm") for name in os.listdir(frames))
-
-    assert run_cli("bench", events) == 0
-    assert "rate=" in capsys.readouterr().out
 
 
 def test_cli_lk(tmp_path, synth_files):

@@ -17,7 +17,7 @@ from flowseg import flow_plane, projection
 from flowseg.events import Event
 from flowseg.flow_plane import FlowPlane, FlowPlaneConfig, MetricArray
 
-from oracles import bruteforce_image, metric_bruteforce
+from oracles import array_flows, bruteforce_image, metric_bruteforce
 
 # 60 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -56,9 +56,14 @@ def split(events, cuts):
     return [events[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def flows(array):
+    """The array's candidate flows in grid order."""
+    return array_flows(array.col_vu, array.row_vv)
+
+
 def nonzero_grids(array):
     grids = []
-    for k in range(len(array.flows)):
+    for k in range(len(array.col_vu) * len(array.row_vv)):
         cells, values = array.grid(k)
         grids.append({c: v for c, v in zip(cells.tolist(), values.tolist())
                       if v})
@@ -68,7 +73,7 @@ def nonzero_grids(array):
 def bruteforce_grids(array):
     return [{c: v for c, v in bruteforce_image(array.held, flow,
                                                array.t_ref_us).items() if v}
-            for flow in array.flows]
+            for flow in flows(array)]
 
 
 def ingest_one(array, e):
@@ -125,7 +130,7 @@ def test_ingest_and_flush_match_bruteforce(events, ops, n, block):
             flush_before(array, first + (last - first) * cutoff_pct // 100)
         if array.t_ref_us is None:
             continue
-        for k, flow in enumerate(array.flows):
+        for k, flow in enumerate(flows(array)):
             assert array.metrics[k] == metric_bruteforce(array.held, flow,
                                                          array.t_ref_us)
         assert nonzero_grids(array) == bruteforce_grids(array)
@@ -155,7 +160,7 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
         for batch in split(events, cuts):
             ingested.apply_batch(batch)
     expected = [metric_bruteforce(events, flow, events[0].t)
-                for flow in filled.flows]
+                for flow in flows(filled)]
     for array in (filled, ingested):
         assert array.metrics == expected
     images = bruteforce_grids(filled)
@@ -169,7 +174,7 @@ def bruteforce_argmax(array):
     if not array.held:
         return None
     metrics = [metric_bruteforce(array.held, flow, array.t_ref_us)
-               for flow in array.flows]
+               for flow in flows(array)]
     return metrics.index(max(metrics))
 
 
@@ -219,7 +224,7 @@ def test_ordered_batch_matches_one_operation_at_a_time(events, prefill, ops,
     if batched.t_ref_us is not None:
         assert batched.metrics == [
             metric_bruteforce(batched.held, flow, batched.t_ref_us)
-            for flow in batched.flows]
+            for flow in flows(batched)]
         assert nonzero_grids(batched) == bruteforce_grids(batched)
 
 
@@ -234,7 +239,7 @@ def test_cancelled_cell_retracts_after_compaction():
     assert flush_before(array, 1) == 1
     assert all(len(array.grid(k)[0]) == 0 for k in range(9))
     assert flush_before(array, 5) == 1
-    for k, flow in enumerate(array.flows):
+    for k, flow in enumerate(flows(array)):
         assert array.metrics[k] == metric_bruteforce([b], flow,
                                                      array.t_ref_us) == 1
     assert nonzero_grids(array) == bruteforce_grids(array)

@@ -7,33 +7,32 @@ import pytest
 from flowseg import flow_plane
 from flowseg.events import Event
 from flowseg.flow_plane import (AssociationError, FlowPlane, FlowPlaneConfig,
-                                MetricArray, cell_value_stats,
-                                extract_associated, flood_fill_cells,
-                                index_to_flow)
+                                MetricArray, axis_speeds, cell_value_stats,
+                                extract_associated, flood_fill_cells)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
-from oracles import bruteforce_image, metric_bruteforce, pack_cell
+from oracles import (array_flows, bruteforce_image, metric_bruteforce,
+                     pack_cell)
 from test_projection import random_events
 
 
-def test_index_to_flow_tan_mapping():
+def test_axis_speeds_tan_mapping():
     cfg = FlowPlaneConfig(n=3, v_ref=100.0)
     # cell angles for n=3 over (-pi/2, pi/2): -pi/3, 0, pi/3
-    f = index_to_flow(2, 1, (0.0, 0.0), math.pi, cfg)
-    assert f.v_u == pytest.approx(100.0 * math.sqrt(3.0), rel=1e-12)
-    assert f.v_v == pytest.approx(0.0, abs=1e-12)
-    center = index_to_flow(1, 1, (0.0, 0.0), math.pi, cfg)
-    assert center.v_u == pytest.approx(0.0, abs=1e-12)
+    speeds = axis_speeds(0.0, math.pi, cfg)
+    assert len(speeds) == 3
+    assert speeds[2] == pytest.approx(100.0 * math.sqrt(3.0), rel=1e-12)
+    assert speeds[1] == pytest.approx(0.0, abs=1e-12)
+    assert speeds[0] == pytest.approx(-100.0 * math.sqrt(3.0), rel=1e-12)
 
 
-def test_index_to_flow_symmetry_and_offset():
+def test_axis_speeds_symmetry_and_offset():
     cfg = FlowPlaneConfig(n=5, v_ref=80.0)
+    speeds = axis_speeds(0.0, math.pi, cfg)
     for i in range(5):
-        f_pos = index_to_flow(i, 2, (0.0, 0.0), math.pi, cfg)
-        f_neg = index_to_flow(4 - i, 2, (0.0, 0.0), math.pi, cfg)
-        assert f_pos.v_u == pytest.approx(-f_neg.v_u, abs=1e-9)
-    shifted = index_to_flow(2, 2, (17.0, -4.0), math.pi, cfg)
-    assert (shifted.v_u, shifted.v_v) == pytest.approx((17.0, -4.0))
+        assert speeds[i] == pytest.approx(-speeds[4 - i], abs=1e-9)
+    assert axis_speeds(17.0, math.pi, cfg)[2] == pytest.approx(17.0)
+    assert axis_speeds(-4.0, math.pi, cfg)[2] == pytest.approx(-4.0)
 
 
 def test_metric_array_matches_bruteforce():
@@ -43,7 +42,7 @@ def test_metric_array_matches_bruteforce():
     array = MetricArray(cfg)
     for e in events:
         array.apply_batch([e])
-    for k, flow in enumerate(array.flows):
+    for k, flow in enumerate(array_flows(array.col_vu, array.row_vv)):
         assert array.metrics[k] == metric_bruteforce(events, flow,
                                                      array.t_ref_us)
     assert array.argmax_index == array.metrics.index(max(array.metrics))
@@ -68,7 +67,8 @@ def test_metric_array_fill_equals_ingest():
                                   values[values != 0].tolist())))
         assert grids[0] == grids[1]
         # the store holds exactly the cells of the brute-force image
-        expected = bruteforce_image(events, one.flows[k], one.t_ref_us)
+        flow = array_flows(one.col_vu, one.row_vv)[k]
+        expected = bruteforce_image(events, flow, one.t_ref_us)
         assert grids[0] == {key: c for key, c in expected.items() if c}
 
 
@@ -85,7 +85,7 @@ def test_flush_retracts_exactly():
     assert len(best) == 0
     assert array.held == survivors
     metrics = [metric_bruteforce(survivors, flow, array.t_ref_us)
-               for flow in array.flows]
+               for flow in array_flows(array.col_vu, array.row_vv)]
     assert array.metrics == metrics
     assert after == [array.argmax_index] == [metrics.index(max(metrics))]
 
@@ -198,7 +198,7 @@ def test_flow_plane_noise_flush_waits_for_next_drain():
     assert array.held == held
     # the next read of the array drains the pending events and the flush
     assert plane.array.held == events[stale:]
-    for k, flow in enumerate(array.flows):
+    for k, flow in enumerate(array_flows(array.col_vu, array.row_vv)):
         assert array.metrics[k] == metric_bruteforce(events[stale:], flow,
                                                      array.t_ref_us)
 

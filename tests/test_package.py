@@ -66,6 +66,37 @@ def test_every_definition_is_named_elsewhere():
     assert unnamed == []
 
 
+# stored for callers: the column of a parse error, which the message
+# already names, kept as data for code that catches the error
+READ_BY_CALLERS = {"column"}
+
+
+def test_every_instance_attribute_is_read():
+    # each `self.NAME = ...` of the package is loaded as `.NAME`
+    # somewhere in the package, the demos or the benchmark.  Tests do
+    # not count.  Names match by name only, so an attribute that shares
+    # its name with one that is read (`center_flow`, say) can hide here
+    package = sorted((ROOT / "src" / "flowseg").glob("*.py"))
+    sources = [*package, *sorted((ROOT / "demos").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py"))]
+    loaded = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                loaded.add(node.attr)
+    unread = []
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr not in loaded | READ_BY_CALLERS):
+                unread.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert unread == []
+
+
 def test_perfbench_traced_names_resolve(monkeypatch):
     # `perfbench/run.py --trace 1` wraps each (owner, attribute) of
     # measure.TRACED by name; one deleted or renamed breaks traced runs,

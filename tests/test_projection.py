@@ -5,10 +5,12 @@ import pytest
 
 from flowseg.events import Event
 from flowseg.projection import (AccumulatorGrid, ConsistencyError, FlowVector,
-                                KEY_M, cell_key, event_columns, grid_images,
-                                project_keys, round_half_away, unpack_cell)
+                                KEY_M, cell_key, event_columns, grid_flow,
+                                grid_images, project_keys, round_half_away,
+                                unpack_cell)
 
-from oracles import bruteforce_image, metric_bruteforce, pack_cell
+from oracles import (array_flows, bruteforce_image, metric_bruteforce,
+                     pack_cell)
 
 
 def random_events(rng, count, t_span_us=500_000, width=240, height=180):
@@ -55,100 +57,97 @@ def projected(events, flow, t_ref_us):
                        [flow[1]])[0]
 
 
-def add(grid, events, flow):
-    grid.accumulate_batch(*projected(events, flow, grid.t_ref_us))
+def add(grid, events, flow, t_ref_us):
+    grid.accumulate_batch(*projected(events, flow, t_ref_us))
 
 
-def remove(grid, events, flow):
-    return grid.retract_batch(*projected(events, flow, grid.t_ref_us))
+def remove(grid, events, flow, t_ref_us):
+    return grid.retract_batch(*projected(events, flow, t_ref_us))
 
 
 def test_accumulate_deltas_and_inverse():
-    grid = AccumulatorGrid(t_ref_us=0)
+    grid = AccumulatorGrid()
     flow = FlowVector(0.0, 0.0)
     e = Event(5, 5, 0, 1)
     metrics = []
     for step in (add, add, remove, remove):
-        step(grid, [e], flow)
+        step(grid, [e], flow, 0)
         metrics.append(grid.metric)
     # deltas 1 (fresh cell), 3 (2c+1 at c=1), then their inverses
     assert metrics == [1, 4, 1, 0]
     # opposite polarity on a positive cell lowers the metric
-    add(grid, [e], flow)
-    add(grid, [Event(5, 5, 0, -1)], flow)
+    add(grid, [e], flow, 0)
+    add(grid, [Event(5, 5, 0, -1)], flow, 0)
     assert grid.metric == 0
 
 
 def test_retract_untouched_cell_raises():
-    grid = AccumulatorGrid(t_ref_us=0)
+    grid = AccumulatorGrid()
     flow = FlowVector(0.0, 0.0)
-    add(grid, [Event(2, 2, 0, 1)], flow)
+    add(grid, [Event(2, 2, 0, 1)], flow, 0)
     with pytest.raises(ConsistencyError):
-        remove(grid, [Event(1, 1, 0, 1)], flow)
+        remove(grid, [Event(1, 1, 0, 1)], flow, 0)
 
 
 def test_cancelled_cell_still_retractable():
-    grid = AccumulatorGrid(t_ref_us=0)
+    grid = AccumulatorGrid()
     flow = FlowVector(0.0, 0.0)
-    add(grid, [Event(3, 3, 0, 1)], flow)
-    add(grid, [Event(3, 3, 10, -1)], flow)
+    add(grid, [Event(3, 3, 0, 1)], flow, 0)
+    add(grid, [Event(3, 3, 10, -1)], flow, 0)
     assert grid.metric == 0
     assert grid.nonzero_cells() == set()
     # the zero entry stays, so retraction does not look untouched
-    assert remove(grid, [Event(3, 3, 0, 1)], flow) == [pack_cell(3, 3)]
+    assert remove(grid, [Event(3, 3, 0, 1)], flow, 0) == [pack_cell(3, 3)]
     assert grid.metric == 1
     # a batch that cancels within itself leaves its cell retractable too
-    fresh = AccumulatorGrid(t_ref_us=0)
-    add(fresh, [Event(3, 3, 0, 1), Event(3, 3, 10, -1)], flow)
+    fresh = AccumulatorGrid()
+    add(fresh, [Event(3, 3, 0, 1), Event(3, 3, 10, -1)], flow, 0)
     assert fresh.cells == {pack_cell(3, 3): 0}
-    remove(fresh, [Event(3, 3, 10, -1)], flow)
+    remove(fresh, [Event(3, 3, 10, -1)], flow, 0)
     assert fresh.metric == 1
 
 
 def test_incremental_matches_bruteforce_small():
     rng = random.Random(101)
     events = random_events(rng, 400)
+    t_ref = events[0].t
     for trial in range(5):
         flow = FlowVector(rng.uniform(-200, 200), rng.uniform(-200, 200))
-        grid = AccumulatorGrid(events[0].t)
+        grid = AccumulatorGrid()
         live = []
         for i, e in enumerate(events):
-            add(grid, [e], flow)
+            add(grid, [e], flow, t_ref)
             live.append(e)
             if i % 5 == 4:
                 victim = live.pop(rng.randrange(len(live)))
-                remove(grid, [victim], flow)
-        assert grid.metric == metric_bruteforce(live, flow, grid.t_ref_us)
+                remove(grid, [victim], flow, t_ref)
+        assert grid.metric == metric_bruteforce(live, flow, t_ref)
 
 
 def test_batch_matches_scalar():
     rng = random.Random(7)
     events = random_events(rng, 300)
     flow = FlowVector(37.0, -12.0)
-    batched = AccumulatorGrid(events[0].t)
-    add(batched, events, flow)
-    assert batched.metric == metric_bruteforce(events, flow,
-                                               batched.t_ref_us)
+    batched = AccumulatorGrid()
+    t_ref = events[0].t
+    add(batched, events, flow, t_ref)
+    assert batched.metric == metric_bruteforce(events, flow, t_ref)
     # every touched cell is kept, cancelled ones at 0
-    assert batched.cells == bruteforce_image(events, flow, batched.t_ref_us)
+    assert batched.cells == bruteforce_image(events, flow, t_ref)
 
     # a second batch merges into the populated grid
     more = random_events(rng, 150)
     shifted = [Event(e.u, e.v, e.t + events[-1].t, e.s) for e in more]
-    add(batched, shifted, flow)
-    assert batched.metric == metric_bruteforce(events + shifted, flow,
-                                               batched.t_ref_us)
-    assert batched.cells == bruteforce_image(events + shifted, flow,
-                                             batched.t_ref_us)
+    add(batched, shifted, flow, t_ref)
+    assert batched.metric == metric_bruteforce(events + shifted, flow, t_ref)
+    assert batched.cells == bruteforce_image(events + shifted, flow, t_ref)
 
-    touched = remove(batched, shifted, flow)
-    assert touched == sorted(bruteforce_image(shifted, flow,
-                                              batched.t_ref_us))
-    assert batched.metric == metric_bruteforce(events, flow,
-                                               batched.t_ref_us)
+    touched = remove(batched, shifted, flow, t_ref)
+    assert touched == sorted(bruteforce_image(shifted, flow, t_ref))
+    assert batched.metric == metric_bruteforce(events, flow, t_ref)
     # the cells only the retracted batch touched stay, at 0
     expected = dict.fromkeys(touched, 0)
-    expected.update(bruteforce_image(events, flow, batched.t_ref_us))
+    expected.update(bruteforce_image(events, flow, t_ref))
     assert batched.cells == expected
 
 
@@ -164,11 +163,31 @@ def test_event_columns_shapes():
 def test_metric_counts_coincident_events():
     # n coincident same-sign events score n^2, the crispness reward
     flow = FlowVector(0.0, 0.0)
-    grid = AccumulatorGrid(0)
+    grid = AccumulatorGrid()
     for i in range(6):
-        add(grid, [Event(9, 9, i, 1)], flow)
+        add(grid, [Event(9, 9, i, 1)], flow, 0)
     assert grid.metric == 36
-    spread = AccumulatorGrid(0)
+    spread = AccumulatorGrid()
     for i in range(6):
-        add(spread, [Event(i, 0, 0, 1)], flow)
+        add(spread, [Event(i, 0, 0, 1)], flow, 0)
     assert spread.metric == 6
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_grid_flow_is_column_speed_and_row_speed(n):
+    # distinct axes: a swapped or transposed lookup picks a wrong speed
+    col_vu = np.linspace(-150.0, 140.0, n) + 0.25
+    row_vv = np.linspace(-90.0, 160.0, n) - 0.75
+    rng = random.Random(n)
+    events = random_events(rng, 60)
+    images = grid_images(event_columns(events), 1234, col_vu, row_vv)
+    flows = array_flows(col_vu.tolist(), row_vv.tolist())
+    assert len(images) == len(flows) == n * n
+    for k, flow in enumerate(flows):
+        got = grid_flow(col_vu, row_vv, k)
+        assert got == flow
+        # numpy scalars would print as np.float64(...) in label files
+        assert type(got.v_u) is float and type(got.v_v) is float
+        keys, sums = images[k]
+        expected = bruteforce_image(events, flow, 1234)
+        assert dict(zip(keys.tolist(), sums.tolist())) == expected

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from flowseg.events import Event
-from flowseg.projection import ConsistencyError, FlowVector
+from flowseg.projection import ConsistencyError, FlowVector, grid_flow
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig, event_lifetime_s
 
 from oracles import pack_cell
@@ -48,11 +48,11 @@ def test_perturbation_walks_in_angle_space():
 def test_grid_flows_center_and_shape():
     cfg = TrackPlaneConfig(m_grid=3)
     plane = make_plane((58.0, 0.0), cfg)
-    assert len(plane.flows) == 9
-    center = plane.flows[plane.center_index]
-    assert (center.v_u, center.v_v) == (58.0, 0.0)
-    # corner grid differs in both components
-    corner = plane.flows[0]
+    assert len(plane.col_vu) == len(plane.row_vv) == 3
+    assert (plane.col_vu[1], plane.row_vv[1]) == (58.0, 0.0)
+    # the corner grid differs in both components
+    corner = grid_flow(plane.col_vu, plane.row_vv, 0)
+    assert corner == (plane.col_vu[0], plane.row_vv[0])
     assert corner.v_u != 58.0 and corner.v_v != 0.0
 
 
@@ -167,7 +167,7 @@ def test_recenter_adopts_decisive_off_center_winner():
     plane = make_plane((58.0, 0.0))
     h0 = plane.h
     winner = plane.center_index + 1       # one step up in v_u
-    target_flow = plane.flows[winner]
+    target_flow = (plane.col_vu[2], plane.row_vv[1])
     plane.hits = [0] * 9
     plane.hits[plane.center_index] = 10
     plane.hits[winner] = 40               # clears the margin

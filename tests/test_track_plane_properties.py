@@ -17,7 +17,7 @@ from flowseg.events import Event
 from flowseg.projection import AccumulatorGrid, event_columns, grid_images
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig
 
-from oracles import bruteforce_image, metric_bruteforce
+from oracles import array_flows, bruteforce_image, metric_bruteforce
 
 # 150 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -46,18 +46,19 @@ def nonzero(cells):
 def check_plane(plane):
     center = plane.grids[plane.center_index]
     assert plane.active == center.nonzero_cells() | plane.promoted
-    # a hit rounds each axis once for all perturbed grids: they share one
-    # t_ref, and grid k = j*m + i has column i's v_u and row j's v_v
-    m = plane.cfg.m_grid
-    assert len({grid.t_ref_us for k, grid in enumerate(plane.grids)
-                if k != plane.center_index}) == 1
-    for k, flow in enumerate(plane.flows):
-        assert flow == (plane.flows[k % m].v_u, plane.flows[k // m * m].v_v)
-    for grid, flow in zip(plane.grids, plane.flows):
+    # the center grid projects along the center flow from its own t_ref;
+    # perturbed grid k = j*m + i along column i's v_u and row j's v_v,
+    # from the t_ref they share
+    flows = array_flows(plane.col_vu, plane.row_vv)
+    assert flows[plane.center_index] == plane.center_flow
+    for k, grid in enumerate(plane.grids):
+        if k == plane.center_index:
+            flow, t_ref = plane.center_flow, plane.center_t_ref_us
+        else:
+            flow, t_ref = flows[k], plane.t_ref_us
         assert nonzero(grid.cells) == nonzero(
-            bruteforce_image(plane.held, flow, grid.t_ref_us))
-        assert grid.metric == metric_bruteforce(plane.held, flow,
-                                                grid.t_ref_us)
+            bruteforce_image(plane.held, flow, t_ref))
+        assert grid.metric == metric_bruteforce(plane.held, flow, t_ref)
 
 
 def on_track(flow, du, dv, t, s):
@@ -137,7 +138,7 @@ EVENTS = st.lists(st.tuples(PATCH, PATCH, st.integers(0, 40_000),
                     max_size=12))
 def test_accumulator_batches_match_scalar_path(flow, ops):
     t = 0
-    batched = AccumulatorGrid(t)
+    batched = AccumulatorGrid()
     live, touched = [], set()
     for op in ops:
         if op[0] == "add":
