@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .events import Event, OrderingError
+from .events import Event, OrderingError, parse_record, record_lines
 from .flow_plane import FlowPlane, FlowPlaneConfig
 from .projection import NEIGHBORS_8, FlowVector
 from .track_plane import TrackPlane, TrackPlaneConfig
@@ -50,17 +50,15 @@ def write_labeled(records: Iterable[FlowLabeledEvent], destination) -> int:
 
 
 def read_labeled(source) -> list[FlowLabeledEvent]:
+    """Read a file written by `write_labeled`; a record that is not
+    ``t u v s segment v_u v_v`` raises ParseError naming its line and
+    field."""
     records = []
     with open(source) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            t, u, v, s, seg = (int(parts[0]), int(parts[1]), int(parts[2]),
-                               int(parts[3]), int(parts[4]))
-            records.append(FlowLabeledEvent(u, v, t, s, seg,
-                                            float(parts[5]), float(parts[6])))
+        for line_no, text in record_lines(fh):
+            t, u, v, s, seg, v_u, v_v = parse_record(
+                text, line_no, (int, int, int, int, int, float, float))
+            records.append(FlowLabeledEvent(u, v, t, s, seg, v_u, v_v))
     return records
 
 

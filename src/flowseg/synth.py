@@ -20,7 +20,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .events import DEFAULT_GEOMETRY, Event, EventStream, GeometryError, SensorGeometry
+from .events import (DEFAULT_GEOMETRY, Event, EventStream, GeometryError,
+                     SensorGeometry, parse_record, record_lines)
 from .projection import KEY_M, _round_array, round_half_away
 
 CONTOUR_SPACING = 0.5         # px between contour sample points
@@ -240,17 +241,17 @@ def write_gt(gt: GroundTruth, destination) -> None:
 
 
 def read_gt(source) -> list[tuple[int, int, float, float]]:
-    """Read sidecar rows back as (t_us, structure_id, v_u, v_v)."""
+    """Read sidecar rows back as (t_us, structure_id, v_u, v_v); a row
+    that is not ``t v_u v_v structure_id`` raises ParseError naming its
+    line and field."""
     if isinstance(source, str):
         with open(source, "r", encoding="ascii") as fh:
             return read_gt(fh)
     records = []
-    for raw in source:
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        t_str, vu_str, vv_str, sid_str = text.split()
-        records.append((int(t_str), int(sid_str), float(vu_str), float(vv_str)))
+    for line_no, text in record_lines(source):
+        t_us, v_u, v_v, structure = parse_record(text, line_no,
+                                                 (int, float, float, int))
+        records.append((t_us, structure, v_u, v_v))
     return records
 
 

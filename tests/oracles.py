@@ -3,12 +3,15 @@
 They rebuild accumulation images event by event and write the
 projection and its half-away rounding out themselves instead of calling
 the kernels of `flowseg.projection`, so that a fault in a shared kernel
-cannot hide behind an oracle.
+cannot hide behind an oracle.  The event-file oracle decodes one line
+at a time with its own copy of the record parser.
 """
 
-from typing import Iterable
+from typing import Iterable, Optional, Union
 
-from flowseg.events import Event
+from flowseg.events import (DEFAULT_GEOMETRY, Event, EventStream,
+                            GeometryError, OrderingError, ParseError,
+                            SensorGeometry)
 from flowseg.projection import KEY_M
 
 
@@ -62,3 +65,70 @@ def array_flows(col_vu, row_vv) -> list[tuple[float, float]]:
         for vu in col_vu:
             flows.append((vu, vv))
     return flows
+
+
+def decode_event_per_line(record: str, line: int = 0) -> Event:
+    """`decode_event` as it was before `parse_record`, for
+    `load_stream_per_line`."""
+    fields = record.split()
+    if len(fields) != 4:
+        raise ParseError(f"expected 4 fields, got {len(fields)}", line, 0)
+    values = []
+    for col, text in enumerate(fields, start=1):
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise ParseError(f"not an integer: {text!r}", line, col) from None
+    t, u, v, s = values
+    if s not in (1, -1):
+        raise ParseError(f"polarity must be +1 or -1, got {s}", line, 4)
+    if t < 0:
+        raise ParseError(f"negative timestamp {t}", line, 1)
+    return Event(u, v, t, s)
+
+
+def load_stream_per_line(source: Union[str, Iterable[str]],
+                         geometry: Optional[SensorGeometry] = None
+                         ) -> EventStream:
+    """Oracle for `load_stream`: the loader that decodes and checks one
+    line at a time, as `load_stream` did before its numpy pass.  Every
+    input must give the same stream or the same error from both."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="ascii") as fh:
+            return load_stream_per_line(fh, geometry)
+
+    effective = geometry or DEFAULT_GEOMETRY
+    events: list[Event] = []
+    saw_data = False
+    for line_no, raw in enumerate(source, start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        if not saw_data and text.startswith("geometry"):
+            parts = text.split()
+            if len(parts) != 3:
+                raise ParseError("geometry header needs 'geometry W H'", line_no)
+            try:
+                w, h = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError("geometry dimensions must be integers", line_no) from None
+            if w <= 0 or h <= 0:
+                raise GeometryError(f"line {line_no}: non-positive geometry {w}x{h}")
+            effective = SensorGeometry(w, h)
+            if geometry is not None and geometry != effective:
+                raise GeometryError(
+                    f"geometry argument {geometry} disagrees with header {effective}")
+            saw_data = True
+            continue
+        saw_data = True
+        e = decode_event_per_line(text, line_no)
+        if not effective.contains(e.u, e.v):
+            raise GeometryError(
+                f"line {line_no}: coordinate ({e.u}, {e.v}) outside "
+                f"{effective.width}x{effective.height}")
+        if events and e.t < events[-1].t:
+            raise OrderingError(
+                f"line {line_no}: timestamp {e.t} before previous "
+                f"{events[-1].t}", len(events))
+        events.append(e)
+    return EventStream(effective, events)

@@ -120,6 +120,15 @@ def test_cli_error_codes(tmp_path):
     events.write_text("geometry 240 180\n100 5 5 1\n")
     assert run_cli("run", str(events), "--out", str(tmp_path / "z.txt"),
                    "--set", "flow_plane.n=0") == 2
+    labeled = tmp_path / "labeled.txt"
+    labeled.write_text("100 5 5 1\n")
+    gt = tmp_path / "gt.txt"
+    gt.write_text("100 58.0 0.0 0\n")
+    assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 2
+    labeled.write_text("100 5 5 1 0 58.0 0.0\n")
+    assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 0
+    gt.write_text("100 58.0 0.0\n")
+    assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 2
 
 
 def test_cli_object_spec_errors(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from flowseg.engine import (Engine, EngineConfig, FlowLabeledEvent, UNLABELED,
                             _dilate_cells, read_labeled, run_stream,
                             write_labeled)
-from flowseg.events import Event
+from flowseg.events import Event, ParseError
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 from flowseg.track_plane import TrackPlane
 
@@ -75,6 +75,24 @@ def test_labeled_file_round_trip(tmp_path, small_scene):
         assert (a.u, a.v, a.t, a.s, a.segment) == (b.u, b.v, b.t, b.s, b.segment)
         assert (a.v_u == b.v_u) or (math.isnan(a.v_u) and math.isnan(b.v_u))
 
+
+
+def test_read_labeled_names_the_bad_line_and_field(tmp_path):
+    path = tmp_path / "labeled.txt"
+    head = "# t u v s segment v_u v_v\n100 5 5 1 0 1.5 -2.0\n\n"
+    for record, message in [
+            ("200 6 5 1", r"line 4: expected 7 fields, got 4"),
+            ("200 6 5 1 0 1.5 -2.0 9", r"line 4: expected 7 fields, got 8"),
+            ("200 6 5 1 0.5 1.5 -2.0",
+             r"line 4, field 5: not an integer: '0.5'"),
+            ("200 6 5 1 0 1.5 x", r"line 4, field 7: not a number: 'x'")]:
+        path.write_text(head + record + "\n")
+        with pytest.raises(ParseError, match=rf"^{message}$"):
+            read_labeled(str(path))
+    path.write_text(head + "200 6 5 1 -1 nan nan\n")
+    back = read_labeled(str(path))
+    assert [(r.t, r.segment, r.v_u) for r in back[:1]] == [(100, 0, 1.5)]
+    assert back[1].segment == UNLABELED and math.isnan(back[1].v_u)
 
 def test_dilate_cells():
     out = _dilate_cells({pack_cell(5, 5)})

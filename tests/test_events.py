@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowseg.events import (DEFAULT_GEOMETRY, Event, GeometryError,
                             OrderingError, ParseError, SensorGeometry,
                             decode_event, encode_event, load_stream,
                             save_stream, EventStream)
+
+from oracles import load_stream_per_line
 
 
 def test_decode_basic():
@@ -79,3 +83,112 @@ def test_save_load_round_trip(tmp_path):
     back = load_stream(path)
     assert back.geometry == stream.geometry
     assert back.events == stream.events
+
+
+# the loader reference test: generated line soups through `load_stream`
+# and the per-line oracle, as a list of lines and as a file
+SEPARATORS = [" ", "  ", "\t", " \t", "\v", "\f", "\x1c", "\x1f"]
+ENDINGS = ["\n", "\r\n", "\r"]
+BLANKS = ["", " ", "\t", "\v", "\f", "\x1f", " \x1c "]
+COMMENTS = ["#", "# t u v s", "  #geometry 4 3", "#1 2 3 1"]
+GEOMETRIES = [SensorGeometry(12, 5), SensorGeometry(240, 180)]
+# each soup carries at most one fault, of one of these kinds
+FAULTS = [None, None, None, "token", "polarity", "negative t", "order",
+          "bound", "field count", "late header", "bad header"]
+
+
+def respelled(value: int) -> list[str]:
+    """Spellings `int` reads as `value`, numpy's parser only some."""
+    sign, digits = ("-" if value < 0 else ""), str(abs(value))
+    return [str(value), (sign or "+") + digits, f"{sign}00{digits}",
+            sign + "_".join(digits), "-0" if value == 0 else str(value)]
+
+
+@st.composite
+def line_soups(draw):
+    """(lines, geometry argument): valid events in time order, some
+    fields respelled, with comments, blank lines, a header perhaps, and
+    at most one fault."""
+    width, height = draw(st.sampled_from(GEOMETRIES))
+    count = draw(st.integers(0, 8))
+    rows = [[t, draw(st.integers(0, width - 1)),
+             draw(st.integers(0, height - 1)), draw(st.sampled_from([1, -1]))]
+            for t in sorted(draw(st.lists(st.integers(0, 30), min_size=count,
+                                          max_size=count)))]
+    rows = [[draw(st.sampled_from(respelled(value)))
+             if draw(st.integers(0, 5)) == 0 else str(value)
+             for value in row] for row in rows]
+    fault = draw(st.sampled_from(FAULTS))
+    row = draw(st.integers(0, count - 1)) if count else None
+    if row is None or fault in (None, "late header", "bad header"):
+        pass
+    elif fault == "token":
+        rows[row][draw(st.integers(0, 3))] = draw(st.sampled_from(
+            ["1.0", "1e3", "x", "12345678901234567890"]))
+    elif fault == "polarity":
+        rows[row][3] = draw(st.sampled_from(["0", "-0", "2", "007"]))
+    elif fault == "negative t":
+        rows[row][0] = draw(st.sampled_from(["-1", "-30"]))
+    elif fault == "order" and row + 1 < count:
+        rows[row], rows[row + 1] = rows[row + 1], rows[row]
+    elif fault == "bound":
+        axis = draw(st.sampled_from([1, 2]))
+        rows[row][axis] = str(draw(st.sampled_from(
+            [-1, width if axis == 1 else height])))
+    elif fault == "field count":
+        rows[row] = rows[row][:3] if draw(st.booleans()) else rows[row] + ["1"]
+    lines = []
+    for fields in rows:
+        text = fields[0]
+        for field in fields[1:]:
+            text += draw(st.sampled_from(SEPARATORS)) + field
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + text
+                     + draw(st.sampled_from(["", " ", "\f"])))
+    geometry = draw(st.sampled_from([None, SensorGeometry(width, height)]))
+    header = draw(st.sampled_from([None, f"geometry {width} {height}"]))
+    if fault == "bad header":
+        header, geometry = draw(st.sampled_from([
+            ("geometry 0 5", None), ("geometry 12", None),
+            ("geometry x 5", None), ("geometry12 5", None),
+            (f"geometry {width} {height}", SensorGeometry(width + 1, height)),
+        ]))
+    if header is not None:
+        late = fault == "late header" and count
+        lines.insert(draw(st.integers(1, count)) if late else 0, header)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(BLANKS + COMMENTS)))
+    return lines, geometry
+
+
+def outcome(load, source, geometry):
+    """A loader's stream, or its error with every field it carries."""
+    try:
+        stream = load(source, geometry)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None), getattr(exc, "index", None))
+    # repr shows the types too: Event, and int rather than np.int64
+    return stream.geometry, repr(stream.events)
+
+
+@settings(max_examples=settings.default.max_examples * 3)
+@given(soup=line_soups(), endings=st.lists(st.sampled_from(ENDINGS),
+                                           min_size=9, max_size=9),
+       trailing=st.booleans())
+def test_load_stream_matches_per_line_oracle(tmp_path_factory, soup,
+                                             endings, trailing):
+    lines, geometry = soup
+    expected = outcome(load_stream_per_line, lines, geometry)
+    assert outcome(load_stream, lines, geometry) == expected
+    terminated = [line + endings[i % len(endings)]
+                  for i, line in enumerate(lines)]
+    assert outcome(load_stream, terminated, geometry) == outcome(
+        load_stream_per_line, terminated, geometry)
+    if not trailing and terminated:
+        terminated[-1] = lines[-1]
+    path = tmp_path_factory.getbasetemp() / "soup.txt"
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("".join(terminated))
+    assert outcome(load_stream, str(path), geometry) == outcome(
+        load_stream_per_line, str(path), geometry)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from flowseg.events import SensorGeometry
+from flowseg.events import ParseError, SensorGeometry
 from flowseg.synth import (ConstantMotion, GroundTruth, PendulumMotion,
                            RotationMotion, build_contour, generate_scene,
                            read_gt, write_gt)
@@ -135,3 +135,15 @@ def test_gt_round_trip():
     write_gt(gt, buf)
     back = read_gt(io.StringIO(buf.getvalue()))
     assert back == gt.records
+
+
+
+def test_read_gt_names_the_bad_line_and_field():
+    head = "# t v_u v_v structure_id\n100 58.0 0.0 0\n"
+    for row, message in [
+            ("200 0.0 0.0", r"line 3: expected 4 fields, got 3"),
+            ("200 0.0 0.0 -1 7", r"line 3: expected 4 fields, got 5"),
+            ("200 0.0 0.0 x", r"line 3, field 4: not an integer: 'x'"),
+            ("200 0.0 y -1", r"line 3, field 3: not a number: 'y'")]:
+        with pytest.raises(ParseError, match=rf"^{message}$"):
+            read_gt(io.StringIO(head + row + "\n"))
