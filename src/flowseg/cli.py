@@ -175,9 +175,18 @@ def _cmd_lk(args) -> int:
     return EXIT_OK
 
 
+def _read(reader, path):
+    """`reader(path)`, with a bad record's message led by the path: eval
+    reads two files, and a line number alone does not say which."""
+    try:
+        return reader(path)
+    except StreamError as exc:
+        raise StreamError(f"{path}: {exc}") from exc
+
+
 def _cmd_eval(args) -> int:
-    labeled = read_labeled(args.labeled)
-    gt_records = read_gt(args.gt)
+    labeled = _read(read_labeled, args.labeled)
+    gt_records = _read(read_gt, args.gt)
     for line in report_lines(labeled, gt_records,
                              mag_bin=args.mag_bin, angle_bin=args.angle_bin):
         print(line)
@@ -185,7 +194,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    labeled = read_labeled(args.labeled)
+    labeled = _read(read_labeled, args.labeled)
     cfg = RenderConfig(mode=args.mode, frame_dt_s=args.frame_dt,
                        v_sat=args.v_sat)
     paths = render_to_dir(labeled, args.out_dir, args.geometry, cfg)

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .events import Event, OrderingError, parse_record, record_lines
+from .events import (Event, OrderingError, parse_record, read_ascii,
+                     record_lines)
 from .flow_plane import FlowPlane, FlowPlaneConfig
 from .projection import NEIGHBORS_8, FlowVector
 from .track_plane import TrackPlane, TrackPlaneConfig
@@ -41,7 +42,7 @@ class FlowLabeledEvent(NamedTuple):
 def write_labeled(records: Iterable[FlowLabeledEvent], destination) -> int:
     """Write labeled events, one per line; returns the record count."""
     count = 0
-    with open(destination, "w") as fh:
+    with open(destination, "w", encoding="ascii") as fh:
         fh.write("# t u v s segment v_u v_v\n")
         for rec in records:
             fh.write(rec.line() + "\n")
@@ -52,13 +53,12 @@ def write_labeled(records: Iterable[FlowLabeledEvent], destination) -> int:
 def read_labeled(source) -> list[FlowLabeledEvent]:
     """Read a file written by `write_labeled`; a record that is not
     ``t u v s segment v_u v_v`` raises ParseError naming its line and
-    field."""
+    field.  The file must be ASCII (see `read_ascii`)."""
     records = []
-    with open(source) as fh:
-        for line_no, text in record_lines(fh):
-            t, u, v, s, seg, v_u, v_v = parse_record(
-                text, line_no, (int, int, int, int, int, float, float))
-            records.append(FlowLabeledEvent(u, v, t, s, seg, v_u, v_v))
+    for line_no, text in record_lines(read_ascii(source).split("\n")):
+        t, u, v, s, seg, v_u, v_v = parse_record(
+            text, line_no, (int, int, int, int, int, float, float))
+        records.append(FlowLabeledEvent(u, v, t, s, seg, v_u, v_v))
     return records
 
 

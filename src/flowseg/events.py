@@ -16,6 +16,7 @@ with t in microseconds.  Blank lines and lines starting with '#'
 from __future__ import annotations
 
 import io
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -95,6 +96,20 @@ def record_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield line_no, text
 
 
+def read_ascii(path) -> str:
+    """The text of an ASCII file, newlines translated as in any text-mode
+    read; a non-ASCII byte raises ParseError naming its line."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    at = re.search(rb"[\x80-\xff]", data).start()
+    raise ParseError(f"non-ASCII byte 0x{data[at]:02x}",
+                     data.count(b"\n", 0, at) + 1) from None
+
+
 def parse_record(record: str, line: int, types: Sequence[type]) -> list:
     """Split a whitespace-separated record into exactly ``len(types)``
     fields and convert field i with ``types[i]`` (int or float).
@@ -152,8 +167,7 @@ def load_stream(source: Union[str, Iterable[str]],
     OrderingError that names the line (ParseError also the field).
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="ascii") as fh:
-            lines = fh.read().split("\n")
+        lines = read_ascii(source).split("\n")
     else:
         lines = list(source)
     # the texts of `record_lines(lines)`, without the line numbers

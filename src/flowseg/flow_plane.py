@@ -4,14 +4,18 @@ Candidate flows are laid out on a tan-mapped angular grid around a center
 flow; every incoming event is accumulated into all n*n grids and the
 sharpness metric argmax is tracked per event.  Events are accumulated in
 batches: one numpy pass projects a batch onto all candidates and groups
-the projections by sorting, and the cells of all grids share one sorted
-store.  A noise flush rides the next batch as retractions at its own
-place in it.  Once the argmax cell has been stable for p_stable
-consecutive events, the events backing the winning projection are
-extracted (statistical threshold over cell values plus 8-connected flood
-fill) and re-projected through progressively narrower arrays (range/q
-per level).  The final association seeds a tracking plane; everything
-else is re-projected into a fresh level-0 array.
+the projections by sorting, a block of whole speed rows or part of one
+at a time.  The cells of each speed row's n grids share one sorted row
+store, and a batch looks up, merges and compacts a row store right
+after projecting onto it: a batch still rewrites every row store, but
+one row (about 1/n of the cells) at a time, while it is in cache.  A
+noise flush rides the next batch as retractions at its own place in
+it.  Once the argmax cell has been stable for p_stable consecutive
+events, the events backing the winning projection are extracted
+(statistical threshold over cell values plus 8-connected flood fill) and
+re-projected through progressively narrower arrays (range/q per level).
+The final association seeds a tracking plane; everything else is
+re-projected into a fresh level-0 array.
 """
 
 from __future__ import annotations
@@ -89,11 +93,14 @@ class MetricArray:
     around the center flow over the angular range: grid k = j*n + i
     (row-major) has flow `grid_flow(col_vu, row_vv, k)`, and the argmax
     ties break to the lowest (j, i).  All grids share t_ref, frozen at
-    the first event.  Cells of every grid are kept in one sorted store
-    (`cell_keys`, `cell_values`, grid keys of `projection.grid_edges`);
-    a cell may hold 0 until the next batch that retracts events compacts
-    it.  An event counts by the sign of its polarity.  `held` is in time
-    order.
+    the first event.  Cells are kept in n sorted row stores, one per
+    speed row: row store j (`row_keys[j]`, `row_values[j]`) holds the
+    grid keys (`projection.grid_edges`) of grids j*n .. j*n + n - 1.  A
+    drain writes every row store, one at a time: each lookup, merge and
+    compaction runs over about 1/n of the cells, while they are in
+    cache, and no pass runs over the whole store.  A cell may hold 0
+    until the next batch that retracts events compacts its row.  An
+    event counts by the sign of its polarity.  `held` is in time order.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -105,8 +112,10 @@ class MetricArray:
         self.row_vv = np.array(axis_speeds(float(center_flow[1]),
                                            self.angular_range, cfg))
         self._edges = grid_edges(cfg.n * cfg.n)
-        self.cell_keys = np.zeros(0, dtype=np.int64)
-        self.cell_values = np.zeros(0, dtype=np.int64)
+        # grid keys at which each row store begins, and one past the last
+        self._row_edges = self._edges[::cfg.n]
+        self.row_keys = [np.zeros(0, dtype=np.int64) for _ in range(cfg.n)]
+        self.row_values = [np.zeros(0, dtype=np.int64) for _ in range(cfg.n)]
         self._metrics = np.zeros(cfg.n * cfg.n, dtype=np.int64)
         self.held: list[Event] = []
         self.t_ref_us: Optional[int] = None
@@ -121,9 +130,10 @@ class MetricArray:
 
     def grid(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Grid k's stored cells: packed cell keys ascending, and values."""
-        lo, hi = np.searchsorted(self.cell_keys, self._edges[k:k + 2])
-        return (self.cell_keys[lo:hi] - (k << _K_SHIFT),
-                self.cell_values[lo:hi])
+        j = k // self.cfg.n
+        keys = self.row_keys[j]
+        lo, hi = np.searchsorted(keys, self._edges[k:k + 2])
+        return keys[lo:hi] - (k << _K_SHIFT), self.row_values[j][lo:hi]
 
     def _columns(self, events):
         """Event columns (u, v, seconds since t_ref, s); sets t_ref."""
@@ -132,35 +142,44 @@ class MetricArray:
             self.t_ref_us = events[0].t
         return us, vs, (ts - self.t_ref_us) * 1e-6, ss
 
-    def _lookup(self, keys: np.ndarray):
-        """Store positions of ascending keys, whether each is stored, and
-        its value (0 when missing)."""
-        pos = np.searchsorted(self.cell_keys, keys)
-        if not len(self.cell_keys):
-            return pos, np.zeros(len(keys), dtype=bool), np.zeros_like(keys)
-        at = np.minimum(pos, len(self.cell_keys) - 1)
-        hit = self.cell_keys[at] == keys
-        return pos, hit, np.where(hit, self.cell_values[at], 0)
-
-    def _write(self, keys, adds, pos, hit) -> None:
-        """Add `adds` to the cells of `_lookup(keys)`, merging the cells
-        not yet stored into the store in one pass."""
-        if not len(self.cell_keys):
-            self.cell_keys, self.cell_values = keys, adds
-            return
-        self.cell_values[pos[hit]] += adds[hit]
-        miss = ~hit
-        if not miss.any():
-            return
-        new = pos[miss] + np.arange(np.count_nonzero(miss))
-        size = len(self.cell_keys) + len(new)
-        kept = np.ones(size, dtype=bool)
-        kept[new] = False
-        for name, added in (("cell_keys", keys), ("cell_values", adds)):
-            merged = np.empty(size, dtype=np.int64)
-            merged[new] = added[miss]
-            merged[kept] = getattr(self, name)
-            setattr(self, name, merged)
+    def _write(self, j: int, keys: np.ndarray, adds: np.ndarray,
+               compact: bool) -> np.ndarray:
+        """Add `adds` to the cells `keys` (ascending, all in row j) of row
+        store j, merging the cells not yet stored in one pass, and with
+        `compact` then drop its cells that hold 0.  Returns each cell's
+        value before the write (0 when it was not stored)."""
+        stored, values = self.row_keys[j], self.row_values[j]
+        if not len(stored):
+            old = np.zeros_like(keys)
+            stored, values = keys, adds
+        else:
+            pos = np.searchsorted(stored, keys)
+            at = np.minimum(pos, len(stored) - 1)
+            hit = stored[at] == keys
+            old = np.where(hit, values[at], 0)
+            values[pos[hit]] += adds[hit]
+            miss = np.flatnonzero(~hit)
+            if len(miss):
+                new = pos[miss] + np.arange(len(miss))
+                size = len(stored) + len(new)
+                kept = np.ones(size, dtype=bool)
+                kept[new] = False
+                # where the stored cells go, worked out once for both
+                # arrays: scattering by index took 355 against 637 us for
+                # boolean-mask assignment (55k stored + 8.5k new cells)
+                moved = np.flatnonzero(kept)
+                merged_keys = np.empty(size, dtype=np.int64)
+                merged_keys[new] = keys[miss]
+                merged_keys[moved] = stored
+                merged_values = np.empty(size, dtype=np.int64)
+                merged_values[new] = adds[miss]
+                merged_values[moved] = values
+                stored, values = merged_keys, merged_values
+        if compact:
+            nonzero = np.flatnonzero(values)
+            stored, values = stored.take(nonzero), values.take(nonzero)
+        self.row_keys[j], self.row_values[j] = stored, values
+        return old
 
     def apply_batch(self, events: Sequence[Event],
                     flushes: Sequence[tuple[int, int]] = ()
@@ -173,10 +192,14 @@ class MetricArray:
         when the flush empties the array), as applying one event or one
         flush at a time would.  The events and retractions are the rows
         of the kernel, in order, taken in consecutive slices of at most
-        _BATCH_ROWS rows; each slice writes its cells to the store before
-        the next one looks them up.  Cells that drop to 0 leave the store
-        if the batch retracted anything.  A retraction from a cell no
-        longer stored reads it as 0: its events had cancelled.
+        _BATCH_ROWS rows; each slice writes its cells to the row stores
+        before the next one looks them up.  A kernel block is whole
+        speed rows or part of one, so each block's cells are cut at the
+        row edges and each row's part is looked up and written at once.
+        Every slice touches every row; if the batch retracted anything,
+        the last slice compacts each row store right after writing it,
+        dropping the cells that hold 0.  A retraction from a cell no longer stored reads it
+        as 0: its events had cancelled.
         """
         held = self.held
         retired = sum(count for _, count in flushes)
@@ -200,14 +223,15 @@ class MetricArray:
         sign = np.where((ss > 0) != retract, 1, -1)
         best = np.zeros(len(rows), dtype=np.int64)
         best_metric = np.full(len(rows), -1, dtype=np.int64)
+        n = self.cfg.n
         for r0 in range(0, len(rows), _BATCH_ROWS):
             r1 = min(r0 + _BATCH_ROWS, len(rows))
             b = r1 - r0
             bits = max(1, (b - 1).bit_length())
+            compact = bool(retired) and r1 == len(rows)
             # views: the slice's rows and the argmax after each of them
             signs, top_index, top_so_far = (
                 sign[r0:r1], best[r0:r1], best_metric[r0:r1])
-            keys, adds, positions, hits = [], [], [], []
             for k0, k1, pairs in grid_pairs(us[r0:r1], vs[r0:r1], dt[r0:r1],
                                             self.col_vu, self.row_vv,
                                             np.arange(b), bits):
@@ -217,7 +241,14 @@ class MetricArray:
                 starts = group_starts(cells)
                 count = np.diff(starts, append=len(cells))
                 cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
-                pos, hit, old = self._lookup(cell_keys)
+                adds = np.add.reduceat(s, starts)
+                # the block's speed rows j0..j1-1 and its cells in each
+                j0, j1 = k0 // n, (k1 - 1) // n + 1
+                cuts = np.searchsorted(cell_keys,
+                                       self._row_edges[j0:j1 + 1]).tolist()
+                old = np.concatenate([
+                    self._write(j, cell_keys[lo:hi], adds[lo:hi], compact)
+                    for j, lo, hi in zip(range(j0, j1), cuts, cuts[1:])])
                 # each pair's cell value before its row: the stored value
                 # plus the earlier rows of the slice in that cell
                 before = np.cumsum(s) - s
@@ -234,16 +265,6 @@ class MetricArray:
                 better = top_metric > top_so_far
                 top_index[better] = top[better] + k0
                 top_so_far[better] = top_metric[better]
-                keys.append(cell_keys)
-                adds.append(np.add.reduceat(s, starts))
-                positions.append(pos)
-                hits.append(hit)
-            self._write(np.concatenate(keys), np.concatenate(adds),
-                        np.concatenate(positions), np.concatenate(hits))
-        if retired:
-            kept = self.cell_values != 0
-            self.cell_keys = self.cell_keys[kept]
-            self.cell_values = self.cell_values[kept]
         tops = [None if empty else int(best[end])
                 for end, empty in zip(ends, emptied)]
         held.extend(events)
@@ -253,8 +274,9 @@ class MetricArray:
 
     def fill(self, events: Sequence[Event]) -> None:
         """Accumulate an event list into the array, which must hold no
-        events yet (order preserved for held): the store is the events'
-        grid sums, and each metric is its grid's sum of squares."""
+        events yet (order preserved for held): the row stores are the
+        events' grid sums cut at the row edges, and each metric is its
+        grid's sum of squares."""
         # a second write path on purpose: `apply_batch` on a fresh array
         # gives the same store, metrics and argmax, but builds the metric
         # after every row, which only drains need, and took 1.4-1.6x as
@@ -263,7 +285,9 @@ class MetricArray:
             return
         us, vs, dt, ss = self._columns(events)
         keys, sums = grid_sums(us, vs, dt, ss, self.col_vu, self.row_vv)
-        self.cell_keys, self.cell_values = keys, sums
+        cuts = np.searchsorted(keys, self._row_edges).tolist()
+        self.row_keys = [keys[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        self.row_values = [sums[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         bounds = np.searchsorted(keys, self._edges)
         total = np.concatenate(([0], np.cumsum(sums * sums)))
         self._metrics = total[bounds[1:]] - total[bounds[:-1]]

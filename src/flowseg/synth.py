@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .events import (DEFAULT_GEOMETRY, Event, EventStream, GeometryError,
-                     SensorGeometry, parse_record, record_lines)
+                     SensorGeometry, parse_record, read_ascii, record_lines)
 from .projection import KEY_M, _round_array, round_half_away
 
 CONTOUR_SPACING = 0.5         # px between contour sample points
@@ -243,10 +243,9 @@ def write_gt(gt: GroundTruth, destination) -> None:
 def read_gt(source) -> list[tuple[int, int, float, float]]:
     """Read sidecar rows back as (t_us, structure_id, v_u, v_v); a row
     that is not ``t v_u v_v structure_id`` raises ParseError naming its
-    line and field."""
+    line and field.  A file must be ASCII (see `read_ascii`)."""
     if isinstance(source, str):
-        with open(source, "r", encoding="ascii") as fh:
-            return read_gt(fh)
+        return read_gt(read_ascii(source).split("\n"))
     records = []
     for line_no, text in record_lines(source):
         t_us, v_u, v_v, structure = parse_record(text, line_no,

@@ -108,7 +108,7 @@ def test_cli_render_empty_is_ok(tmp_path, capsys):
     assert "wrote 0 frames" in capsys.readouterr().out
 
 
-def test_cli_error_codes(tmp_path):
+def test_cli_error_codes(tmp_path, capsys):
     assert run_cli("synth", "--definitely-not-a-flag") == 1
     assert run_cli() == 1
     assert run_cli("run", str(tmp_path / "missing.txt"),
@@ -127,8 +127,21 @@ def test_cli_error_codes(tmp_path):
     assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 2
     labeled.write_text("100 5 5 1 0 58.0 0.0\n")
     assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 0
+    capsys.readouterr()
     gt.write_text("100 58.0 0.0\n")
     assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 2
+    # eval and render name the file that holds the bad record
+    assert capsys.readouterr().err == (
+        f"error: {gt}: line 1: expected 4 fields, got 3\n")
+    gt.write_text("100 58.0 0.0 0\n")
+    labeled.write_text("100 5 5 1 0 58.0\n")
+    assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labeled}: line 1: expected 7 fields, got 6\n")
+    assert run_cli("render", "--labeled", str(labeled),
+                   "--out-dir", str(tmp_path / "frames")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labeled}: line 1: expected 7 fields, got 6\n")
 
 
 def test_cli_object_spec_errors(tmp_path):

@@ -10,6 +10,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -226,6 +227,67 @@ def test_ordered_batch_matches_one_operation_at_a_time(events, prefill, ops,
             metric_bruteforce(batched.held, flow, batched.t_ref_us)
             for flow in flows(batched)]
         assert nonzero_grids(batched) == bruteforce_grids(batched)
+
+
+def row_store_faults(array, retracted):
+    """How the row stores break their layout: each must be strictly
+    ascending, hold only its own speed row's grid keys and, after a
+    batch that retracted events, no 0; together they must be the
+    brute-force store of the held events (ignoring 0 cells otherwise)."""
+    n = array.cfg.n
+    edges = projection.grid_edges(n * n)[::n]
+    faults = []
+    for j, (keys, values) in enumerate(zip(array.row_keys, array.row_values)):
+        if len(keys) != len(values):
+            faults.append(f"row {j}: {len(keys)} keys, {len(values)} values")
+        if (np.diff(keys) <= 0).any():
+            faults.append(f"row {j}: keys not strictly ascending")
+        if len(keys) and not edges[j] <= keys[0] <= keys[-1] < edges[j + 1]:
+            faults.append(f"row {j}: keys of another row")
+        if retracted and not values.all():
+            faults.append(f"row {j}: 0 cell after a retracting batch")
+    keys = np.concatenate(array.row_keys).tolist()
+    values = np.concatenate(array.row_values).tolist()
+    stored = [(key, value) for key, value in zip(keys, values)
+              if value or retracted]
+    expected = sorted(
+        (cell + (k << projection._K_SHIFT), value)
+        for k, image in enumerate(bruteforce_grids(array))
+        for cell, value in image.items()) if array.held else []
+    if stored != expected:
+        faults.append("store differs from brute force")
+    return faults
+
+
+@SETTINGS
+@given(events=event_streams(max_size=80),
+       batches=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                                  st.integers(0, 100)),
+                        min_size=1, max_size=8),
+       n=st.integers(2, 5), block=st.sampled_from((1, 5, 6, 40,
+                                                   projection._BLOCK_PAIRS)),
+       rows=BATCH_ROWS)
+# the second batch is 9 rows: 1 event and 8 retractions.  Its slices
+# of 4 rows project in blocks of one grid, part of a speed row; its last
+# slice, 1 retraction, in blocks of two whole speed rows
+@example(events=[Event(i % 3, i % 2, 1000 * i, 1 - 2 * (i % 2))
+                 for i in range(20)],
+         batches=[(8, 0, 0), (1, 1, 90)], n=3, block=6, rows=4)
+def test_row_stores_stay_sorted_and_own_their_rows(events, batches, n, block,
+                                                   rows):
+    # each batch ingests `size` events and, once `where` of them are in,
+    # retracts `pct` percent of the events then held
+    array = MetricArray(FlowPlaneConfig(n=n))
+    at = 0
+    for size, where, pct in batches:
+        batch = events[at:at + size]
+        at += size
+        where = min(where, len(batch))
+        count = (len(array.held) + where) * pct // 100
+        with mock.patch.object(projection, "_BLOCK_PAIRS", block), \
+                mock.patch.object(flow_plane, "_BATCH_ROWS", rows):
+            array.apply_batch(batch, [(where, count)] if count else [])
+        assert row_store_faults(array, count > 0) == []
 
 
 def test_cancelled_cell_retracts_after_compaction():

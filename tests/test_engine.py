@@ -5,8 +5,9 @@ import pytest
 from flowseg.engine import (Engine, EngineConfig, FlowLabeledEvent, UNLABELED,
                             _dilate_cells, read_labeled, run_stream,
                             write_labeled)
-from flowseg.events import Event, ParseError
-from flowseg.synth import ConstantMotion, build_contour, generate_scene
+from flowseg.events import Event, ParseError, load_stream
+from flowseg.synth import (ConstantMotion, build_contour, generate_scene,
+                           read_gt)
 from flowseg.track_plane import TrackPlane
 
 from oracles import pack_cell
@@ -93,6 +94,24 @@ def test_read_labeled_names_the_bad_line_and_field(tmp_path):
     back = read_labeled(str(path))
     assert [(r.t, r.segment, r.v_u) for r in back[:1]] == [(100, 0, 1.5)]
     assert back[1].segment == UNLABELED and math.isnan(back[1].v_u)
+
+
+@pytest.mark.parametrize("read, lines", [
+    (load_stream, ["geometry 240 180", "100 5 5 1", "200 6 5 1 # \u00e9"]),
+    (read_labeled, ["# t u v s segment v_u v_v", "100 5 5 1 0 1.5 -2.0",
+                    "200 6 5 1 0 1.5 -2.0 \u00e9"]),
+    (read_gt, ["# t v_u v_v structure_id", "100 1.5 -2.0 0",
+               "\u00e9 200 1.5 -2.0 0"])])
+def test_non_ascii_byte_names_its_line(tmp_path, read, lines):
+    # every reader and writer of the text formats is ASCII; a stray byte
+    # is reported by line, not by its offset in the file
+    path = tmp_path / "records.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"^line 3: non-ASCII byte 0xc3$"):
+        read(str(path))
+    path.write_text("\n".join(lines[:2]) + "\n", encoding="ascii")
+    assert len(read(str(path))) == 1
+
 
 def test_dilate_cells():
     out = _dilate_cells({pack_cell(5, 5)})

@@ -184,7 +184,8 @@ def test_flow_plane_noise_flush_waits_for_next_drain():
     for ev in events:
         plane.ingest(ev)
     array = plane._array
-    keys, values, held = array.cell_keys, array.cell_values, list(array.held)
+    stores = list(zip(array.row_keys, array.row_values))
+    held = list(array.held)
     cutoff = events[-1].t - 100_000
     stale = sum(1 for e in events if e.t < cutoff)
     # the stale events reach past the held ones into the pending ones
@@ -194,7 +195,10 @@ def test_flow_plane_noise_flush_waits_for_next_drain():
             mock.patch.object(MetricArray, "apply_batch",
                               side_effect=AssertionError("store written")):
         assert plane.flush_noise(events[-1].t) == stale
-    assert array.cell_keys is keys and array.cell_values is values
+    # every row store still holds the very arrays it held: not rewritten
+    assert len(array.row_keys) == len(array.row_values) == len(stores)
+    for j, (keys, values) in enumerate(stores):
+        assert array.row_keys[j] is keys and array.row_values[j] is values
     assert array.held == held
     # the next read of the array drains the pending events and the flush
     assert plane.array.held == events[stale:]
