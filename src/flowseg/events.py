@@ -10,7 +10,8 @@ Text format, one event per line::
 
 with t in microseconds.  Blank lines and lines starting with '#'
 (comments) may appear anywhere.  The first other line may be a header
-``geometry W H``, and no later one.
+``geometry W H``, and no later one; a line is a header only when its
+first field is exactly ``geometry``.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def load_stream(source: Union[str, Iterable[str]],
              if (text := raw.strip()) and text[0] != "#"]
     effective = geometry or DEFAULT_GEOMETRY
     first = 0
-    if texts and texts[0].startswith("geometry"):
+    if texts and texts[0].split()[0] == "geometry":
         effective = _header_geometry(*next(record_lines(lines)), geometry)
         first = 1
     table = _event_table(texts[first:], effective)

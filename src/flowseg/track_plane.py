@@ -5,14 +5,17 @@ perturbations (step h per axis) around the plane's center flow.  An
 event whose center-grid projection lands in the active footprint is a
 hit: it accumulates into every grid, and each grid whose own projected
 cell was already nonzero scores a hit point.  When any grid's points
-clear hit_fraction * |footprint| the plane recenters on that grid's
-flow, halving h when the center wins and doubling it otherwise.  Misses
-are counted per projected cell; a cell missed evolve_threshold times is
-promoted into the footprint, which is how the plane follows contour
-change.  Events expire lifetime_px / speed seconds after arrival and
-retract from all grids in one batch.  Bulk updates (a new plane, an
-expiry, a regeneration) project their events onto all m x m grids in
-one pass of the column/row kernel that discovery uses.
+clear hit_fraction * |footprint| the plane recenters: it adopts an
+off-center grid's flow and doubles h when that grid wins clearly, halves
+h when the center wins, and doubles h on a tie, when no grid separated.
+Misses are counted per projected cell; a cell missed evolve_threshold
+times is promoted into the footprint, which is how the plane follows
+contour change.  All grids project from one reference time, set when a
+frame is laid: at creation and when an off-center grid wins.  Events
+expire lifetime_px / speed seconds after arrival and retract from all
+grids in one batch.  Bulk updates (a new plane, an expiry, a
+regeneration) project their events onto all m x m grids in one pass of
+the column/row kernel that discovery uses.
 """
 
 from __future__ import annotations
@@ -70,8 +73,10 @@ class TrackPlane:
 
     The grids are an array stored as its two speed axes, `col_vu` and
     `row_vv`, the center flow perturbed by -m//2..m//2 steps of h: grid
-    k's flow is `grid_flow(col_vu, row_vv, k)`.  The center grid projects
-    relative to `center_t_ref_us`, the others relative to `t_ref_us`.
+    k's flow is `grid_flow(col_vu, row_vv, k)`.  Every grid projects
+    relative to `t_ref_us`, the oldest held event's time when the frame
+    was laid; the footprint `active` and the miss counts are cells of the
+    center grid in that frame.
     """
 
     def __init__(self, plane_id: int, flow, events: Sequence[Event],
@@ -91,7 +96,7 @@ class TrackPlane:
         self.miss_counts: dict[int, int] = {}
         self.hit_times: deque[int] = deque()
         self.created_us = events[-1].t
-        self._regenerate(keep_center=False)
+        self._regenerate(lay_frame=True)
 
     def _perturb(self, value: float, steps: int) -> float:
         if steps == 0:
@@ -111,8 +116,8 @@ class TrackPlane:
         held = self.held
         if held and held[0].t < t - self._lifetime_us:
             self.expire(t)
-        key = cell_key(u, v, (t - self.center_t_ref_us) * 1e-6,
-                       self._center_vu, self._center_vv)
+        dt = (t - self.t_ref_us) * 1e-6
+        key = cell_key(u, v, dt, self._center_vu, self._center_vv)
 
         if key not in self.active:
             count = self.miss_counts.get(key, 0) + 1
@@ -125,25 +130,23 @@ class TrackPlane:
                 self.miss_counts[key] = count
             return False
 
-        # each axis is rounded once per column or row of the perturbed
-        # grids; the center grid keeps the key found above
-        dt = (t - self.t_ref_us) * 1e-6
+        # each axis is rounded once per column or row of the grids
         xs = [round_half_away(u - vu * dt) * KEY_M for vu in self.col_vu]
-        center = self.center_index
         grids = self.grids
         hits = self.hits
         k = 0
         for vv in self.row_vv:
             y = round_half_away(v - vv * dt)
             for x in xs:
-                gkey = key if k == center else x + y
+                gkey = x + y
                 cells = grids[k].cells
                 c = cells.get(gkey, 0)
                 if c != 0:
                     hits[k] += 1
                 cells[gkey] = c + s
                 k += 1
-        if grids[center].cells[key] == 0 and key not in self.promoted:
+        center_cells = grids[self.center_index].cells
+        if center_cells[key] == 0 and key not in self.promoted:
             self.active.discard(key)
         held.append(ev)
         self.hit_times.append(t)
@@ -164,14 +167,9 @@ class TrackPlane:
             stale.append(held.popleft())
         if not stale:
             return 0
-        cols = event_columns(stale)
-        images = grid_images(cols, self.t_ref_us, self.col_vu, self.row_vv)
+        images = grid_images(event_columns(stale), self.t_ref_us,
+                             self.col_vu, self.row_vv)
         center = self.center_index
-        if self.center_t_ref_us != self.t_ref_us:
-            # the center kept its t_ref through a center win
-            images[center] = grid_images(
-                cols, self.center_t_ref_us, [self._center_vu],
-                [self._center_vv])[0]
         for k, (grid, image) in enumerate(zip(self.grids, images)):
             try:
                 touched = grid.retract_batch(*image)
@@ -193,9 +191,9 @@ class TrackPlane:
 
         Ties that still separate some grids prefer the center; h halves
         on such a center win (clamped to h_min) and doubles when an edge
-        grid wins (clamped to h_max).  A center win keeps the center
-        grid, its reference time and the footprint; only the perturbed
-        grids regenerate.
+        grid wins (clamped to h_max).  Only an off-center win lays a new
+        frame; a center win or a tie keeps the reference time and the
+        footprint, so the rebuilt center grid has the same nonzero cells.
 
         Three guards keep the walk sane.  An off-center grid is adopted
         only when it beats the center by a clear hit margin; below that
@@ -223,7 +221,7 @@ class TrackPlane:
                 and self.grids[winner].metric > self.grids[center].metric):
             self.center_flow = grid_flow(self.col_vu, self.row_vv, winner)
             self.h = min(self.h * 2.0, self._h_max)
-            self._regenerate(keep_center=False)
+            self._regenerate(lay_frame=True)
         else:
             if peak - min(hits) >= margin:
                 new_h = max(self.h / 2.0, self._h_min)
@@ -233,12 +231,14 @@ class TrackPlane:
             # regeneration would rebuild identical grids; skip it
             if new_h != self.h:
                 self.h = new_h
-                self._regenerate(keep_center=True)
+                self._regenerate(lay_frame=False)
         self.hits = [0] * (self.cfg.m_grid ** 2)
 
-    def _regenerate(self, keep_center: bool) -> None:
-        """Lay the axes around the center flow and rebuild the grids from
-        the held events, all but the center one when `keep_center`."""
+    def _regenerate(self, lay_frame: bool) -> None:
+        """Lay the axes around the center flow and rebuild every grid from
+        the held events.  `lay_frame` also sets a new reference time (the
+        oldest held event's; the old one when nothing is held) and a new
+        footprint; otherwise both stay."""
         m = self.cfg.m_grid
         half = m // 2
         vu, vv = self.center_flow
@@ -247,28 +247,21 @@ class TrackPlane:
         self.col_vu = [self._perturb(vu, i - half) for i in range(m)]
         self.row_vv = [self._perturb(vv, j - half) for j in range(m)]
         self._lifetime_us = int(self.event_lifetime_s() * 1e6)
-        center = self.center_index
-        self.t_ref_us = (self.held[0].t if self.held
-                         else self.center_t_ref_us)
+        if lay_frame and self.held:
+            self.t_ref_us = self.held[0].t
         images = grid_images(event_columns(self.held), self.t_ref_us,
                              self.col_vu, self.row_vv)
-        grids = []
-        for k, image in enumerate(images):
-            if keep_center and k == center:
-                grids.append(self.grids[center])
-            else:
-                grids.append(AccumulatorGrid())
-                grids[-1].accumulate_batch(*image)
-        self.grids = grids
-        if not keep_center:
-            self.center_t_ref_us = self.t_ref_us
-            self.active = grids[center].nonzero_cells()
+        self.grids = [AccumulatorGrid() for _ in images]
+        for grid, image in zip(self.grids, images):
+            grid.accumulate_batch(*image)
+        if lay_frame:
+            self.active = self.grids[self.center_index].nonzero_cells()
             self.promoted = set()
             # miss counts survive: promotion pressure must outlive recenters
 
     def footprint_at(self, now_us: int) -> set[int]:
         """Nonzero center cells translated to sensor position at now_us."""
-        dt = (now_us - self.center_t_ref_us) * 1e-6
+        dt = (now_us - self.t_ref_us) * 1e-6
         dx = round_half_away(self._center_vu * dt)
         dy = round_half_away(self._center_vv * dt)
         shift = dx * KEY_M + dy

@@ -104,7 +104,7 @@ def load_stream_per_line(source: Union[str, Iterable[str]],
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
-        if not saw_data and text.startswith("geometry"):
+        if not saw_data and text.split()[0] == "geometry":
             parts = text.split()
             if len(parts) != 3:
                 raise ParseError("geometry header needs 'geometry W H'", line_no)

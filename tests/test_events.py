@@ -75,6 +75,15 @@ def test_load_stream_orders_and_bounds():
         assert err.value.index == 1      # still the event index
 
 
+def test_header_is_a_record_whose_first_field_is_geometry():
+    # a first record that only begins with "geometry" is an event record
+    for first in ("geometryXYZ 10 10", "geometry12 5"):
+        with pytest.raises(ParseError, match=r"^line 1: expected 4 fields"):
+            load_stream([first, "0 1 1 1"])
+    stream = load_stream(["geometry\t10 10", "0 1 1 1"])
+    assert stream.geometry == SensorGeometry(10, 10)
+
+
 def test_save_load_round_trip(tmp_path):
     stream = EventStream(SensorGeometry(64, 48),
                          [Event(1, 2, 100, 1), Event(3, 4, 250, -1)])

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import pytest
 
+from flowseg import track_plane
 from flowseg.events import Event
 from flowseg.projection import ConsistencyError, FlowVector, grid_flow
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig, event_lifetime_s
@@ -209,6 +211,64 @@ def test_recenter_rejects_weak_or_blurry_winner():
     plane2.recenter(10_000)
     assert plane2.center_flow == FlowVector(58.0, 0.0)
     assert plane2.h == pytest.approx(h0 / 2)
+
+
+def aged_plane():
+    """A plane whose oldest held event is no longer the one it was laid
+    from: the five seed events expired, two later hits remain."""
+    cfg = TrackPlaneConfig(evolve_threshold=1000)
+    plane = make_plane((58.0, 0.0), cfg)
+    # the structure has marched 2.3 and 2.6 px in +u by then
+    assert plane.try_match(Event(22, 40, 40_000, 1)) is True
+    assert plane.try_match(Event(23, 40, 45_000, 1)) is True
+    assert plane.expire(60_000) == 5
+    assert plane.held[0].t == 40_000 and plane.t_ref_us == 0
+    return plane
+
+
+@pytest.mark.parametrize("center_hits", [60, 20])
+def test_center_win_and_tie_keep_the_reference_time(center_hits):
+    plane = aged_plane()
+    h0 = plane.h
+    active = set(plane.active)
+    plane.hits = [20] * 9
+    plane.hits[plane.center_index] = center_hits
+    plane.recenter(60_000)
+    # the center win halves h, the tie doubles it; both rebuild the grids
+    assert plane.h == pytest.approx(h0 / 2 if center_hits == 60 else 2 * h0)
+    assert plane.t_ref_us == 0
+    assert plane.active == active
+    # the structure, 3.5 px on, still projects into the footprint
+    assert plane.try_match(Event(23, 40, 60_000, 1)) is True
+
+
+def test_off_center_win_lays_a_new_frame():
+    plane = aged_plane()
+    winner = plane.center_index + 1
+    target_flow = grid_flow(plane.col_vu, plane.row_vv, winner)
+    plane.hits = [0] * 9
+    plane.hits[plane.center_index] = 10
+    plane.hits[winner] = 40
+    set_cells(plane.grids[winner], CRISP)
+    set_cells(plane.grids[plane.center_index], MEDIUM)
+    plane.recenter(60_000)
+    assert plane.center_flow == target_flow
+    assert plane.t_ref_us == plane.held[0].t == 40_000
+    assert plane.active == plane.grids[plane.center_index].nonzero_cells()
+
+
+def test_expire_projects_once_after_a_center_win():
+    plane = aged_plane()
+    plane.hits = [20] * 9
+    plane.hits[plane.center_index] = 60
+    plane.recenter(60_000)
+    # the 40 ms hit expires, the 45 ms one stays
+    now = 41_000 + int(plane.event_lifetime_s() * 1e6)
+    with mock.patch.object(track_plane, "grid_images",
+                           wraps=track_plane.grid_images) as images:
+        assert plane.expire(now) == 1
+    assert images.call_count == 1
+    assert len(plane) == 1
 
 
 def test_config_validation():

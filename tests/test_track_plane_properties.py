@@ -46,19 +46,15 @@ def nonzero(cells):
 def check_plane(plane):
     center = plane.grids[plane.center_index]
     assert plane.active == center.nonzero_cells() | plane.promoted
-    # the center grid projects along the center flow from its own t_ref;
-    # perturbed grid k = j*m + i along column i's v_u and row j's v_v,
-    # from the t_ref they share
+    # grid k = j*m + i projects along column i's v_u and row j's v_v,
+    # every grid from the plane's one t_ref
     flows = array_flows(plane.col_vu, plane.row_vv)
     assert flows[plane.center_index] == plane.center_flow
-    for k, grid in enumerate(plane.grids):
-        if k == plane.center_index:
-            flow, t_ref = plane.center_flow, plane.center_t_ref_us
-        else:
-            flow, t_ref = flows[k], plane.t_ref_us
+    for grid, flow in zip(plane.grids, flows):
         assert nonzero(grid.cells) == nonzero(
-            bruteforce_image(plane.held, flow, t_ref))
-        assert grid.metric == metric_bruteforce(plane.held, flow, t_ref)
+            bruteforce_image(plane.held, flow, plane.t_ref_us))
+        assert grid.metric == metric_bruteforce(plane.held, flow,
+                                                plane.t_ref_us)
 
 
 def on_track(flow, du, dv, t, s):
@@ -85,15 +81,14 @@ def on_track(flow, du, dv, t, s):
 @example(flow=(0, 25), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 50_000, -1), ("expire", 100_000)],
          evolve=2, recenter_hits=8, h0_deg=0.02)
-# expiry moves the oldest held event, and a center win regenerates the
-# perturbed grids on it: the center grid keeps an older t_ref than they
+# expiry moves the oldest held event, and a center win rebuilds every
+# grid from the t_ref the plane was laid with, not from that event
 @example(flow=(20, 0), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 100_000, 1), ("expire", 100_000),
               ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
               ("offer", 0, 0, 0, 1)],
          evolve=2, recenter_hits=8, h0_deg=0.02)
-# then everything expires: the center retracts through its own t_ref,
-# the perturbed grids through theirs
+# then everything expires: every grid retracts through that same t_ref
 @example(flow=(20, 0), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 100_000, 1), ("expire", 100_000),
               ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
