@@ -76,31 +76,38 @@ def parse_object_spec(text: str, geometry: SensorGeometry):
     if shape not in _SHAPE_KEYS:
         raise ConfigError(
             f"object spec needs shape= one of {sorted(_SHAPE_KEYS)}")
-    cx = float(fields.pop("cx", geometry.width / 2.0))
-    cy = float(fields.pop("cy", geometry.height / 2.0))
-    rotate = float(fields.pop("rotate", 0.0))
+    def number(key: str, default: Optional[float] = None) -> float:
+        raw = fields.pop(key, default)
+        try:
+            return float(raw)
+        except ValueError:
+            raise ConfigError(f"object spec {key}: expected a number, "
+                              f"got {raw!r}") from None
+
+    cx = number("cx", geometry.width / 2.0)
+    cy = number("cy", geometry.height / 2.0)
+    rotate = number("rotate", 0.0)
     size_kwargs = {}
     for key in _SHAPE_KEYS[shape]:
         if key not in fields:
             raise ConfigError(f"shape={shape} needs {key}=")
-        size_kwargs[key] = float(fields.pop(key))
+        size_kwargs[key] = number(key)
 
     motion_kind = fields.pop("motion", "constant")
     if motion_kind == "constant":
-        model = ConstantMotion(float(fields.pop("vu", 0.0)),
-                               float(fields.pop("vv", 0.0)))
+        model = ConstantMotion(number("vu", 0.0), number("vv", 0.0))
     elif motion_kind == "pendulum":
         model = PendulumMotion(
-            length_m=float(fields.pop("length", 0.72)),
-            theta_max_deg=float(fields.pop("theta_max", 23.0)),
-            g=float(fields.pop("g", 9.82)),
-            pixels_per_meter=float(fields.pop("ppm", 190.0)),
-            phase=math.radians(float(fields.pop("phase_deg", 0.0))))
+            length_m=number("length", 0.72),
+            theta_max_deg=number("theta_max", 23.0),
+            g=number("g", 9.82),
+            pixels_per_meter=number("ppm", 190.0),
+            phase=math.radians(number("phase_deg", 0.0)))
     elif motion_kind == "rotation":
         if "omega_deg" not in fields:
             raise ConfigError("motion=rotation needs omega_deg=")
         model = RotationMotion(
-            omega=math.radians(float(fields.pop("omega_deg"))),
+            omega=math.radians(number("omega_deg")),
             center=(cx, cy))
     else:
         raise ConfigError(f"unknown motion {motion_kind!r}")

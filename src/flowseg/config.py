@@ -57,6 +57,12 @@ def parse_assignments(pairs: Iterable[str]) -> dict[str, str]:
 
 def build_config(assignments: Optional[dict[str, str]] = None) -> EngineConfig:
     """EngineConfig from defaults plus dotted-key overrides."""
+    return _build({key: ("", raw) for key, raw in (assignments or {}).items()})
+
+
+def _build(assignments: dict[str, tuple[str, str]]) -> EngineConfig:
+    """EngineConfig from defaults plus overrides `key: (where, raw)`; an
+    error about a value starts with its `where` and its key."""
     fp = dataclasses.asdict(FlowPlaneConfig())
     tp = dataclasses.asdict(TrackPlaneConfig())
     eng = {f.name: getattr(EngineConfig(), f.name)
@@ -64,17 +70,20 @@ def build_config(assignments: Optional[dict[str, str]] = None) -> EngineConfig:
            if f.name not in ("flow_plane", "track_plane")}
     buckets = {"flow_plane": fp, "track_plane": tp, "engine": eng}
 
-    for key, raw in (assignments or {}).items():
+    for key, (where, raw) in assignments.items():
         if "." not in key:
-            raise ConfigError(f"config key {key!r} needs a section prefix "
-                              f"({', '.join(_SECTIONS)})")
+            raise ConfigError(f"{where}config key {key!r} needs a section "
+                              f"prefix ({', '.join(_SECTIONS)})")
         section, _, name = key.partition(".")
         if section not in buckets:
-            raise ConfigError(f"unknown config section {section!r}")
+            raise ConfigError(f"{where}unknown config section {section!r}")
         bucket = buckets[section]
         if name not in bucket:
-            raise ConfigError(f"unknown config key {key!r}")
-        bucket[name] = _parse_value(raw, bucket[name])
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        try:
+            bucket[name] = _parse_value(raw, bucket[name])
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{key}: {exc}") from None
 
     try:
         return EngineConfig(flow_plane=FlowPlaneConfig(**fp),
@@ -85,23 +94,28 @@ def build_config(assignments: Optional[dict[str, str]] = None) -> EngineConfig:
 
 def load_config(source: Union[str, Iterable[str]],
                 overrides: Optional[Sequence[str]] = None) -> EngineConfig:
-    """Read a key = value file (or lines); '#' starts a comment."""
+    """Read a key = value file (or lines); '#' starts a comment.  An error
+    about a line names it (and the file)."""
     if isinstance(source, str):
         with open(source) as fh:
             lines = fh.readlines()
+        origin = f"{source}: "
     else:
         lines = list(source)
-    assignments: dict[str, str] = {}
+        origin = ""
+    assignments: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{origin}line {lineno}: "
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
+            raise ConfigError(f"{where}expected key = value")
         key, _, value = line.partition("=")
-        assignments[key.strip()] = value.strip()
-    assignments.update(parse_assignments(overrides or []))
-    return build_config(assignments)
+        assignments[key.strip()] = (where, value.strip())
+    assignments.update((key, ("", raw)) for key, raw
+                       in parse_assignments(overrides or []).items())
+    return _build(assignments)
 
 
 def config_lines(cfg: EngineConfig) -> list[str]:

@@ -15,7 +15,9 @@ events, the events backing the winning projection are extracted
 (statistical threshold over cell values plus 8-connected flood fill) and
 re-projected through progressively narrower arrays (range/q per level).
 The final association seeds a tracking plane; everything else is
-re-projected into a fresh level-0 array.
+re-projected into a fresh level-0 array.  The drained array is freed
+first, and these rebuilds (`MetricArray.fill`) write each projected
+block into the row stores as it comes.
 """
 
 from __future__ import annotations
@@ -274,23 +276,42 @@ class MetricArray:
 
     def fill(self, events: Sequence[Event]) -> None:
         """Accumulate an event list into the array, which must hold no
-        events yet (order preserved for held): the row stores are the
-        events' grid sums cut at the row edges, and each metric is its
-        grid's sum of squares."""
+        events yet (order preserved for held).
+
+        Consumes the kernel one block at a time: each block's cells go
+        to the row stores it covers (a speed row split over several
+        blocks joins its own parts once its last block is in), and each
+        of its grids' metric is the sum of its cells' squares.  No
+        temporary spans more than one block."""
         # a second write path on purpose: `apply_batch` on a fresh array
         # gives the same store, metrics and argmax, but builds the metric
         # after every row, which only drains need, and took 1.4-1.6x as
         # long over the emissions of perfbench's hexagon, bars and noise
         if not events:
             return
+        n = self.cfg.n
         us, vs, dt, ss = self._columns(events)
-        keys, sums = grid_sums(us, vs, dt, ss, self.col_vu, self.row_vv)
-        cuts = np.searchsorted(keys, self._row_edges).tolist()
-        self.row_keys = [keys[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        self.row_values = [sums[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        bounds = np.searchsorted(keys, self._edges)
-        total = np.concatenate(([0], np.cumsum(sums * sums)))
-        self._metrics = total[bounds[1:]] - total[bounds[:-1]]
+        parts_k, parts_v = [], []       # the parts of a split speed row
+        for k0, k1, keys, sums in grid_sums(us, vs, dt, ss, self.col_vu,
+                                            self.row_vv):
+            total = np.zeros(len(sums) + 1, dtype=np.int64)
+            np.cumsum(sums * sums, out=total[1:])
+            bounds = np.searchsorted(keys, self._edges[k0:k1 + 1])
+            self._metrics[k0:k1] = total[bounds[1:]] - total[bounds[:-1]]
+            j0, j1 = k0 // n, (k1 - 1) // n + 1
+            cuts = np.searchsorted(keys, self._row_edges[j0:j1 + 1]).tolist()
+            for j, lo, hi in zip(range(j0, j1), cuts, cuts[1:]):
+                parts_k.append(keys[lo:hi])
+                parts_v.append(sums[lo:hi])
+                if k1 < (j + 1) * n:
+                    continue            # the row goes on in the next block
+                if len(parts_k) > 1:
+                    self.row_keys[j] = np.concatenate(parts_k)
+                    self.row_values[j] = np.concatenate(parts_v)
+                else:                   # a whole row stays a view: no copy
+                    self.row_keys[j] = parts_k[0]
+                    self.row_values[j] = parts_v[0]
+                parts_k, parts_v = [], []
         self.held.extend(events)
         self.argmax_index = int(np.argmax(self._metrics))
 
@@ -387,6 +408,18 @@ def refine(assoc: AssociationResult, cfg: FlowPlaneConfig, parent_range: float,
     return child
 
 
+def refined_flow(assoc: AssociationResult, cfg: FlowPlaneConfig) -> FlowVector:
+    """The association's flow sharpened through the depth_max refinement
+    levels below the top-level array; the last level's array is freed on
+    return."""
+    flow, parent_range = assoc.flow, cfg.angular_range
+    for _ in range(cfg.depth_max):
+        deeper = refine(assoc, cfg, parent_range, center_flow=flow)
+        parent_range = deeper.angular_range
+        flow = deeper.argmax_flow
+    return flow
+
+
 class PlaneSeed(NamedTuple):
     events: list[Event]
     flow: FlowVector
@@ -470,36 +503,31 @@ class FlowPlane:
 
         Association runs once on the stable top-level array; the
         refinement levels re-project only the associated events and
-        sharpen the flow through their argmax.  Returns a PlaneSeed, or
-        None when not stable or when association failed (the stability
-        counter resets in the failure case).
+        sharpen the flow through their argmax.  The drained array is
+        dropped before the refinement arrays and the rebuild are filled,
+        so its store never coexists with theirs.  Returns a PlaneSeed,
+        or None when not stable or when association failed (the
+        stability counter resets in the failure case).
         """
         if not self.stability_check():
             return None
-        cfg = self.cfg
-        array = self.array
         try:
-            assoc = extract_associated(array)
+            assoc = extract_associated(self.array)
         except AssociationError:
             self.stability_count = 0
             self._stable_index = None
             return None
-
-        flow = assoc.flow
-        parent_range = array.angular_range
-        for _ in range(cfg.depth_max):
-            deeper = refine(assoc, cfg, parent_range, center_flow=flow)
-            parent_range = deeper.angular_range
-            flow = deeper.argmax_flow
-
         taken = set(assoc.event_indices)
-        remaining = [e for i, e in enumerate(array.held) if i not in taken]
-        seed = PlaneSeed(assoc.events, flow)
-        self._array = MetricArray(cfg)
+        remaining = [e for i, e in enumerate(self._array.held)
+                     if i not in taken]
+        # nothing else refers to the drained array: its store is freed
+        # here (no local may keep it)
+        self._array = MetricArray(self.cfg)
+        flow = refined_flow(assoc, self.cfg)
         self._array.fill(remaining)
         self.stability_count = 0
         self._stable_index = self._array.argmax_index
-        return seed
+        return PlaneSeed(assoc.events, flow)
 
     def flush_noise(self, now_us: int) -> int:
         """Mark the events older than the noise lifespan for retraction at

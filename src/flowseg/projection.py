@@ -8,8 +8,11 @@ cell holding c changes it by 2*c*s + s**2).  A tracking grid computes it
 only when read.  Rounding is half-away-from-zero.  A grid's owner keeps
 its flow and reference time.  A candidate array is stored as its two
 speed axes, grid k's flow is `grid_flow(col_vu, row_vv, k)`, and batches
-of events are projected onto a whole array in one pass (`grid_pairs`),
-which discovery's n x n array and tracking's m x m grids share.
+of events are projected onto a whole array in one pass, a block of
+candidates at a time (`grid_pairs`), which discovery's n x n array and
+tracking's m x m grids share.  `grid_sums` groups each block into grid
+cells as it comes, so its callers hold one block's temporaries at a
+time.
 
 Timestamps are integer microseconds everywhere; they become float seconds
 only inside the projection arithmetic.
@@ -209,33 +212,39 @@ def grid_pairs(us, vs, dt, col_vu, row_vv, low: np.ndarray, bits: int):
 
 
 def grid_sums(us, vs, dt, ss, col_vu, row_vv):
-    """Grid keys the events touch on every candidate of a Cartesian
-    array, ascending, and the signed sum of their polarities in each.
+    """Per block of candidates k0..k1-1 of `grid_pairs`: (k0, k1, keys,
+    sums), the grid keys the block's grids touch, ascending, and the
+    signed sum of the events' polarities in each.
 
-    An event counts by the sign of its polarity.
+    An event counts by the sign of its polarity.  A grid lies in one
+    block, and the blocks come in grid order, so the caller consumes
+    each block's cells while only that block's temporaries are alive.
     """
-    if not len(us):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    keys, sums = [], []
-    for k0, _, pairs in grid_pairs(us, vs, dt, col_vu, row_vv, ss > 0, 1):
+    for k0, k1, pairs in grid_pairs(us, vs, dt, col_vu, row_vv, ss > 0, 1):
         cells = pairs >> 1
         starts = group_starts(cells)
-        keys.append(cells[starts] + ((k0 << _K_SHIFT) - _HALF))
-        sums.append(np.add.reduceat((pairs & 1) * 2 - 1, starts))
-    return np.concatenate(keys), np.concatenate(sums)
+        keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
+        sums = np.add.reduceat((pairs & 1) * 2 - 1, starts)
+        del cells, starts               # not kept while the caller works
+        yield k0, k1, keys, sums
 
 
 def grid_images(columns, t_ref_us: int, col_vu, row_vv):
     """Per candidate k = j*n + i of a Cartesian array, the packed cells
     that event `columns` (from `event_columns`) project to relative to
-    `t_ref_us`, ascending, and the signed polarity sum in each."""
-    us, vs, ts, ss = columns
-    keys, sums = grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
-                           col_vu, row_vv)
-    bounds = np.searchsorted(
-        keys, grid_edges(len(col_vu) * len(row_vv))).tolist()
-    # each grid key less its grid's offset: the packed cell
-    cells = keys - ((keys + _HALF) >> _K_SHIFT << _K_SHIFT)
-    return [(cells[lo:hi], sums[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])]
+    `t_ref_us`, ascending, and the signed polarity sum in each.
 
+    Each grid is cut from the `grid_sums` block that holds it."""
+    us, vs, ts, ss = columns
+    if not len(us):
+        empty = np.zeros(0, dtype=np.int64)
+        return [(empty, empty)] * (len(col_vu) * len(row_vv))
+    images = []
+    for k0, k1, keys, sums in grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
+                                        col_vu, row_vv):
+        bounds = np.searchsorted(keys, grid_edges(k1)[k0:]).tolist()
+        # each grid key less its grid's offset: the packed cell
+        cells = keys - ((keys + _HALF) >> _K_SHIFT << _K_SHIFT)
+        images += [(cells[lo:hi], sums[lo:hi])
+                   for lo, hi in zip(bounds, bounds[1:])]
+    return images

@@ -153,3 +153,70 @@ def test_cli_object_spec_errors(tmp_path):
     assert run_cli("synth", "--out", out,
                    "--object", "shape=circle,radius=5,warp=9",
                    "--duration", "0.5") == 2
+
+
+@pytest.fixture
+def tiny_events(tmp_path):
+    events = tmp_path / "tiny.txt"
+    events.write_text("geometry 240 180\n100 5 5 1\n")
+    return str(events)
+
+
+def test_cli_set_bad_integer_names_its_key(tmp_path, tiny_events, capsys):
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--set", "flow_plane.n=abc") == 2
+    assert capsys.readouterr().err == (
+        "error: flow_plane.n: expected an integer, got 'abc'\n")
+
+
+def test_cli_set_bad_number_names_its_key(tmp_path, tiny_events, capsys):
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--set", "track_plane.h0_deg=fast") == 2
+    assert capsys.readouterr().err == (
+        "error: track_plane.h0_deg: expected a number, got 'fast'\n")
+
+
+def test_cli_config_file_bad_value_names_its_line(tmp_path, tiny_events,
+                                                  capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# tuned\nflow_plane.n = 12\nflow_plane.p_stable = x\n")
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--config", str(config)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: line 3: flow_plane.p_stable: expected an "
+        "integer, got 'x'\n")
+    # a --set override replaces the bad line's value before it is read
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--config", str(config),
+                   "--set", "flow_plane.p_stable=300") == 0
+
+
+def test_cli_config_file_line_without_value_names_its_line(tmp_path,
+                                                           tiny_events,
+                                                           capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("flow_plane.n = 12\n\nflow_plane.p_stable\n")
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--config", str(config)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: line 3: expected key = value\n")
+
+
+def test_load_config_lines_name_the_line():
+    with pytest.raises(ConfigError, match=r"^line 2: engine\.maintenance_"
+                       r"period: expected an integer, got '1e3'$"):
+        load_config(["flow_plane.n = 12", "engine.maintenance_period = 1e3"])
+
+
+def test_cli_object_spec_bad_number_names_its_key(tmp_path, capsys):
+    out = str(tmp_path / "events.txt")
+    assert run_cli("synth", "--out", out,
+                   "--object", "shape=circle,radius=abc",
+                   "--duration", "0.5") == 2
+    assert capsys.readouterr().err == (
+        "error: object spec radius: expected a number, got 'abc'\n")
+    assert run_cli("synth", "--out", out,
+                   "--object", "shape=circle,radius=5,vu=fast",
+                   "--duration", "0.5") == 2
+    assert capsys.readouterr().err == (
+        "error: object spec vu: expected a number, got 'fast'\n")

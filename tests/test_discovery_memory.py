@@ -1,0 +1,126 @@
+"""Memory bounds of discovery's rebuilds, measured with `tracemalloc`.
+
+`MetricArray.fill` consumes the kernel one block of (candidate, event)
+pairs at a time, so its temporaries above the store it builds are
+bounded by the block, not by the event count.  An emission frees the
+drained array's store before it fills the new one, so two level-0
+stores never coexist.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+
+from flowseg import projection
+from flowseg.flow_plane import (FlowPlane, FlowPlaneConfig, MetricArray,
+                                extract_associated)
+from flowseg.synth import ConstantMotion, build_contour, generate_scene
+
+from test_projection import random_events
+
+# bytes of one kernel block of int64 (candidate, event) pairs (1 MiB)
+BLOCK_BYTES = 8 * projection._BLOCK_PAIRS
+# a fill's temporaries: the block, its cells, group starts, grid keys,
+# sums and the polarity terms, each at most one block
+FILL_TRANSIENT_BOUND = 6 * BLOCK_BYTES
+
+
+def store_bytes(array):
+    return (sum(a.nbytes for a in array.row_keys + array.row_values)
+            + array._metrics.nbytes)
+
+
+def fill_transient(cfg, events):
+    """The traced peak of one `fill` of `events` into a fresh array, less
+    what was traced before it and what the filled array holds."""
+    array = MetricArray(cfg)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        array.fill(events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before - store_bytes(array)
+
+
+# 500 noise events project to about 200k cells on the default 20 x 20
+# array, two kernel blocks; 2000 events to about 800k, seven blocks
+@pytest.mark.parametrize("count", [500, 2000], ids=["1x", "4x"])
+def test_fill_transient_does_not_grow_with_events(count):
+    events = random_events(random.Random(71), count)
+    assert fill_transient(FlowPlaneConfig(), events) <= FILL_TRANSIENT_BOUND
+
+
+def emitting_scene():
+    """A hexagon in dense noise: the first emission drains a store larger
+    than a fill's transient."""
+    contour = build_contour("hexagon", width=50.0, center=(60.0, 90.0))
+    stream, _ = generate_scene(
+        objects=[(contour, ConstantMotion(58.0, 10.0))],
+        duration=0.8, noise_rate=3000.0, burst_size=2, seed=3)
+    return stream.events
+
+
+# slack for the association's per-event temporaries and the remainder
+# list, about 0.1 MiB for this scene
+ASSOCIATION_SLACK = BLOCK_BYTES
+
+
+@pytest.mark.parametrize("depth_max", [0, 3])
+def test_emission_frees_the_drained_store_before_the_rebuild(depth_max):
+    cfg = FlowPlaneConfig(p_stable=400, depth_max=depth_max)
+    seed = None
+    tracemalloc.start()
+    try:
+        plane = FlowPlane(cfg)
+        for ev in emitting_scene():
+            plane.ingest(ev)
+            if not plane.stability_check():
+                continue
+            drained = store_bytes(plane.array)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            seed = plane.try_emit()
+            peak = tracemalloc.get_traced_memory()[1]
+            if seed is not None:
+                break
+    finally:
+        tracemalloc.stop()
+    assert seed is not None
+    transient = fill_transient(cfg, plane.array.held)
+    # a second level-0 store, the size of the drained one less the
+    # association's cells, would not fit in the bound below
+    assert drained > transient + ASSOCIATION_SLACK
+    # what was held before, plus one fill's transient: the new store
+    # replaces the drained one instead of joining it
+    assert peak - before <= transient + ASSOCIATION_SLACK
+
+
+def test_flow_plane_without_refinement_emits_the_association():
+    cfg = FlowPlaneConfig(p_stable=400, depth_max=0)
+    plane = FlowPlane(cfg)
+    seed = None
+    for ev in emitting_scene():
+        plane.ingest(ev)
+        if not plane.stability_check():
+            continue
+        held = list(plane.array.held)
+        assoc = extract_associated(plane.array)
+        seed = plane.try_emit()
+        if seed is not None:
+            break
+    assert seed is not None
+    # no refinement level: the seed's flow is the association's
+    assert seed.flow == assoc.flow
+    assert seed.events == assoc.events
+    # the rebuilt array holds the remainder, as a fresh fill of it would
+    taken = set(assoc.event_indices)
+    remainder = [e for i, e in enumerate(held) if i not in taken]
+    assert plane.array.held == remainder
+    rebuilt = MetricArray(cfg)
+    rebuilt.fill(remainder)
+    assert plane.array.metrics == rebuilt.metrics
+    assert plane.array.argmax_index == rebuilt.argmax_index
+    assert plane.stability_count == 0

@@ -167,6 +167,8 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
     images = bruteforce_grids(filled)
     assert nonzero_grids(filled) == images
     assert nonzero_grids(ingested) == images
+    # a fill writes each speed row from the blocks that hold its parts
+    assert row_store_faults(filled, False) == []
 
 
 def bruteforce_argmax(array):

@@ -7,6 +7,7 @@ rebuilt from the plane's held events, and the footprint must be the
 nonzero center cells plus the promoted ones.
 """
 
+import math
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -119,6 +120,65 @@ def test_track_plane_matches_bruteforce(flow, seed, ops, evolve,
         check_plane(plane)
 
 
+# flows of hundreds of px/s: a reference time off by 1 ms moves a
+# projection by up to a pixel
+FAST_FLOWS = st.tuples(st.integers(-900, 900),
+                       st.integers(-900, 900)).filter(
+    lambda flow: math.hypot(*flow) >= 200)
+# lifetimes are 3.3-15 ms here: short steps stay within one, medium
+# ones expire part of the held events, long ones all of them
+FAST_STEPS = st.one_of(st.integers(0, 1_000), st.integers(0, 10_000),
+                       st.integers(0, 40_000))
+FAST_OPS = st.one_of(
+    st.tuples(st.just("offer"), PATCH, PATCH, FAST_STEPS,
+              st.sampled_from((1, -1))),
+    st.tuples(st.just("expire"), FAST_STEPS),
+)
+
+
+def bruteforce_hit(plane, ev):
+    """Whether offering `ev` is a hit: its center-flow cell, projected
+    from the plane's t_ref, is promoted or nonzero in the center image
+    of the events still held once those older than the lifetime at
+    ev.t have expired."""
+    cutoff = ev.t - int(plane.event_lifetime_s() * 1e6)
+    live = [e for e in plane.held if e.t >= cutoff]
+    (key,) = bruteforce_image([ev], plane.center_flow, plane.t_ref_us)
+    image = bruteforce_image(live, plane.center_flow, plane.t_ref_us)
+    return key in plane.promoted or image.get(key, 0) != 0
+
+
+@SETTINGS
+@given(flow=FAST_FLOWS,
+       seed=st.lists(st.tuples(PATCH, PATCH, st.integers(0, 1_000),
+                               st.sampled_from((1, -1))),
+                     min_size=1, max_size=8),
+       ops=st.lists(FAST_OPS, max_size=40),
+       evolve=st.integers(1, 2))
+def test_fast_offers_hit_the_center_image_at_t_ref(flow, seed, ops, evolve):
+    # every offer hits or misses as the brute-force center image at
+    # t_ref_us says, and expiry retracts through that same t_ref
+    cfg = TrackPlaneConfig(evolve_threshold=evolve)
+    t = 0
+    events = []
+    for du, dv, dt, s in seed:
+        t += dt
+        events.append(on_track(flow, du, dv, t, s))
+    plane = TrackPlane(0, flow, events, cfg)
+    check_plane(plane)
+    for op in ops:
+        if op[0] == "offer":
+            _, du, dv, dt, s = op
+            t += dt
+            ev = on_track(flow, du, dv, t, s)
+            hit = bruteforce_hit(plane, ev)
+            assert plane.try_match(ev) == hit
+        else:
+            t += op[1]
+            plane.expire(t)
+        check_plane(plane)
+
+
 EVENTS = st.lists(st.tuples(PATCH, PATCH, st.integers(0, 40_000),
                             st.sampled_from((1, -1))),
                   min_size=1, max_size=15)
@@ -167,7 +227,7 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
        events=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
                                  st.integers(0, 40_000),
                                  st.sampled_from((1, -1))),
-                       min_size=1, max_size=40),
+                       max_size=40),
        block=st.sampled_from((1, 5, projection._BLOCK_PAIRS)))
 def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events,
                                                  block):
