@@ -85,11 +85,18 @@ def _build(assignments: dict[str, tuple[str, str]]) -> EngineConfig:
         except ConfigError as exc:
             raise ConfigError(f"{where}{key}: {exc}") from None
 
+    # a failed validation names its section: both planes have a v_ref
+    built = {}
+    for section, cls in (("flow_plane", FlowPlaneConfig),
+                         ("track_plane", TrackPlaneConfig)):
+        try:
+            built[section] = cls(**buckets[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     try:
-        return EngineConfig(flow_plane=FlowPlaneConfig(**fp),
-                            track_plane=TrackPlaneConfig(**tp), **eng)
+        return EngineConfig(**built, **eng)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"engine: {exc}") from exc
 
 
 def load_config(source: Union[str, Iterable[str]],

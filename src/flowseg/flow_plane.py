@@ -6,9 +6,11 @@ sharpness metric argmax is tracked per event.  Events are accumulated in
 batches: one numpy pass projects a batch onto all candidates and groups
 the projections by sorting, a block of whole speed rows or part of one
 at a time.  The cells of each speed row's n grids share one sorted row
-store, and a batch looks up, merges and compacts a row store right
-after projecting onto it: a batch still rewrites every row store, but
-one row (about 1/n of the cells) at a time, while it is in cache.  A
+store (int64 keys, int32 values), and a batch looks up, merges and
+compacts a row store right after projecting onto it: a batch still
+rewrites every row store, but one row (about 1/n of the cells) at a
+time, while it is in cache, and once however many blocks the row
+spans.  A
 noise flush rides the next batch as retractions at its own place in
 it.  Once the argmax cell has been stable for p_stable consecutive
 events, the events backing the winning projection are extracted
@@ -32,9 +34,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .events import Event
-from .projection import (_HALF, _K_SHIFT, NEIGHBORS_8, FlowVector,
-                         event_columns, grid_edges, grid_flow, grid_pairs,
-                         grid_sums, group_starts, project_keys)
+from .projection import (_HALF, _K_SHIFT, MAX_GRIDS, NEIGHBORS_8,
+                         FlowVector, event_columns, grid_edges, grid_flow,
+                         grid_pairs, grid_sums, group_starts, project_keys)
 
 
 class AssociationError(Exception):
@@ -55,6 +57,9 @@ class FlowPlaneConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if self.n * self.n > MAX_GRIDS:
+            raise ValueError(f"n must be at most {math.isqrt(MAX_GRIDS)}: "
+                             f"the keys of n*n grids must fit in int64")
         if not 0 < self.angular_range <= math.pi:
             raise ValueError("angular_range must be in (0, pi]")
         if self.v_ref <= 0:
@@ -85,6 +90,9 @@ def axis_speeds(center: float, angular_range: float,
 # most this many pairs, keeps the composite sort keys of `grid_pairs`
 # within int64
 _BATCH_ROWS = 1 << 17
+# events a MetricArray may hold: a stored cell is int32, and its value
+# is at most the number of events held
+_HELD_MAX = np.iinfo(np.int32).max
 _time = itemgetter(2)
 
 
@@ -96,13 +104,17 @@ class MetricArray:
     (row-major) has flow `grid_flow(col_vu, row_vv, k)`, and the argmax
     ties break to the lowest (j, i).  All grids share t_ref, frozen at
     the first event.  Cells are kept in n sorted row stores, one per
-    speed row: row store j (`row_keys[j]`, `row_values[j]`) holds the
-    grid keys (`projection.grid_edges`) of grids j*n .. j*n + n - 1.  A
-    drain writes every row store, one at a time: each lookup, merge and
-    compaction runs over about 1/n of the cells, while they are in
-    cache, and no pass runs over the whole store.  A cell may hold 0
-    until the next batch that retracts events compacts its row.  An
-    event counts by the sign of its polarity.  `held` is in time order.
+    speed row: row store j holds the grid keys (`row_keys[j]`, int64;
+    `projection.grid_edges`) of grids j*n .. j*n + n - 1 and their
+    values (`row_values[j]`, int32), 12 bytes a cell.  A value is at
+    most the number of events held; the metrics and every delta to
+    them are int64.  A drain writes every row store, one at a time:
+    each lookup, merge and compaction runs over about 1/n of the cells,
+    while they are in cache, and no pass runs over the whole store.  A
+    row store is replaced once per slice of a drain (`_insert`), also
+    when kernel blocks split its row.  A cell may hold 0 until the next
+    batch that retracts events compacts its row.  An event counts by the
+    sign of its polarity.  `held` is in time order.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -117,7 +129,7 @@ class MetricArray:
         # grid keys at which each row store begins, and one past the last
         self._row_edges = self._edges[::cfg.n]
         self.row_keys = [np.zeros(0, dtype=np.int64) for _ in range(cfg.n)]
-        self.row_values = [np.zeros(0, dtype=np.int64) for _ in range(cfg.n)]
+        self.row_values = [np.zeros(0, dtype=np.int32) for _ in range(cfg.n)]
         self._metrics = np.zeros(cfg.n * cfg.n, dtype=np.int64)
         self.held: list[Event] = []
         self.t_ref_us: Optional[int] = None
@@ -144,44 +156,63 @@ class MetricArray:
             self.t_ref_us = events[0].t
         return us, vs, (ts - self.t_ref_us) * 1e-6, ss
 
-    def _write(self, j: int, keys: np.ndarray, adds: np.ndarray,
-               compact: bool) -> np.ndarray:
-        """Add `adds` to the cells `keys` (ascending, all in row j) of row
-        store j, merging the cells not yet stored in one pass, and with
-        `compact` then drop its cells that hold 0.  Returns each cell's
-        value before the write (0 when it was not stored)."""
+    def _lookup(self, j: int, keys: np.ndarray, adds: np.ndarray,
+                old: np.ndarray):
+        """Add `adds` to those of the cells `keys` (ascending, all in row
+        j) that row store j holds, in place, and write each one's value
+        before into `old` (a cell not stored keeps its 0 there).  Returns
+        the cells not stored: their keys, their adds and where they go
+        in the store (None when the store is empty)."""
         stored, values = self.row_keys[j], self.row_values[j]
         if not len(stored):
-            old = np.zeros_like(keys)
-            stored, values = keys, adds
+            return keys, adds, None
+        pos = np.searchsorted(stored, keys)
+        at = np.minimum(pos, len(stored) - 1)
+        hit = stored[at] == keys
+        hit_at = pos[hit]
+        old[hit] = values[hit_at]
+        values[hit_at] += adds[hit]
+        miss = np.flatnonzero(~hit)
+        return keys[miss], adds[miss], pos[miss]
+
+    def _insert(self, j: int, parts: list, compact: bool) -> None:
+        """Merge the cells that `_lookup` found missing from row store j,
+        over row j's `parts` in key order, into the store in one pass,
+        and with `compact` then drop its cells that hold 0.  The one
+        place a row store is replaced.  Empties `parts`."""
+        if len(parts) == 1:
+            keys, adds, pos = parts[0]
         else:
-            pos = np.searchsorted(stored, keys)
-            at = np.minimum(pos, len(stored) - 1)
-            hit = stored[at] == keys
-            old = np.where(hit, values[at], 0)
-            values[pos[hit]] += adds[hit]
-            miss = np.flatnonzero(~hit)
-            if len(miss):
-                new = pos[miss] + np.arange(len(miss))
-                size = len(stored) + len(new)
-                kept = np.ones(size, dtype=bool)
-                kept[new] = False
-                # where the stored cells go, worked out once for both
-                # arrays: scattering by index took 355 against 637 us for
-                # boolean-mask assignment (55k stored + 8.5k new cells)
-                moved = np.flatnonzero(kept)
-                merged_keys = np.empty(size, dtype=np.int64)
-                merged_keys[new] = keys[miss]
-                merged_keys[moved] = stored
-                merged_values = np.empty(size, dtype=np.int64)
-                merged_values[new] = adds[miss]
-                merged_values[moved] = values
-                stored, values = merged_keys, merged_values
+            keys, adds, pos = zip(*parts)
+            keys, adds = np.concatenate(keys), np.concatenate(adds)
+            pos = None if pos[0] is None else np.concatenate(pos)
+        parts.clear()                   # the joined copies replace them
+        stored, values = self.row_keys[j], self.row_values[j]
+        if pos is None:                 # an empty store: the cells are it
+            stored, values = keys, adds
+        elif len(pos):
+            new = np.add(pos, np.arange(len(pos)), out=pos)
+            size = len(stored) + len(new)
+            kept = np.ones(size, dtype=bool)
+            kept[new] = False
+            # where the stored cells go, worked out once for both arrays:
+            # scattering by index took 355 against 637 us for
+            # boolean-mask assignment (55k stored + 8.5k new cells)
+            moved = np.flatnonzero(kept)
+            del kept
+            merged_keys = np.empty(size, dtype=np.int64)
+            merged_keys[new] = keys
+            merged_keys[moved] = stored
+            merged_values = np.empty(size, dtype=np.int32)
+            merged_values[new] = adds
+            merged_values[moved] = values
+            stored, values = merged_keys, merged_values
+        elif not compact:
+            return                      # every cell was stored: no change
         if compact:
             nonzero = np.flatnonzero(values)
             stored, values = stored.take(nonzero), values.take(nonzero)
         self.row_keys[j], self.row_values[j] = stored, values
-        return old
 
     def apply_batch(self, events: Sequence[Event],
                     flushes: Sequence[tuple[int, int]] = ()
@@ -197,13 +228,24 @@ class MetricArray:
         _BATCH_ROWS rows; each slice writes its cells to the row stores
         before the next one looks them up.  A kernel block is whole
         speed rows or part of one, so each block's cells are cut at the
-        row edges and each row's part is looked up and written at once.
-        Every slice touches every row; if the batch retracted anything,
-        the last slice compacts each row store right after writing it,
-        dropping the cells that hold 0.  A retraction from a cell no longer stored reads it
-        as 0: its events had cancelled.
+        row edges, and each row's part is looked up and added to the
+        cells its store holds at once.  Its new cells wait for the row's
+        last part, and then go into the store in one merge, so a slice
+        replaces each row store at most once, however many blocks split
+        the row.  If the batch retracted anything, the last slice
+        compacts each row store right after writing it, dropping the
+        cells that hold 0.  A retraction from a cell no longer stored
+        reads it as 0: its events had cancelled.
+
+        Stored cells are int32 and metrics int64.  A cell's value is at
+        most the number of events held, so a batch after which more than
+        2**31 - 1 would be held raises ValueError before any work.
         """
         held = self.held
+        if len(held) + len(events) > _HELD_MAX:
+            raise ValueError(
+                f"{len(held) + len(events)} events would be held, more "
+                f"than the {_HELD_MAX} an int32 cell can count")
         retired = sum(count for _, count in flushes)
         stale = held[:retired] + list(events[:max(0, retired - len(held))])
         rows: list[Event] = []
@@ -222,7 +264,7 @@ class MetricArray:
         for end, (_, count) in zip(ends, flushes):
             retract[end + 1 - count:end + 1] = True
         us, vs, dt, ss = self._columns(rows)
-        sign = np.where((ss > 0) != retract, 1, -1)
+        sign = np.where((ss > 0) != retract, np.int32(1), np.int32(-1))
         best = np.zeros(len(rows), dtype=np.int64)
         best_metric = np.full(len(rows), -1, dtype=np.int64)
         n = self.cfg.n
@@ -234,39 +276,17 @@ class MetricArray:
             # views: the slice's rows and the argmax after each of them
             signs, top_index, top_so_far = (
                 sign[r0:r1], best[r0:r1], best_metric[r0:r1])
+            parts = {}                  # row: its parts looked up so far
             for k0, k1, pairs in grid_pairs(us[r0:r1], vs[r0:r1], dt[r0:r1],
                                             self.col_vu, self.row_vv,
                                             np.arange(b), bits):
-                cells = pairs >> bits
-                row = pairs & ((1 << bits) - 1)
-                s = signs[row]
-                starts = group_starts(cells)
-                count = np.diff(starts, append=len(cells))
-                cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
-                adds = np.add.reduceat(s, starts)
-                # the block's speed rows j0..j1-1 and its cells in each
-                j0, j1 = k0 // n, (k1 - 1) // n + 1
-                cuts = np.searchsorted(cell_keys,
-                                       self._row_edges[j0:j1 + 1]).tolist()
-                old = np.concatenate([
-                    self._write(j, cell_keys[lo:hi], adds[lo:hi], compact)
-                    for j, lo, hi in zip(range(j0, j1), cuts, cuts[1:])])
-                # each pair's cell value before its row: the stored value
-                # plus the earlier rows of the slice in that cell
-                before = np.cumsum(s) - s
-                before += np.repeat(old - before[starts], count)
-                # metric of each grid after each row: running sum of deltas
-                run = np.empty((k1 - k0, b), dtype=np.int64)
-                run[cells >> _K_SHIFT, row] = s * (2 * before + s)
-                np.cumsum(run, axis=1, out=run)
-                run += self._metrics[k0:k1, None]
-                self._metrics[k0:k1] = run[:, -1]
-                top = run.argmax(axis=0)
-                top_metric = run[top, np.arange(b)]
-                # strict: a tie keeps the lower index of an earlier block
-                better = top_metric > top_so_far
-                top_index[better] = top[better] + k0
-                top_so_far[better] = top_metric[better]
+                self._apply_block(k0, k1, pairs, bits, signs, parts,
+                                  top_index, top_so_far)
+                del pairs
+                # the rows whose last part is in, each in one insertion,
+                # once the block's temporaries are freed
+                for j in range(k0 // n, k1 // n):
+                    self._insert(j, parts.pop(j), compact)
         tops = [None if empty else int(best[end])
                 for end, empty in zip(ends, emptied)]
         held.extend(events)
@@ -274,15 +294,60 @@ class MetricArray:
         self.argmax_index = int(best[-1]) if held else None
         return best[~retract], tops
 
+    def _apply_block(self, k0: int, k1: int, pairs: np.ndarray, bits: int,
+                     signs: np.ndarray, parts: dict, top_index: np.ndarray,
+                     top_so_far: np.ndarray) -> None:
+        """One `grid_pairs` block of a slice of `apply_batch`: look up each
+        speed row's part of it (`_lookup`, whose result joins
+        `parts[row]`), and advance the metrics of grids k0..k1-1 and the
+        argmax after each row of the slice.  Its temporaries die on
+        return."""
+        n, b = self.cfg.n, len(signs)
+        cells = pairs >> bits
+        # in place: the pairs are not read again
+        row = np.bitwise_and(pairs, (1 << bits) - 1, out=pairs)
+        s = signs[row]
+        starts = group_starts(cells)
+        count = np.diff(starts, append=len(cells))
+        cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
+        adds = np.add.reduceat(s, starts, dtype=np.int32)
+        # the block's speed rows j0..j1-1 and its cells in each
+        j0, j1 = k0 // n, (k1 - 1) // n + 1
+        cuts = np.searchsorted(cell_keys, self._row_edges[j0:j1 + 1]).tolist()
+        old = np.zeros(len(cell_keys), dtype=np.int64)
+        for j, lo, hi in zip(range(j0, j1), cuts, cuts[1:]):
+            parts.setdefault(j, []).append(
+                self._lookup(j, cell_keys[lo:hi], adds[lo:hi], old[lo:hi]))
+        del cell_keys, adds
+        # each pair's cell value before its row: the stored value plus the
+        # earlier rows of the slice in that cell
+        before = np.cumsum(s)
+        before -= s
+        old -= before[starts]
+        before += np.repeat(old, count)
+        del starts, count, old
+        # metric of each grid after each row: running sum of deltas
+        run = np.empty((k1 - k0, b), dtype=np.int64)
+        run[cells >> _K_SHIFT, row] = s * (2 * before + s)
+        np.cumsum(run, axis=1, out=run)
+        run += self._metrics[k0:k1, None]
+        self._metrics[k0:k1] = run[:, -1]
+        top = run.argmax(axis=0)
+        top_metric = run[top, np.arange(b)]
+        # strict: a tie keeps the lower index of an earlier block
+        better = top_metric > top_so_far
+        top_index[better] = top[better] + k0
+        top_so_far[better] = top_metric[better]
+
     def fill(self, events: Sequence[Event]) -> None:
         """Accumulate an event list into the array, which must hold no
         events yet (order preserved for held).
 
         Consumes the kernel one block at a time: each block's cells go
         to the row stores it covers (a speed row split over several
-        blocks joins its own parts once its last block is in), and each
-        of its grids' metric is the sum of its cells' squares.  No
-        temporary spans more than one block."""
+        blocks is inserted from its parts once its last block is in),
+        and each of its grids' metric is the sum of its cells' squares.
+        No temporary spans more than one block."""
         # a second write path on purpose: `apply_batch` on a fresh array
         # gives the same store, metrics and argmax, but builds the metric
         # after every row, which only drains need, and took 1.4-1.6x as
@@ -291,27 +356,24 @@ class MetricArray:
             return
         n = self.cfg.n
         us, vs, dt, ss = self._columns(events)
-        parts_k, parts_v = [], []       # the parts of a split speed row
+        parts = {}                      # row: its parts so far
         for k0, k1, keys, sums in grid_sums(us, vs, dt, ss, self.col_vu,
                                             self.row_vv):
             total = np.zeros(len(sums) + 1, dtype=np.int64)
             np.cumsum(sums * sums, out=total[1:])
             bounds = np.searchsorted(keys, self._edges[k0:k1 + 1])
             self._metrics[k0:k1] = total[bounds[1:]] - total[bounds[:-1]]
+            del total
+            values = sums.astype(np.int32)
             j0, j1 = k0 // n, (k1 - 1) // n + 1
             cuts = np.searchsorted(keys, self._row_edges[j0:j1 + 1]).tolist()
+            # the row stores are empty, so the cells are all new, and a
+            # whole row stays a view of the block: no copy
             for j, lo, hi in zip(range(j0, j1), cuts, cuts[1:]):
-                parts_k.append(keys[lo:hi])
-                parts_v.append(sums[lo:hi])
-                if k1 < (j + 1) * n:
-                    continue            # the row goes on in the next block
-                if len(parts_k) > 1:
-                    self.row_keys[j] = np.concatenate(parts_k)
-                    self.row_values[j] = np.concatenate(parts_v)
-                else:                   # a whole row stays a view: no copy
-                    self.row_keys[j] = parts_k[0]
-                    self.row_values[j] = parts_v[0]
-                parts_k, parts_v = [], []
+                parts.setdefault(j, []).append(
+                    (keys[lo:hi], values[lo:hi], None))
+            for j in range(k0 // n, k1 // n):   # the rows now complete
+                self._insert(j, parts.pop(j), False)
         self.held.extend(events)
         self.argmax_index = int(np.argmax(self._metrics))
 

@@ -161,8 +161,17 @@ def event_columns(events: Sequence[Event]):
 # KEY_M packing is valid, so grid keys order by grid, then by cell.
 _K_SHIFT = 43
 _HALF = 1 << 42
-# (candidate, event) pairs sorted per block: bounds the block temporaries
-_BLOCK_PAIRS = 1 << 17
+# grids whose keys k * 2**43 + packed all fit in int64: 2**20, so an
+# n x n array has n <= 1024
+MAX_GRIDS = 1 << (63 - _K_SHIFT)
+# (candidate, event) pairs sorted per block.  Each block-sized int64
+# temporary (the pairs, their cells, a drain's running metrics) takes
+# 8 * 2**16 bytes = 512 KiB, and a drain holds about seven at once.  At
+# 2**17 a noise drain's temporaries were about as large as the store;
+# at 2**15 fills of more than 1,638 events split the speed rows of the
+# default 20 x 20 array over blocks, and a fill's temporaries, which
+# then include a split row's parts, no longer stay within six blocks
+_BLOCK_PAIRS = 1 << 16
 
 
 def grid_edges(count: int) -> np.ndarray:

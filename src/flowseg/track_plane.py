@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .events import Event
-from .projection import (KEY_M, AccumulatorGrid, ConsistencyError, FlowVector,
-                         cell_key, event_columns, grid_flow, grid_images,
-                         round_half_away)
+from .projection import (KEY_M, MAX_GRIDS, AccumulatorGrid, ConsistencyError,
+                         FlowVector, cell_key, event_columns, grid_flow,
+                         grid_images, round_half_away)
 
 
 @dataclass
@@ -48,6 +48,11 @@ class TrackPlaneConfig:
     def __post_init__(self):
         if self.m_grid < 3 or self.m_grid % 2 == 0:
             raise ValueError("m_grid must be odd and at least 3")
+        if self.m_grid * self.m_grid > MAX_GRIDS:
+            # the largest odd m with m*m grids: 1023
+            raise ValueError(
+                f"m_grid must be at most {math.isqrt(MAX_GRIDS) - 1 | 1}: "
+                f"the keys of m_grid**2 grids must fit in int64")
         if self.v_ref <= 0:
             raise ValueError("v_ref must be positive")
         if not 0 < self.h_min_deg <= self.h0_deg <= self.h_max_deg:

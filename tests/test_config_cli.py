@@ -169,6 +169,21 @@ def test_cli_set_bad_integer_names_its_key(tmp_path, tiny_events, capsys):
         "error: flow_plane.n: expected an integer, got 'abc'\n")
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ("flow_plane.n=1", "flow_plane: n must be at least 2"),
+    ("flow_plane.n=1025", "flow_plane: n must be at most 1024"),
+    ("flow_plane.n=100000", "flow_plane: n must be at most 1024"),
+    ("track_plane.m_grid=1025", "track_plane: m_grid must be at most 1023"),
+])
+def test_cli_rejects_arrays_past_the_grid_keys(tmp_path, tiny_events, capsys,
+                                               assignment, message):
+    # n*n grid keys k * 2**43 + packed must fit in int64; without the
+    # check, n = 100000 died allocating 74.5 GiB
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--set", assignment) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_cli_set_bad_number_names_its_key(tmp_path, tiny_events, capsys):
     assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
                    "--set", "track_plane.h0_deg=fast") == 2

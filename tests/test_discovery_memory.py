@@ -1,25 +1,30 @@
-"""Memory bounds of discovery's rebuilds, measured with `tracemalloc`.
+"""Memory bounds of discovery's rebuilds and drains, measured with
+`tracemalloc`.
 
 `MetricArray.fill` consumes the kernel one block of (candidate, event)
 pairs at a time, so its temporaries above the store it builds are
 bounded by the block, not by the event count.  An emission frees the
 drained array's store before it fills the new one, so two level-0
-stores never coexist.
+stores never coexist.  A drain (`apply_batch`) frees each block's
+temporaries before it merges the rows the block completed, and merges
+each row once per slice, so its transient is a few blocks plus the
+merge of one row.
 """
 
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 
-from flowseg import projection
+from flowseg import flow_plane, projection
 from flowseg.flow_plane import (FlowPlane, FlowPlaneConfig, MetricArray,
                                 extract_associated)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
 from test_projection import random_events
 
-# bytes of one kernel block of int64 (candidate, event) pairs (1 MiB)
+# bytes of one kernel block of int64 (candidate, event) pairs (512 KiB)
 BLOCK_BYTES = 8 * projection._BLOCK_PAIRS
 # a fill's temporaries: the block, its cells, group starts, grid keys,
 # sums and the polarity terms, each at most one block
@@ -46,7 +51,7 @@ def fill_transient(cfg, events):
 
 
 # 500 noise events project to about 200k cells on the default 20 x 20
-# array, two kernel blocks; 2000 events to about 800k, seven blocks
+# array, four kernel blocks; 2000 events to about 800k, thirteen blocks
 @pytest.mark.parametrize("count", [500, 2000], ids=["1x", "4x"])
 def test_fill_transient_does_not_grow_with_events(count):
     events = random_events(random.Random(71), count)
@@ -124,3 +129,79 @@ def test_flow_plane_without_refinement_emits_the_association():
     assert plane.array.metrics == rebuilt.metrics
     assert plane.array.argmax_index == rebuilt.argmax_index
     assert plane.stability_count == 0
+
+
+def row_bytes(array):
+    """Bytes of each row store: its keys and its values."""
+    return [keys.nbytes + values.nbytes
+            for keys, values in zip(array.row_keys, array.row_values)]
+
+
+# a drain's block temporaries at their peak, each at most one block of
+# int64: the pairs (reused for their rows), their cells, group starts
+# and counts, each cell's value before the block, the running value
+# before each pair and one temporary of its update; the int32 signs and
+# the slice's columns fit in the rest of the seventh
+DRAIN_BLOCKS = 7
+
+
+# 1,000 noise events held make about 400k cells (4.8 MB); 4,000 about
+# 1.6M (19 MB), 1.8 blocks per row store
+@pytest.mark.parametrize("held", [1000, 4000], ids=["1x", "4x"])
+def test_drain_transient_is_blocks_plus_one_row_merge(held):
+    events = random_events(random.Random(73), held + 759,
+                           t_span_us=2_000_000)
+    array = MetricArray(FlowPlaneConfig())
+    array.fill(events[:held])
+    rows = row_bytes(array)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        # 759 events and a flush of 333 held events once 380 of them are
+        # in: 1,092 rows, so that each block is three whole speed rows,
+        # 65,520 pairs
+        array.apply_batch(events[held:], [(380, 333)])
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the merge of one row holds its old store, the merged one and their
+    # index arrays, less than two of the larger row stores
+    largest_row = max(rows + row_bytes(array))
+    assert (peak - max(before, after)
+            <= DRAIN_BLOCKS * BLOCK_BYTES + 2 * largest_row)
+
+
+class CountingList(list):
+    """A list that counts the assignments to each index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.sets = [0] * len(items)
+
+    def __setitem__(self, index, value):
+        self.sets[index] += 1
+        super().__setitem__(index, value)
+
+
+def test_split_rows_are_replaced_once_per_slice():
+    cfg = FlowPlaneConfig()
+    events = random_events(random.Random(79), 900)
+    split, whole = MetricArray(cfg), MetricArray(cfg)
+    split.fill(events[:300])
+    whole.fill(events[:300])
+    split.row_keys = CountingList(split.row_keys)
+    batch, flushes = events[300:], [(200, 100)]
+    # 700 rows in slices of 300, 300 and 100, projected in blocks of at
+    # most 1000 pairs: three grids of a 300-row slice, so that each
+    # speed row of 20 grids comes in seven parts (two in the last slice)
+    with mock.patch.object(projection, "_BLOCK_PAIRS", 1000), \
+            mock.patch.object(flow_plane, "_BATCH_ROWS", 300):
+        best, tops = split.apply_batch(batch, flushes)
+    assert split.row_keys.sets == [3] * cfg.n
+    # the same argmaxes, metrics and store as one slice of whole rows
+    whole_best, whole_tops = whole.apply_batch(batch, flushes)
+    assert best.tolist() == whole_best.tolist() and tops == whole_tops
+    assert split.metrics == whole.metrics
+    for mine, theirs in [(split.row_keys, whole.row_keys),
+                         (split.row_values, whole.row_values)]:
+        assert [a.tolist() for a in mine] == [a.tolist() for a in theirs]

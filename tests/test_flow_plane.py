@@ -2,6 +2,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from flowseg import flow_plane
@@ -9,6 +10,7 @@ from flowseg.events import Event
 from flowseg.flow_plane import (AssociationError, FlowPlane, FlowPlaneConfig,
                                 MetricArray, axis_speeds, cell_value_stats,
                                 extract_associated, flood_fill_cells)
+from flowseg.projection import grid_flow
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
 from oracles import (array_flows, bruteforce_image, metric_bruteforce,
@@ -70,6 +72,66 @@ def test_metric_array_fill_equals_ingest():
         flow = array_flows(one.col_vu, one.row_vv)[k]
         expected = bruteforce_image(events, flow, one.t_ref_us)
         assert grids[0] == {key: c for key, c in expected.items() if c}
+
+
+def test_hot_pixel_squares_pass_int32_exactly():
+    # 50,000 events at one pixel and one time: each grid holds one cell
+    # of 50,000 (stored as int32), whose square 2.5e9 is past int32
+    events = [Event(7, 9, 1000, 1)] * 50_000
+    cfg = FlowPlaneConfig(n=2)
+    batched, filled = MetricArray(cfg), MetricArray(cfg)
+    batched.apply_batch(events[:25_000])
+    batched.apply_batch(events[25_000:])
+    filled.fill(events)
+    for k, flow in enumerate(array_flows(filled.col_vu, filled.row_vv)):
+        metric = metric_bruteforce(events, flow, filled.t_ref_us)
+        assert metric == 50_000 ** 2
+        for array in (batched, filled):
+            assert array.metrics[k] == metric
+            cells, values = array.grid(k)
+            assert cells.tolist() == [pack_cell(7, 9)]
+            assert values.tolist() == [50_000]
+
+
+def test_batch_past_the_held_limit_raises_before_any_work():
+    events = random_events(random.Random(37), 10)
+    array = MetricArray(FlowPlaneConfig(n=2))
+    with mock.patch.object(flow_plane, "_HELD_MAX", 8):
+        array.apply_batch(events[:5])
+        stores = [a.tolist() for a in array.row_keys + array.row_values]
+        metrics = array.metrics
+        with pytest.raises(ValueError, match="int32"):
+            array.apply_batch(events[5:9], [(2, 1)])
+        assert array.held == events[:5]
+        assert array.metrics == metrics
+        assert stores == [a.tolist()
+                          for a in array.row_keys + array.row_values]
+        array.apply_batch(events[5:8])          # 8 held: at the limit
+    assert array.held == events[:8]
+
+
+def test_largest_array_keeps_its_last_rows_exact():
+    # n = 1024 gives 2**20 grids, the most whose keys k * 2**43 + packed
+    # fit in int64: the last row store ends just below 2**63
+    cfg = FlowPlaneConfig(n=1024)
+    array = MetricArray(cfg)
+    events = [Event(3, 4, 0, 1), Event(200, 170, 2000, -1),
+              Event(3, 5, 4000, 1), Event(0, 0, 9000, 1)]
+    array.apply_batch(events[:3])
+    array.apply_batch(events[3:], [(0, 1)])
+    held = events[1:]
+    assert array.held == held
+    n = cfg.n
+    metrics = array.metrics
+    for k in (0, n - 1, n * n // 2, n * n - n - 1, n * n - n, n * n - 1):
+        flow = grid_flow(array.col_vu, array.row_vv, k)
+        assert metrics[k] == metric_bruteforce(held, flow, array.t_ref_us)
+        cells, values = array.grid(k)
+        image = bruteforce_image(held, flow, array.t_ref_us)
+        assert dict(zip(cells.tolist(), values.tolist())) == {
+            cell: value for cell, value in image.items() if value}
+    for keys in array.row_keys[-2:]:
+        assert len(keys) == 3 * n and (np.diff(keys) > 0).all()
 
 
 def test_flush_retracts_exactly():
@@ -210,6 +272,9 @@ def test_flow_plane_noise_flush_waits_for_next_drain():
 def test_config_validation():
     with pytest.raises(ValueError):
         FlowPlaneConfig(n=1)
+    FlowPlaneConfig(n=1024)
+    with pytest.raises(ValueError, match="n must be at most 1024"):
+        FlowPlaneConfig(n=1025)         # grid keys past int64
     with pytest.raises(ValueError):
         FlowPlaneConfig(v_ref=0.0)
     with pytest.raises(ValueError):

@@ -274,6 +274,9 @@ def test_expire_projects_once_after_a_center_win():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrackPlaneConfig(m_grid=2)       # needs a center grid
+    TrackPlaneConfig(m_grid=1023)
+    with pytest.raises(ValueError, match="m_grid must be at most 1023"):
+        TrackPlaneConfig(m_grid=1025)    # grid keys past int64
     with pytest.raises(ValueError):
         TrackPlaneConfig(h_min_deg=0.5, h_max_deg=0.1)
     with pytest.raises(ValueError):
