@@ -14,8 +14,8 @@ import sys
 import time
 from typing import Optional
 
-from .config import (ConfigError, build_config, config_lines, load_config,
-                     manifest_lines, parse_assignments, write_manifest)
+from .config import (ConfigError, config_lines, load_config, manifest_lines,
+                     write_manifest)
 from .engine import Engine, read_labeled, write_labeled
 from .evaluation import report_lines
 from .events import (DEFAULT_GEOMETRY, EventStream, SensorGeometry,
@@ -119,13 +119,6 @@ def parse_object_spec(text: str, geometry: SensorGeometry):
     return contour, model
 
 
-def _engine_config(args):
-    overrides = args.set or []
-    if args.config:
-        return load_config(args.config, overrides)
-    return build_config(parse_assignments(overrides))
-
-
 def _cmd_synth(args) -> int:
     geometry = args.geometry
     objects = [parse_object_spec(spec, geometry) for spec in args.object]
@@ -143,7 +136,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     stream = load_stream(args.input)
-    cfg = _engine_config(args)
+    cfg = load_config(args.config or [], args.set)
     engine = Engine(cfg)
     start = time.perf_counter()
     labeled = engine.run(stream.events)

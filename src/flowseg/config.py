@@ -11,6 +11,7 @@ reproducibility comparison.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Iterable, Optional, Sequence, Union
 
@@ -38,9 +39,12 @@ def _parse_value(raw: str, current) -> Union[int, float]:
             raise ConfigError(f"expected an integer, got {raw!r}") from None
     if isinstance(current, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {raw!r}")
+        return value
     raise ConfigError(f"unsupported field type {type(current).__name__}")
 
 
@@ -53,11 +57,6 @@ def parse_assignments(pairs: Iterable[str]) -> dict[str, str]:
         key, _, value = pair.partition("=")
         out[key.strip()] = value.strip()
     return out
-
-
-def build_config(assignments: Optional[dict[str, str]] = None) -> EngineConfig:
-    """EngineConfig from defaults plus dotted-key overrides."""
-    return _build({key: ("", raw) for key, raw in (assignments or {}).items()})
 
 
 def _build(assignments: dict[str, tuple[str, str]]) -> EngineConfig:
@@ -101,8 +100,10 @@ def _build(assignments: dict[str, tuple[str, str]]) -> EngineConfig:
 
 def load_config(source: Union[str, Iterable[str]],
                 overrides: Optional[Sequence[str]] = None) -> EngineConfig:
-    """Read a key = value file (or lines); '#' starts a comment.  An error
-    about a line names it (and the file)."""
+    """EngineConfig from defaults, then a key = value file (or lines, none
+    for the defaults), then `overrides` (`section.key=value`); '#'
+    starts a comment.  An error about a line names it (and the file),
+    and an error about a value names its key."""
     if isinstance(source, str):
         with open(source) as fh:
             lines = fh.readlines()

@@ -3,23 +3,22 @@
 Candidate flows are laid out on a tan-mapped angular grid around a center
 flow; every incoming event is accumulated into all n*n grids and the
 sharpness metric argmax is tracked per event.  Events are accumulated in
-batches: one numpy pass projects a batch onto all candidates and groups
-the projections by sorting, a block of whole speed rows or part of one
-at a time.  The cells of each speed row's n grids share one sorted row
-store (int64 keys, int32 values), and a batch looks up, merges and
-compacts a row store right after projecting onto it: a batch still
-rewrites every row store, but one row (about 1/n of the cells) at a
-time, while it is in cache, and once however many blocks the row
-spans.  A
-noise flush rides the next batch as retractions at its own place in
-it.  Once the argmax cell has been stable for p_stable consecutive
-events, the events backing the winning projection are extracted
-(statistical threshold over cell values plus 8-connected flood fill) and
-re-projected through progressively narrower arrays (range/q per level).
+batches: numpy projects a slice of a batch onto all candidates and
+groups the projections by sorting, one speed row of candidates at a
+time.  The cells of each speed row's n grids share one sorted row store
+(int64 keys, int32 values), and a batch looks up, merges and compacts a
+row store right after projecting onto it: a batch still rewrites every
+row store, but one row (about 1/n of the cells) at a time, while it is
+in cache, and once per slice.  A noise flush rides the next batch as
+retractions at its own place in it.  Once the argmax cell has been
+stable for p_stable consecutive events, the events backing the winning
+projection are extracted (statistical threshold over cell values plus
+8-connected flood fill) and re-projected through progressively narrower
+arrays (range/q per level).
 The final association seeds a tracking plane; everything else is
 re-projected into a fresh level-0 array.  The drained array is freed
 first, and these rebuilds (`MetricArray.fill`) write each projected
-block into the row stores as it comes.
+speed row into its row store as it comes.
 """
 
 from __future__ import annotations
@@ -85,11 +84,16 @@ def axis_speeds(center: float, angular_range: float,
             for i in range(cfg.n)]
 
 
-# rows (events ingested or retracted) per kernel slice of an ordered
-# batch; slices may end inside a flush.  With the kernel's blocks of at
-# most this many pairs, keeps the composite sort keys of `grid_pairs`
+# (candidate, event) pairs per kernel block: a drain or a fill projects
+# at most _BLOCK_PAIRS // n events or retractions at a time, one speed
+# row of n candidates per block, and a slice may end inside a flush.
+# Each block-sized int64 temporary (the pairs, their cells, a drain's
+# running metrics) takes 8 * 2**16 bytes = 512 KiB, and a drain holds
+# about seven at once; at 2**17 a noise drain's temporaries were about
+# as large as the store.  The bound also keeps the sort keys of
+# `grid_pairs`, n * 2**(43 + bits) with 2**bits < 2 * _BLOCK_PAIRS // n,
 # within int64
-_BATCH_ROWS = 1 << 17
+_BLOCK_PAIRS = 1 << 16
 # events a MetricArray may hold: a stored cell is int32, and its value
 # is at most the number of events held
 _HELD_MAX = np.iinfo(np.int32).max
@@ -111,10 +115,10 @@ class MetricArray:
     them are int64.  A drain writes every row store, one at a time:
     each lookup, merge and compaction runs over about 1/n of the cells,
     while they are in cache, and no pass runs over the whole store.  A
-    row store is replaced once per slice of a drain (`_insert`), also
-    when kernel blocks split its row.  A cell may hold 0 until the next
-    batch that retracts events compacts its row.  An event counts by the
-    sign of its polarity.  `held` is in time order.
+    row store is replaced once per slice of a drain (`_insert`).  A
+    cell may hold 0 until the next batch that retracts events compacts
+    its row.  An event counts by the sign of its polarity.  `held` is in
+    time order.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -126,8 +130,6 @@ class MetricArray:
         self.row_vv = np.array(axis_speeds(float(center_flow[1]),
                                            self.angular_range, cfg))
         self._edges = grid_edges(cfg.n * cfg.n)
-        # grid keys at which each row store begins, and one past the last
-        self._row_edges = self._edges[::cfg.n]
         self.row_keys = [np.zeros(0, dtype=np.int64) for _ in range(cfg.n)]
         self.row_values = [np.zeros(0, dtype=np.int32) for _ in range(cfg.n)]
         self._metrics = np.zeros(cfg.n * cfg.n, dtype=np.int64)
@@ -157,36 +159,31 @@ class MetricArray:
         return us, vs, (ts - self.t_ref_us) * 1e-6, ss
 
     def _lookup(self, j: int, keys: np.ndarray, adds: np.ndarray,
-                old: np.ndarray):
+                old: Optional[np.ndarray] = None):
         """Add `adds` to those of the cells `keys` (ascending, all in row
         j) that row store j holds, in place, and write each one's value
-        before into `old` (a cell not stored keeps its 0 there).  Returns
-        the cells not stored: their keys, their adds and where they go
-        in the store (None when the store is empty)."""
+        before into `old`, if given (a cell not stored keeps its 0
+        there).  Returns the cells not stored: their keys, their adds and
+        where they go in the store (None when the store is empty)."""
         stored, values = self.row_keys[j], self.row_values[j]
         if not len(stored):
             return keys, adds, None
         pos = np.searchsorted(stored, keys)
-        at = np.minimum(pos, len(stored) - 1)
-        hit = stored[at] == keys
+        hit = stored.take(pos, mode="clip") == keys
         hit_at = pos[hit]
-        old[hit] = values[hit_at]
+        if old is not None:
+            old[hit] = values[hit_at]
         values[hit_at] += adds[hit]
         miss = np.flatnonzero(~hit)
-        return keys[miss], adds[miss], pos[miss]
+        pos = pos[miss]                 # freed before the other two
+        return keys[miss], adds[miss], pos
 
-    def _insert(self, j: int, parts: list, compact: bool) -> None:
-        """Merge the cells that `_lookup` found missing from row store j,
-        over row j's `parts` in key order, into the store in one pass,
-        and with `compact` then drop its cells that hold 0.  The one
-        place a row store is replaced.  Empties `parts`."""
-        if len(parts) == 1:
-            keys, adds, pos = parts[0]
-        else:
-            keys, adds, pos = zip(*parts)
-            keys, adds = np.concatenate(keys), np.concatenate(adds)
-            pos = None if pos[0] is None else np.concatenate(pos)
-        parts.clear()                   # the joined copies replace them
+    def _insert(self, j: int, missing: tuple, compact: bool) -> None:
+        """Merge the cells that `_lookup` found missing from row store j
+        (`missing`, as it returns them) into the store in one pass, and
+        with `compact` then drop its cells that hold 0.  The one place a
+        row store is replaced."""
+        keys, adds, pos = missing
         stored, values = self.row_keys[j], self.row_values[j]
         if pos is None:                 # an empty store: the cells are it
             stored, values = keys, adds
@@ -225,14 +222,12 @@ class MetricArray:
         when the flush empties the array), as applying one event or one
         flush at a time would.  The events and retractions are the rows
         of the kernel, in order, taken in consecutive slices of at most
-        _BATCH_ROWS rows; each slice writes its cells to the row stores
-        before the next one looks them up.  A kernel block is whole
-        speed rows or part of one, so each block's cells are cut at the
-        row edges, and each row's part is looked up and added to the
-        cells its store holds at once.  Its new cells wait for the row's
-        last part, and then go into the store in one merge, so a slice
-        replaces each row store at most once, however many blocks split
-        the row.  If the batch retracted anything, the last slice
+        _BLOCK_PAIRS // n rows; each slice writes its cells to the row
+        stores before the next one looks them up.  A kernel block is one
+        speed row: its cells are looked up and added to the cells its
+        store holds, and once the block's temporaries are freed its new
+        cells go into the store in one merge, so a slice replaces each
+        row store once.  If the batch retracted anything, the last slice
         compacts each row store right after writing it, dropping the
         cells that hold 0.  A retraction from a cell no longer stored
         reads it as 0: its events had cancelled.
@@ -267,26 +262,23 @@ class MetricArray:
         sign = np.where((ss > 0) != retract, np.int32(1), np.int32(-1))
         best = np.zeros(len(rows), dtype=np.int64)
         best_metric = np.full(len(rows), -1, dtype=np.int64)
-        n = self.cfg.n
-        for r0 in range(0, len(rows), _BATCH_ROWS):
-            r1 = min(r0 + _BATCH_ROWS, len(rows))
+        step = max(1, _BLOCK_PAIRS // self.cfg.n)
+        for r0 in range(0, len(rows), step):
+            r1 = min(r0 + step, len(rows))
             b = r1 - r0
             bits = max(1, (b - 1).bit_length())
             compact = bool(retired) and r1 == len(rows)
             # views: the slice's rows and the argmax after each of them
             signs, top_index, top_so_far = (
                 sign[r0:r1], best[r0:r1], best_metric[r0:r1])
-            parts = {}                  # row: its parts looked up so far
-            for k0, k1, pairs in grid_pairs(us[r0:r1], vs[r0:r1], dt[r0:r1],
-                                            self.col_vu, self.row_vv,
-                                            np.arange(b), bits):
-                self._apply_block(k0, k1, pairs, bits, signs, parts,
-                                  top_index, top_so_far)
-                del pairs
-                # the rows whose last part is in, each in one insertion,
-                # once the block's temporaries are freed
-                for j in range(k0 // n, k1 // n):
-                    self._insert(j, parts.pop(j), compact)
+            for j, pairs in grid_pairs(us[r0:r1], vs[r0:r1], dt[r0:r1],
+                                       self.col_vu, self.row_vv,
+                                       np.arange(b), bits):
+                missing = self._apply_block(j, pairs, bits, signs,
+                                            top_index, top_so_far)
+                del pairs               # the block's temporaries go first
+                self._insert(j, missing, compact)
+                del missing
         tops = [None if empty else int(best[end])
                 for end, empty in zip(ends, emptied)]
         held.extend(events)
@@ -294,88 +286,88 @@ class MetricArray:
         self.argmax_index = int(best[-1]) if held else None
         return best[~retract], tops
 
-    def _apply_block(self, k0: int, k1: int, pairs: np.ndarray, bits: int,
-                     signs: np.ndarray, parts: dict, top_index: np.ndarray,
-                     top_so_far: np.ndarray) -> None:
-        """One `grid_pairs` block of a slice of `apply_batch`: look up each
-        speed row's part of it (`_lookup`, whose result joins
-        `parts[row]`), and advance the metrics of grids k0..k1-1 and the
-        argmax after each row of the slice.  Its temporaries die on
-        return."""
+    def _apply_block(self, j: int, pairs: np.ndarray, bits: int,
+                     signs: np.ndarray, top_index: np.ndarray,
+                     top_so_far: np.ndarray) -> tuple:
+        """Speed row j's `grid_pairs` block of a slice of `apply_batch`:
+        look its cells up in row store j (`_lookup`), and advance the
+        metrics of the row's grids and the argmax after each row of the
+        slice.  Returns the cells the store lacks, for `_insert`; its
+        temporaries die on return."""
         n, b = self.cfg.n, len(signs)
+        k0 = j * n
         cells = pairs >> bits
         # in place: the pairs are not read again
         row = np.bitwise_and(pairs, (1 << bits) - 1, out=pairs)
         s = signs[row]
         starts = group_starts(cells)
-        count = np.diff(starts, append=len(cells))
-        cell_keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
-        adds = np.add.reduceat(s, starts, dtype=np.int32)
-        # the block's speed rows j0..j1-1 and its cells in each
-        j0, j1 = k0 // n, (k1 - 1) // n + 1
-        cuts = np.searchsorted(cell_keys, self._row_edges[j0:j1 + 1]).tolist()
-        old = np.zeros(len(cell_keys), dtype=np.int64)
-        for j, lo, hi in zip(range(j0, j1), cuts, cuts[1:]):
-            parts.setdefault(j, []).append(
-                self._lookup(j, cell_keys[lo:hi], adds[lo:hi], old[lo:hi]))
-        del cell_keys, adds
+        old = np.zeros(len(starts), dtype=np.int64)
+        missing = self._lookup(j, cells[starts] + ((k0 << _K_SHIFT) - _HALF),
+                               np.add.reduceat(s, starts, dtype=np.int32),
+                               old)
         # each pair's cell value before its row: the stored value plus the
         # earlier rows of the slice in that cell
         before = np.cumsum(s)
         before -= s
         old -= before[starts]
-        before += np.repeat(old, count)
-        del starts, count, old
+        before += np.repeat(old, np.diff(starts, append=len(cells)))
+        del starts, old
         # metric of each grid after each row: running sum of deltas
-        run = np.empty((k1 - k0, b), dtype=np.int64)
+        run = np.empty((n, b), dtype=np.int64)
         run[cells >> _K_SHIFT, row] = s * (2 * before + s)
         np.cumsum(run, axis=1, out=run)
-        run += self._metrics[k0:k1, None]
-        self._metrics[k0:k1] = run[:, -1]
+        run += self._metrics[k0:k0 + n, None]
+        self._metrics[k0:k0 + n] = run[:, -1]
         top = run.argmax(axis=0)
         top_metric = run[top, np.arange(b)]
         # strict: a tie keeps the lower index of an earlier block
         better = top_metric > top_so_far
         top_index[better] = top[better] + k0
         top_so_far[better] = top_metric[better]
+        return missing
 
     def fill(self, events: Sequence[Event]) -> None:
         """Accumulate an event list into the array, which must hold no
         events yet (order preserved for held).
 
-        Consumes the kernel one block at a time: each block's cells go
-        to the row stores it covers (a speed row split over several
-        blocks is inserted from its parts once its last block is in),
-        and each of its grids' metric is the sum of its cells' squares.
-        No temporary spans more than one block."""
+        Projects at most _BLOCK_PAIRS // n events at a time, one speed
+        row per kernel block: the first slice's cells of a row are its
+        store, a later slice's go in through `_lookup` and `_insert`,
+        and the last slice sets the metric of each of the row's grids to
+        the sum of its cells' squares.  No temporary spans more than one
+        block or one row store."""
         # a second write path on purpose: `apply_batch` on a fresh array
         # gives the same store, metrics and argmax, but builds the metric
-        # after every row, which only drains need, and took 1.4-1.6x as
-        # long over the emissions of perfbench's hexagon, bars and noise
+        # after every row, which only drains need, and took 2.2-2.8x as
+        # long over the fills of perfbench's hexagon, bars and noise
         if not events:
             return
         n = self.cfg.n
+        step = max(1, _BLOCK_PAIRS // n)
         us, vs, dt, ss = self._columns(events)
-        parts = {}                      # row: its parts so far
-        for k0, k1, keys, sums in grid_sums(us, vs, dt, ss, self.col_vu,
-                                            self.row_vv):
-            total = np.zeros(len(sums) + 1, dtype=np.int64)
-            np.cumsum(sums * sums, out=total[1:])
-            bounds = np.searchsorted(keys, self._edges[k0:k1 + 1])
-            self._metrics[k0:k1] = total[bounds[1:]] - total[bounds[:-1]]
-            del total
-            values = sums.astype(np.int32)
-            j0, j1 = k0 // n, (k1 - 1) // n + 1
-            cuts = np.searchsorted(keys, self._row_edges[j0:j1 + 1]).tolist()
-            # the row stores are empty, so the cells are all new, and a
-            # whole row stays a view of the block: no copy
-            for j, lo, hi in zip(range(j0, j1), cuts, cuts[1:]):
-                parts.setdefault(j, []).append(
-                    (keys[lo:hi], values[lo:hi], None))
-            for j in range(k0 // n, k1 // n):   # the rows now complete
-                self._insert(j, parts.pop(j), False)
+        for e0 in range(0, len(events), step):
+            e1 = min(e0 + step, len(events))
+            for j, keys, sums in grid_sums(us[e0:e1], vs[e0:e1], dt[e0:e1],
+                                           ss[e0:e1], self.col_vu,
+                                           self.row_vv):
+                values = sums.astype(np.int32)
+                del sums
+                self._insert(j, self._lookup(j, keys, values), False)
+                del keys, values
+                if e1 == len(events):
+                    self._metrics[j * n:j * n + n] = self._grid_squares(j)
         self.held.extend(events)
         self.argmax_index = int(np.argmax(self._metrics))
+
+    def _grid_squares(self, j: int) -> np.ndarray:
+        """The sum of the squares of each of row j's grids' stored cells."""
+        n = self.cfg.n
+        keys, values = self.row_keys[j], self.row_values[j]
+        total = np.zeros(len(values) + 1, dtype=np.int64)
+        np.square(values, out=total[1:], dtype=np.int64)
+        np.cumsum(total, out=total)
+        bounds = np.searchsorted(keys, self._edges[j * n:j * n + n + 1])
+        return total[bounds[1:]] - total[bounds[:-1]]
 
     @property
     def argmax_flow(self) -> Optional[FlowVector]:

@@ -8,11 +8,12 @@ cell holding c changes it by 2*c*s + s**2).  A tracking grid computes it
 only when read.  Rounding is half-away-from-zero.  A grid's owner keeps
 its flow and reference time.  A candidate array is stored as its two
 speed axes, grid k's flow is `grid_flow(col_vu, row_vv, k)`, and batches
-of events are projected onto a whole array in one pass, a block of
-candidates at a time (`grid_pairs`), which discovery's n x n array and
-tracking's m x m grids share.  `grid_sums` groups each block into grid
-cells as it comes, so its callers hold one block's temporaries at a
-time.
+of events are projected onto a whole array one speed row of candidates
+at a time (`grid_pairs`), the kernel that discovery's n x n array and
+tracking's m x m grids share.  `grid_sums` groups each row into grid
+cells as it comes, so its callers hold one row's temporaries at a
+time; discovery bounds a row's size by how many events it projects at
+once.
 
 Timestamps are integer microseconds everywhere; they become float seconds
 only inside the projection arithmetic.
@@ -164,14 +165,6 @@ _HALF = 1 << 42
 # grids whose keys k * 2**43 + packed all fit in int64: 2**20, so an
 # n x n array has n <= 1024
 MAX_GRIDS = 1 << (63 - _K_SHIFT)
-# (candidate, event) pairs sorted per block.  Each block-sized int64
-# temporary (the pairs, their cells, a drain's running metrics) takes
-# 8 * 2**16 bytes = 512 KiB, and a drain holds about seven at once.  At
-# 2**17 a noise drain's temporaries were about as large as the store;
-# at 2**15 fills of more than 1,638 events split the speed rows of the
-# default 20 x 20 array over blocks, and a fill's temporaries, which
-# then include a split row's parts, no longer stay within six blocks
-_BLOCK_PAIRS = 1 << 16
 
 
 def grid_edges(count: int) -> np.ndarray:
@@ -182,60 +175,57 @@ def grid_edges(count: int) -> np.ndarray:
 
 def grid_pairs(us, vs, dt, col_vu, row_vv, low: np.ndarray, bits: int):
     """Project events onto every candidate of a Cartesian candidate array,
-    a block of candidates at a time.
+    one speed row of candidates at a time.
 
-    Candidate k has flow `grid_flow(col_vu, row_vv, k)`; `dt` is each
-    event's time since the reference, in seconds, and there is at least
-    one event.  Yields (k0, k1, pairs) per block of candidates
-    k0..k1-1: `pairs` is sorted and holds, for each (candidate k, event)
-    pair, ((k - k0) * 2**43 + packed + 2**42) << bits | low[event], so
-    that pairs group by cell and, within a cell, by `low`.
+    Candidate k = j*n + i has flow `grid_flow(col_vu, row_vv, k)`; `dt`
+    is each event's time since the reference, in seconds, and there is
+    at least one event.  Yields (j, pairs) per speed row j: `pairs` is
+    sorted and holds, for each (candidate i of the row, event) pair,
+    (i * 2**43 + packed + 2**42) << bits | low[event], so that pairs
+    group by cell and, within a cell, by `low`.  The caller keeps
+    n * 2**(43 + bits) within 2**63, so that they fit in int64.
 
-    Each axis is rounded once per column or row of the array.  A block
-    is whole rows, or part of one row, and its pairs are the sums of its
-    rows' y and its columns' x, which carry the block offset k - k0
-    between them.  The pairs of one candidate are contiguous and share
-    their high bits, so sorting each candidate's pairs sorts the block.
+    Each axis is rounded once per column or row of the array: a row's
+    pairs are the sums of its y and its columns' x, which carry the
+    column offset i.  The pairs of one candidate are contiguous and share
+    their high bits, so sorting each candidate's pairs sorts the row.
     """
     col_vu = np.reshape(col_vu, (-1, 1))
-    row_vv = np.reshape(row_vv, (-1, 1))
-    n, m, b = len(col_vu), len(row_vv), len(us)
-    cols = min(n, max(1, _BLOCK_PAIRS // b))
-    rows = max(1, _BLOCK_PAIRS // (n * b)) if cols == n else 1
-    # the bias, the block offsets and the shift above `low` are folded
-    # into per-column and per-row constants: few numpy calls per pass
+    # the bias, the column offsets and the shift above `low` are folded
+    # into per-column constants: few numpy calls per row
     xs = _round_array(us - col_vu * dt) * (KEY_M << bits)
-    xs += np.array([(_HALF + (i % cols << _K_SHIFT)) << bits
-                    for i in range(n)])[:, None]
+    xs += (np.arange(len(col_vu), dtype=np.int64)[:, None] << _K_SHIFT
+           | _HALF) << bits
     xs += low
-    ys = _round_array(vs - row_vv * dt) << bits
-    ys += np.array([j % rows * n << (_K_SHIFT + bits)
-                    for j in range(m)])[:, None]
-    for j0 in range(0, m, rows):
-        j1 = min(j0 + rows, m)
-        for i0 in range(0, n, cols):
-            i1 = min(i0 + cols, n)
-            pairs = ys[j0:j1, None] + xs[None, i0:i1]
-            pairs.sort()
-            yield j0 * n + i0, (j1 - 1) * n + i1, pairs.ravel()
+    for j, v_v in enumerate(row_vv):
+        pairs = xs + (_round_array(vs - v_v * dt) << bits)
+        pairs.sort()
+        yield j, pairs.ravel()
+        del pairs                       # not kept while the next is made
 
 
 def grid_sums(us, vs, dt, ss, col_vu, row_vv):
-    """Per block of candidates k0..k1-1 of `grid_pairs`: (k0, k1, keys,
-    sums), the grid keys the block's grids touch, ascending, and the
-    signed sum of the events' polarities in each.
+    """Per speed row j of `grid_pairs`: (j, keys, sums), the grid keys
+    its grids touch, ascending, and the signed sum of the events'
+    polarities in each.
 
-    An event counts by the sign of its polarity.  A grid lies in one
-    block, and the blocks come in grid order, so the caller consumes
-    each block's cells while only that block's temporaries are alive.
+    An event counts by the sign of its polarity.  The rows come in grid
+    order, so the caller consumes each row's cells while only that
+    row's temporaries are alive.
     """
-    for k0, k1, pairs in grid_pairs(us, vs, dt, col_vu, row_vv, ss > 0, 1):
+    n = len(col_vu)
+    for j, pairs in grid_pairs(us, vs, dt, col_vu, row_vv, ss > 0, 1):
         cells = pairs >> 1
         starts = group_starts(cells)
-        keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
-        sums = np.add.reduceat((pairs & 1) * 2 - 1, starts)
-        del cells, starts               # not kept while the caller works
-        yield k0, k1, keys, sums
+        keys = cells[starts] + ((j * n << _K_SHIFT) - _HALF)
+        del cells
+        # the +-1 polarity terms, in place: the pairs are not read again
+        np.bitwise_and(pairs, 1, out=pairs)
+        pairs *= 2
+        pairs -= 1
+        sums = np.add.reduceat(pairs, starts)
+        del pairs, starts               # not kept while the caller works
+        yield j, keys, sums
 
 
 def grid_images(columns, t_ref_us: int, col_vu, row_vv):
@@ -243,15 +233,17 @@ def grid_images(columns, t_ref_us: int, col_vu, row_vv):
     that event `columns` (from `event_columns`) project to relative to
     `t_ref_us`, ascending, and the signed polarity sum in each.
 
-    Each grid is cut from the `grid_sums` block that holds it."""
+    Each grid is cut from the `grid_sums` row that holds it."""
     us, vs, ts, ss = columns
     if not len(us):
         empty = np.zeros(0, dtype=np.int64)
         return [(empty, empty)] * (len(col_vu) * len(row_vv))
+    n = len(col_vu)
+    edges = grid_edges(n * len(row_vv))
     images = []
-    for k0, k1, keys, sums in grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
-                                        col_vu, row_vv):
-        bounds = np.searchsorted(keys, grid_edges(k1)[k0:]).tolist()
+    for j, keys, sums in grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
+                                   col_vu, row_vv):
+        bounds = np.searchsorted(keys, edges[j * n:j * n + n + 1]).tolist()
         # each grid key less its grid's offset: the packed cell
         cells = keys - ((keys + _HALF) >> _K_SHIFT << _K_SHIFT)
         images += [(cells[lo:hi], sums[lo:hi])

@@ -14,8 +14,8 @@ contour change.  All grids project from one reference time, set when a
 frame is laid: at creation and when an off-center grid wins.  Events
 expire lifetime_px / speed seconds after arrival and retract from all
 grids in one batch.  Bulk updates (a new plane, an expiry, a
-regeneration) project their events onto all m x m grids in one pass of
-the column/row kernel that discovery uses.
+regeneration) project their events onto all m x m grids through the
+kernel that discovery uses, one speed row of m grids at a time.
 """
 
 from __future__ import annotations

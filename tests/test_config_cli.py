@@ -3,37 +3,37 @@ import os
 import pytest
 
 from flowseg.cli import main
-from flowseg.config import (ConfigError, build_config, config_lines,
-                            load_config, parse_assignments)
+from flowseg.config import (ConfigError, config_lines, load_config,
+                            parse_assignments)
 
 
-def test_build_config_defaults():
-    cfg = build_config()
+def test_load_config_defaults():
+    cfg = load_config([])
     assert cfg.flow_plane.n == 20
     assert cfg.track_plane.m_grid == 3
     assert cfg.maintenance_period == 1000
 
 
-def test_build_config_overrides():
-    cfg = build_config({"flow_plane.n": "40",
-                        "track_plane.h0_deg": "0.05",
-                        "engine.maintenance_period": "500"})
+def test_load_config_overrides():
+    cfg = load_config(["flow_plane.n = 40",
+                       "track_plane.h0_deg = 0.05",
+                       "engine.maintenance_period = 500"])
     assert cfg.flow_plane.n == 40
     assert cfg.track_plane.h0_deg == 0.05
     assert cfg.maintenance_period == 500
 
 
-def test_build_config_rejects_bad_keys():
+def test_load_config_rejects_bad_keys():
     with pytest.raises(ConfigError):
-        build_config({"n": "40"})                     # no section
+        load_config(["n = 40"])                       # no section
     with pytest.raises(ConfigError):
-        build_config({"flow_plane.bogus": "1"})
+        load_config(["flow_plane.bogus = 1"])
     with pytest.raises(ConfigError):
-        build_config({"rocket.n": "1"})
+        load_config(["rocket.n = 1"])
     with pytest.raises(ConfigError):
-        build_config({"flow_plane.n": "twenty"})
+        load_config(["flow_plane.n = twenty"])
     with pytest.raises(ConfigError):
-        build_config({"flow_plane.n": "1"})           # fails validation
+        load_config(["flow_plane.n = 1"])             # fails validation
 
 
 def test_parse_assignments():
@@ -43,8 +43,8 @@ def test_parse_assignments():
 
 
 def test_load_config_round_trips(tmp_path):
-    cfg = build_config({"flow_plane.v_ref": "80.0",
-                        "track_plane.evolve_threshold": "7"})
+    cfg = load_config(["flow_plane.v_ref = 80.0",
+                       "track_plane.evolve_threshold = 7"])
     path = tmp_path / "run.cfg"
     path.write_text("# comment line\n" + "\n".join(config_lines(cfg)) + "\n")
     loaded = load_config(str(path))
@@ -189,6 +189,33 @@ def test_cli_set_bad_number_names_its_key(tmp_path, tiny_events, capsys):
                    "--set", "track_plane.h0_deg=fast") == 2
     assert capsys.readouterr().err == (
         "error: track_plane.h0_deg: expected a number, got 'fast'\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("flow_plane.noise_lifespan_s", "nan"),
+    ("flow_plane.v_ref", "inf"),
+    ("engine.merge_flow_tol", "-inf"),
+])
+def test_cli_set_non_finite_number_names_its_key(tmp_path, tiny_events,
+                                                 capsys, key, value):
+    # accepted, these stopped a run mid-way without naming the key, or
+    # ran to the end with garbage projections or merging silently off
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--set", f"{key}={value}") == 2
+    assert capsys.readouterr().err == (
+        f"error: {key}: expected a finite number, got '{value}'\n")
+
+
+def test_cli_config_file_non_finite_number_names_its_line(tmp_path,
+                                                          tiny_events,
+                                                          capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("flow_plane.n = 12\nflow_plane.v_ref = inf\n")
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--config", str(config)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: line 2: flow_plane.v_ref: expected a finite "
+        "number, got 'inf'\n")
 
 
 def test_cli_config_file_bad_value_names_its_line(tmp_path, tiny_events,

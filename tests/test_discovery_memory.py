@@ -1,23 +1,26 @@
 """Memory bounds of discovery's rebuilds and drains, measured with
 `tracemalloc`.
 
-`MetricArray.fill` consumes the kernel one block of (candidate, event)
-pairs at a time, so its temporaries above the store it builds are
-bounded by the block, not by the event count.  An emission frees the
-drained array's store before it fills the new one, so two level-0
-stores never coexist.  A drain (`apply_batch`) frees each block's
-temporaries before it merges the rows the block completed, and merges
-each row once per slice, so its transient is a few blocks plus the
-merge of one row.
+A kernel block is the (candidate, event) pairs of one speed row, and
+`MetricArray.fill` and `apply_batch` project at most
+`_BLOCK_PAIRS // n` events or retractions at a time, so a block never
+holds more than `_BLOCK_PAIRS` pairs.  A fill consumes the kernel one
+block at a time, so its temporaries above the store it builds are a
+few blocks, and with more than one slice, the merge of one row.  An
+emission frees the drained array's store before it fills the new one,
+so two level-0 stores never coexist.  A drain frees each block's
+temporaries before it merges the block's row, once per slice, so its
+transient is a few blocks plus the merge of one row.
 """
 
 import random
 import tracemalloc
 from unittest import mock
 
+import numpy.ma  # noqa: F401  (see ASSOCIATION_SLACK)
 import pytest
 
-from flowseg import flow_plane, projection
+from flowseg import flow_plane
 from flowseg.flow_plane import (FlowPlane, FlowPlaneConfig, MetricArray,
                                 extract_associated)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
@@ -25,9 +28,10 @@ from flowseg.synth import ConstantMotion, build_contour, generate_scene
 from test_projection import random_events
 
 # bytes of one kernel block of int64 (candidate, event) pairs (512 KiB)
-BLOCK_BYTES = 8 * projection._BLOCK_PAIRS
-# a fill's temporaries: the block, its cells, group starts, grid keys,
-# sums and the polarity terms, each at most one block
+BLOCK_BYTES = 8 * flow_plane._BLOCK_PAIRS
+# a fill's temporaries, each at most one block: the projected x of every
+# column, the pairs of one speed row, their cells, group starts, grid
+# keys and sums
 FILL_TRANSIENT_BOUND = 6 * BLOCK_BYTES
 
 
@@ -50,12 +54,32 @@ def fill_transient(cfg, events):
     return peak - before - store_bytes(array)
 
 
-# 500 noise events project to about 200k cells on the default 20 x 20
-# array, four kernel blocks; 2000 events to about 800k, thirteen blocks
-@pytest.mark.parametrize("count", [500, 2000], ids=["1x", "4x"])
+# on the default 20 x 20 array, 500 noise events make blocks of 10,000
+# pairs, 2,000 events of 40,000, and 3,276 fill each of the 20 blocks
+# with 65,520 pairs
+@pytest.mark.parametrize("count", [500, 2000, 3276],
+                         ids=["1x", "4x", "full-block"])
 def test_fill_transient_does_not_grow_with_events(count):
     events = random_events(random.Random(71), count)
     assert fill_transient(FlowPlaneConfig(), events) <= FILL_TRANSIENT_BOUND
+
+
+def row_bytes(array):
+    """Bytes of each row store: its keys and its values."""
+    return [keys.nbytes + values.nbytes
+            for keys, values in zip(array.row_keys, array.row_values)]
+
+
+def test_multi_slice_fill_transient_is_blocks_plus_one_row_merge():
+    # 8,000 events in slices of 3,276, 3,276 and 1,448: each later slice
+    # merges its new cells into every row store, and the last sums the
+    # squares of each row (about 3.6 blocks a row here)
+    events = random_events(random.Random(71), 8000)
+    array = MetricArray(FlowPlaneConfig())
+    array.fill(events)
+    largest_row = max(row_bytes(array))
+    assert (fill_transient(FlowPlaneConfig(), events)
+            <= FILL_TRANSIENT_BOUND + 2 * largest_row)
 
 
 def emitting_scene():
@@ -69,7 +93,9 @@ def emitting_scene():
 
 
 # slack for the association's per-event temporaries and the remainder
-# list, about 0.1 MiB for this scene
+# list, about 0.2 MiB for this scene.  `np.unique` (in the association's
+# `np.isin`) imports numpy.ma on its first call, about 0.5 MiB of module
+# objects that are no emission's memory, so this module imports it first
 ASSOCIATION_SLACK = BLOCK_BYTES
 
 
@@ -131,12 +157,6 @@ def test_flow_plane_without_refinement_emits_the_association():
     assert plane.stability_count == 0
 
 
-def row_bytes(array):
-    """Bytes of each row store: its keys and its values."""
-    return [keys.nbytes + values.nbytes
-            for keys, values in zip(array.row_keys, array.row_values)]
-
-
 # a drain's block temporaries at their peak, each at most one block of
 # int64: the pairs (reused for their rows), their cells, group starts
 # and counts, each cell's value before the block, the running value
@@ -145,11 +165,13 @@ def row_bytes(array):
 DRAIN_BLOCKS = 7
 
 
-# 1,000 noise events held make about 400k cells (4.8 MB); 4,000 about
-# 1.6M (19 MB), 1.8 blocks per row store
-@pytest.mark.parametrize("held", [1000, 4000], ids=["1x", "4x"])
-def test_drain_transient_is_blocks_plus_one_row_merge(held):
-    events = random_events(random.Random(73), held + 759,
+# 1,000 noise events held make about 400k cells (4.8 MB), half a block
+# per row store; 4,000 about 1.6M (19 MB), 1.8 blocks per row store
+@pytest.mark.parametrize("held, ingested", [(1000, 759), (4000, 759),
+                                            (1000, 2943)],
+                         ids=["1x", "4x", "full-block"])
+def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested):
+    events = random_events(random.Random(73), held + ingested,
                            t_span_us=2_000_000)
     array = MetricArray(FlowPlaneConfig())
     array.fill(events[:held])
@@ -157,15 +179,17 @@ def test_drain_transient_is_blocks_plus_one_row_merge(held):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        # 759 events and a flush of 333 held events once 380 of them are
-        # in: 1,092 rows, so that each block is three whole speed rows,
-        # 65,520 pairs
+        # the events and a flush of 333 held events once 380 of them are
+        # in: 1,092 rows, blocks of 21,840 pairs, or 3,276 rows, one
+        # slice of full blocks of 65,520 pairs
         array.apply_batch(events[held:], [(380, 333)])
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the merge of one row holds its old store, the merged one and their
-    # index arrays, less than two of the larger row stores
+    # index arrays, less than two of the larger row stores.  With full
+    # blocks, the cells a block found missing from its row store also
+    # wait beside its temporaries, for that merge
     largest_row = max(rows + row_bytes(array))
     assert (peak - max(before, after)
             <= DRAIN_BLOCKS * BLOCK_BYTES + 2 * largest_row)
@@ -183,25 +207,23 @@ class CountingList(list):
         super().__setitem__(index, value)
 
 
-def test_split_rows_are_replaced_once_per_slice():
+def test_row_stores_are_replaced_once_per_slice():
     cfg = FlowPlaneConfig()
     events = random_events(random.Random(79), 900)
-    split, whole = MetricArray(cfg), MetricArray(cfg)
-    split.fill(events[:300])
+    sliced, whole = MetricArray(cfg), MetricArray(cfg)
+    sliced.fill(events[:300])
     whole.fill(events[:300])
-    split.row_keys = CountingList(split.row_keys)
+    sliced.row_keys = CountingList(sliced.row_keys)
     batch, flushes = events[300:], [(200, 100)]
-    # 700 rows in slices of 300, 300 and 100, projected in blocks of at
-    # most 1000 pairs: three grids of a 300-row slice, so that each
-    # speed row of 20 grids comes in seven parts (two in the last slice)
-    with mock.patch.object(projection, "_BLOCK_PAIRS", 1000), \
-            mock.patch.object(flow_plane, "_BATCH_ROWS", 300):
-        best, tops = split.apply_batch(batch, flushes)
-    assert split.row_keys.sets == [3] * cfg.n
-    # the same argmaxes, metrics and store as one slice of whole rows
+    # 700 rows in slices of 6000 // 20 = 300 rows: 300, 300 and 100, the
+    # second ending inside the flush
+    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", 6000):
+        best, tops = sliced.apply_batch(batch, flushes)
+    assert sliced.row_keys.sets == [3] * cfg.n
+    # the same argmaxes, metrics and store as one slice
     whole_best, whole_tops = whole.apply_batch(batch, flushes)
     assert best.tolist() == whole_best.tolist() and tops == whole_tops
-    assert split.metrics == whole.metrics
-    for mine, theirs in [(split.row_keys, whole.row_keys),
-                         (split.row_values, whole.row_values)]:
+    assert sliced.metrics == whole.metrics
+    for mine, theirs in [(sliced.row_keys, whole.row_keys),
+                         (sliced.row_values, whole.row_values)]:
         assert [a.tolist() for a in mine] == [a.tolist() for a in theirs]

@@ -23,14 +23,11 @@ from oracles import array_flows, bruteforce_image, metric_bruteforce
 # 60 examples in the default profile (tests/conftest.py), scaled with
 # the active one
 SETTINGS = settings(max_examples=settings.default.max_examples * 6 // 10)
-# (candidate, event) pairs per projected block: tiny blocks put block
-# boundaries (and argmax ties across them) inside every batch
-BLOCKS = st.sampled_from((1, 5, projection._BLOCK_PAIRS))
-
-
-# rows per kernel slice of an ordered batch: small limits put slice
-# boundaries between events, between flushes and inside flushes
-BATCH_ROWS = st.sampled_from((1, 3, 7, flow_plane._BATCH_ROWS))
+# (candidate, event) pairs per kernel block.  A block is one speed row
+# of n candidates, so a slice of a batch or a fill is max(1, pairs // n)
+# rows: small values put slice boundaries between events, between
+# flushes and inside flushes
+BLOCKS = st.sampled_from((1, 5, 6, 21, flow_plane._BLOCK_PAIRS))
 STEPS = st.integers(0, 40_000)
 # with gaps longer than a 0.2 s noise lifespan
 GAPPY_STEPS = st.one_of(STEPS, STEPS, st.integers(200_000, 600_000))
@@ -100,7 +97,7 @@ def test_ingest_batch_splits_match_single_events(events, cuts, n, block):
     expected = [ingest_one(single, e) for e in events]
     batched = MetricArray(cfg)
     got = []
-    with mock.patch.object(projection, "_BLOCK_PAIRS", block):
+    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
         for batch in split(events, cuts):
             got.extend(batched.apply_batch(batch)[0].tolist())
     assert got == expected
@@ -120,7 +117,7 @@ def test_ingest_and_flush_match_bruteforce(events, ops, n, block):
     for size, by_fill, cutoff_pct in ops:
         batch = events[at:at + size]
         at += size
-        with mock.patch.object(projection, "_BLOCK_PAIRS", block):
+        with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
             # `fill` is for an array that holds nothing
             if by_fill and not array.held:
                 array.fill(batch)
@@ -156,7 +153,7 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
     cfg = FlowPlaneConfig(n=n)
     filled, ingested = (MetricArray(cfg, center, angular_range)
                         for _ in range(2))
-    with mock.patch.object(projection, "_BLOCK_PAIRS", block):
+    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
         filled.fill(events)
         for batch in split(events, cuts):
             ingested.apply_batch(batch)
@@ -167,7 +164,7 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
     images = bruteforce_grids(filled)
     assert nonzero_grids(filled) == images
     assert nonzero_grids(ingested) == images
-    # a fill writes each speed row from the blocks that hold its parts
+    # a fill writes each speed row from every slice of the events
     assert row_store_faults(filled, False) == []
 
 
@@ -187,9 +184,9 @@ def bruteforce_argmax(array):
        ops=st.lists(st.one_of(st.tuples(st.just("ingest"), st.integers(1, 12)),
                               st.tuples(st.just("flush"), st.integers(0, 100))),
                     min_size=1, max_size=16),
-       n=st.integers(2, 3), block=BLOCKS, rows=BATCH_ROWS)
+       n=st.integers(2, 3), block=BLOCKS)
 def test_ordered_batch_matches_one_operation_at_a_time(events, prefill, ops,
-                                                       n, block, rows):
+                                                       n, block):
     # the operations applied one at a time, each checked against brute
     # force, give the argmax after every event and every flush
     cfg = FlowPlaneConfig(n=n)
@@ -216,8 +213,7 @@ def test_ordered_batch_matches_one_operation_at_a_time(events, prefill, ops,
     # the same operations as one ordered batch
     batched = MetricArray(cfg)
     batched.fill(events[:prefill])
-    with mock.patch.object(projection, "_BLOCK_PAIRS", block), \
-            mock.patch.object(flow_plane, "_BATCH_ROWS", rows):
+    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
         best, after = batched.apply_batch(batch, flushes)
     assert best.tolist() == expected
     assert after == expected_flushes
@@ -266,17 +262,15 @@ def row_store_faults(array, retracted):
        batches=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
                                   st.integers(0, 100)),
                         min_size=1, max_size=8),
-       n=st.integers(2, 5), block=st.sampled_from((1, 5, 6, 40,
-                                                   projection._BLOCK_PAIRS)),
-       rows=BATCH_ROWS)
-# the second batch is 9 rows: 1 event and 8 retractions.  Its slices
-# of 4 rows project in blocks of one grid, part of a speed row; its last
-# slice, 1 retraction, in blocks of two whole speed rows
+       n=st.integers(2, 5), block=BLOCKS)
+# the second batch is 9 rows: 1 event and 8 retractions, in slices of
+# 6 // 3 = 2 rows.  The first slice holds the event and a retraction,
+# the next three end inside the flush, and the last, 1 retraction,
+# compacts each row store
 @example(events=[Event(i % 3, i % 2, 1000 * i, 1 - 2 * (i % 2))
                  for i in range(20)],
-         batches=[(8, 0, 0), (1, 1, 90)], n=3, block=6, rows=4)
-def test_row_stores_stay_sorted_and_own_their_rows(events, batches, n, block,
-                                                   rows):
+         batches=[(8, 0, 0), (1, 1, 90)], n=3, block=6)
+def test_row_stores_stay_sorted_and_own_their_rows(events, batches, n, block):
     # each batch ingests `size` events and, once `where` of them are in,
     # retracts `pct` percent of the events then held
     array = MetricArray(FlowPlaneConfig(n=n))
@@ -286,8 +280,7 @@ def test_row_stores_stay_sorted_and_own_their_rows(events, batches, n, block,
         at += size
         where = min(where, len(batch))
         count = (len(array.held) + where) * pct // 100
-        with mock.patch.object(projection, "_BLOCK_PAIRS", block), \
-                mock.patch.object(flow_plane, "_BATCH_ROWS", rows):
+        with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
             array.apply_batch(batch, [(where, count)] if count else [])
         assert row_store_faults(array, count > 0) == []
 

@@ -37,11 +37,38 @@ def test_all_names_resolve():
         assert hasattr(flowseg, name), name
 
 
-def test_every_definition_is_named_elsewhere():
-    # each function, method and class of the package (dunders aside) is
-    # named, as a whole word, outside its own definition: in the package,
-    # the demos, the benchmark or the README.  Tests do not count, so
-    # code only they call shows up here
+def definitions(tree):
+    """Each function, method and class: (name, first line with its
+    decorators, last line)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            decorators = [d.lineno for d in node.decorator_list]
+            yield node.name, min([node.lineno] + decorators), node.end_lineno
+
+
+def module_level_names(tree):
+    """Each name a module-level assignment binds: (name, first line, last
+    line of the assignment)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in (target.elts if isinstance(target, ast.Tuple)
+                         else [target]):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno, node.end_lineno
+
+
+def unnamed_elsewhere(named):
+    """The `named(tree)` entries of the package (dunders aside) that are
+    not named, as a whole word, outside their own lines: in the package,
+    the demos, the benchmark or the README.  Tests do not count, so code
+    only they use shows up here."""
     package = sorted((ROOT / "src" / "flowseg").glob("*.py"))
     sources = [*package, *sorted((ROOT / "demos").glob("*.py")),
                *sorted((ROOT / "perfbench").glob("*.py")),
@@ -51,19 +78,23 @@ def test_every_definition_is_named_elsewhere():
     for path in package:
         lines = texts[path].splitlines()
         others = [text for other, text in texts.items() if other != path]
-        for node in ast.walk(ast.parse(texts[path])):
-            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef))
-                    or re.fullmatch(r"__\w+__", node.name)):
+        for name, first, last in named(ast.parse(texts[path])):
+            if re.fullmatch(r"__\w+__", name):
                 continue
-            word = re.compile(rf"\b{node.name}\b")
-            # the definition's own lines, decorators included, do not count
-            first = min([node.lineno]
-                        + [d.lineno for d in node.decorator_list])
-            rest = "\n".join(lines[:first - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{name}\b")
+            rest = "\n".join(lines[:first - 1] + lines[last:])
             if not any(word.search(text) for text in [rest, *others]):
-                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
-    assert unnamed == []
+                unnamed.append(f"{path.name}:{first} {name}")
+    return unnamed
+
+
+def test_every_definition_is_named_elsewhere():
+    assert unnamed_elsewhere(definitions) == []
+
+
+def test_every_module_level_name_is_named_elsewhere():
+    # a constant left behind by deleted code fails here
+    assert unnamed_elsewhere(module_level_names) == []
 
 
 # stored for callers: the column of a parse error, which the message

@@ -8,12 +8,10 @@ nonzero center cells plus the promoted ones.
 """
 
 import math
-from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowseg import projection
 from flowseg.events import Event
 from flowseg.projection import AccumulatorGrid, event_columns, grid_images
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig
@@ -227,10 +225,8 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
        events=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
                                  st.integers(0, 40_000),
                                  st.sampled_from((1, -1))),
-                       max_size=40),
-       block=st.sampled_from((1, 5, projection._BLOCK_PAIRS)))
-def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events,
-                                                 block):
+                       max_size=40))
+def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events):
     # grid k = j*m + i of the kernel is the flow (col[i], row[j]), and
     # holds every cell its events touch, cancelled ones included
     col, row = speeds[:m], speeds[5:5 + m]
@@ -239,8 +235,7 @@ def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events,
     for u, v, dt, s in events:
         t += dt
         batch.append(Event(u, v, t, s))
-    with mock.patch.object(projection, "_BLOCK_PAIRS", block):
-        images = grid_images(event_columns(batch), t_ref, col, row)
+    images = grid_images(event_columns(batch), t_ref, col, row)
     assert len(images) == m * m
     for k, (keys, sums) in enumerate(images):
         flow = (col[k % m], row[k // m])
