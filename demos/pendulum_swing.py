@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Pendulum swing: one plane rides a time-varying velocity.
+"""Pendulum swing: a succession of planes rides a time-varying velocity.
 
 A disc swings like a pendulum bob, decelerating into the turn near the
-end of the stream.  A constant-flow fit would smear this; the
-recentering walk lets a single plane follow the changing velocity
-instead.  The table bins labeled events into 25 ms windows and prints
-the median tracked speed next to the true profile.
+end of the stream.  A constant-flow fit would smear this.  A tracking
+plane keeps its flow, so as the velocity changes its hits thin out, it
+is pruned, and discovery seeds a new plane at the current flow: the
+planes follow the swing one after another (23 created, 4 merged and 18
+pruned on this scene, the same with the velocity walk of m_grid = 3).
+The table bins labeled events into 25 ms windows and prints the median
+tracked speed next to the true profile.
 """
 
 import math
@@ -24,8 +27,8 @@ events, gt = generate_scene([(contour, motion)], duration=1.71,
 print(f"peak flow {motion.peak_flow:.0f} px/s, period {motion.period_s:.2f}s, "
       f"{len(events)} events")
 
-# promotion re-seeds a plane from scratch at the promoted flow; with an
-# accelerating target that fights the walk, so disable it outright
+# promotion grows a footprint at the plane's flow, which an accelerating
+# target soon leaves, so disable it outright
 cfg = EngineConfig(
     flow_plane=FlowPlaneConfig(p_stable=300, noise_lifespan_s=0.1),
     track_plane=TrackPlaneConfig(evolve_threshold=10 ** 9))

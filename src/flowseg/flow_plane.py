@@ -115,7 +115,7 @@ class MetricArray:
     them are int64.  A drain writes every row store, one at a time:
     each lookup, merge and compaction runs over about 1/n of the cells,
     while they are in cache, and no pass runs over the whole store.  A
-    row store is replaced once per slice of a drain (`_insert`).  A
+    row store takes one merge per slice of a drain (`_insert`).  A
     cell may hold 0 until the next batch that retracts events compacts
     its row.  An event counts by the sign of its polarity.  `held` is in
     time order.
@@ -178,18 +178,21 @@ class MetricArray:
         pos = pos[miss]                 # freed before the other two
         return keys[miss], adds[miss], pos
 
-    def _insert(self, j: int, missing: tuple, compact: bool) -> None:
+    def _insert(self, j: int, missing: list, compact: bool) -> None:
         """Merge the cells that `_lookup` found missing from row store j
-        (`missing`, as it returns them) into the store in one pass, and
-        with `compact` then drop its cells that hold 0.  The one place a
-        row store is replaced."""
-        keys, adds, pos = missing
-        stored, values = self.row_keys[j], self.row_values[j]
+        into the store in one pass, and with `compact` then drop its
+        cells that hold 0.  `missing` is a one-element list of what
+        `_lookup` returned; it is popped, so that the caller holds no
+        reference to those cells.  Each merged array replaces the old
+        one as soon as it is built, and the missing cells are dropped
+        before the compaction, so no old row waits beside its merged and
+        compacted copies.  The one place a row store is replaced."""
+        keys, adds, pos = missing.pop()
         if pos is None:                 # an empty store: the cells are it
-            stored, values = keys, adds
+            self.row_keys[j], self.row_values[j] = keys, adds
         elif len(pos):
             new = np.add(pos, np.arange(len(pos)), out=pos)
-            size = len(stored) + len(new)
+            size = len(self.row_keys[j]) + len(new)
             kept = np.ones(size, dtype=bool)
             kept[new] = False
             # where the stored cells go, worked out once for both arrays:
@@ -197,19 +200,21 @@ class MetricArray:
             # boolean-mask assignment (55k stored + 8.5k new cells)
             moved = np.flatnonzero(kept)
             del kept
-            merged_keys = np.empty(size, dtype=np.int64)
-            merged_keys[new] = keys
-            merged_keys[moved] = stored
-            merged_values = np.empty(size, dtype=np.int32)
-            merged_values[new] = adds
-            merged_values[moved] = values
-            stored, values = merged_keys, merged_values
+            merged = np.empty(size, dtype=np.int64)
+            merged[new] = keys
+            merged[moved] = self.row_keys[j]
+            self.row_keys[j] = merged
+            merged = np.empty(size, dtype=np.int32)
+            merged[new] = adds
+            merged[moved] = self.row_values[j]
+            self.row_values[j] = merged
+            del keys, adds, pos, new, moved, merged
         elif not compact:
             return                      # every cell was stored: no change
         if compact:
-            nonzero = np.flatnonzero(values)
-            stored, values = stored.take(nonzero), values.take(nonzero)
-        self.row_keys[j], self.row_values[j] = stored, values
+            nonzero = np.flatnonzero(self.row_values[j])
+            self.row_keys[j] = self.row_keys[j].take(nonzero)
+            self.row_values[j] = self.row_values[j].take(nonzero)
 
     def apply_batch(self, events: Sequence[Event],
                     flushes: Sequence[tuple[int, int]] = ()
@@ -226,9 +231,9 @@ class MetricArray:
         stores before the next one looks them up.  A kernel block is one
         speed row: its cells are looked up and added to the cells its
         store holds, and once the block's temporaries are freed its new
-        cells go into the store in one merge, so a slice replaces each
+        cells go into the store in one merge, so a slice merges into each
         row store once.  If the batch retracted anything, the last slice
-        compacts each row store right after writing it, dropping the
+        compacts each row store right after its merge, dropping the
         cells that hold 0.  A retraction from a cell no longer stored
         reads it as 0: its events had cancelled.
 
@@ -274,11 +279,10 @@ class MetricArray:
             for j, pairs in grid_pairs(us[r0:r1], vs[r0:r1], dt[r0:r1],
                                        self.col_vu, self.row_vv,
                                        np.arange(b), bits):
-                missing = self._apply_block(j, pairs, bits, signs,
-                                            top_index, top_so_far)
+                missing = [self._apply_block(j, pairs, bits, signs,
+                                             top_index, top_so_far)]
                 del pairs               # the block's temporaries go first
                 self._insert(j, missing, compact)
-                del missing
         tops = [None if empty else int(best[end])
                 for end, empty in zip(ends, emptied)]
         held.extend(events)
@@ -352,8 +356,9 @@ class MetricArray:
                                            self.row_vv):
                 values = sums.astype(np.int32)
                 del sums
-                self._insert(j, self._lookup(j, keys, values), False)
+                missing = [self._lookup(j, keys, values)]
                 del keys, values
+                self._insert(j, missing, False)
                 if e1 == len(events):
                     self._metrics[j * n:j * n + n] = self._grid_squares(j)
         self.held.extend(events)

@@ -1,13 +1,16 @@
 """Velocity tracking: one plane per segmented structure.
 
 A plane owns m x m accumulation grids whose flows are angular
-perturbations (step h per axis) around the plane's center flow.  An
-event whose center-grid projection lands in the active footprint is a
-hit: it accumulates into every grid, and each grid whose own projected
-cell was already nonzero scores a hit point.  When any grid's points
-clear hit_fraction * |footprint| the plane recenters: it adopts an
-off-center grid's flow and doubles h when that grid wins clearly, halves
-h when the center wins, and doubles h on a tie, when no grid separated.
+perturbations (step h per axis) around the plane's center flow; by
+default m = 1, the center grid alone.  An event whose center-grid
+projection lands in the active footprint is a hit: it accumulates into
+every grid, and each grid whose own projected cell was already nonzero
+scores a hit point.  When any grid's points clear hit_fraction *
+|footprint| the plane recenters: it adopts an off-center grid's flow
+and doubles h when that grid wins clearly, halves h when the center
+wins, and doubles h on a tie, when no grid separated.  This velocity
+walk needs m >= 3: with the center grid alone every recenter is a tie,
+and the flow moves only when the engine merges planes.
 Misses are counted per projected cell; a cell missed evolve_threshold
 times is promoted into the footprint, which is how the plane follows
 contour change.  All grids project from one reference time, set when a
@@ -33,7 +36,9 @@ from .projection import (KEY_M, MAX_GRIDS, AccumulatorGrid, ConsistencyError,
 
 @dataclass
 class TrackPlaneConfig:
-    m_grid: int = 3                # grids per axis (odd, center = current flow)
+    m_grid: int = 1                # grids per axis (odd, center = current flow)
+                                   # the walk (h*_deg, hit_fraction,
+                                   # min_recenter_hits) acts only at 3 and up
     v_ref: float = 100.0           # px/s mapped to 45 deg, as in the flow plane
     h0_deg: float = 0.02           # initial angular perturbation step
     h_min_deg: float = 0.001
@@ -46,8 +51,8 @@ class TrackPlaneConfig:
     v_floor: float = 1.0           # px/s floor for lifetime and rate estimates
 
     def __post_init__(self):
-        if self.m_grid < 3 or self.m_grid % 2 == 0:
-            raise ValueError("m_grid must be odd and at least 3")
+        if self.m_grid < 1 or self.m_grid % 2 == 0:
+            raise ValueError("m_grid must be odd and at least 1")
         if self.m_grid * self.m_grid > MAX_GRIDS:
             # the largest odd m with m*m grids: 1023
             raise ValueError(

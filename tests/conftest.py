@@ -35,16 +35,25 @@ def angled(speed, angle=OFF_AXIS):
     return speed * math.cos(angle), speed * math.sin(angle)
 
 
+# events after this time count toward the hexagon's settled flow
+HEXAGON_SETTLED_US = 1.3e6
+
+
+def hexagon_scene(seed):
+    """The fast hexagon (test_10's scene, and perfbench's `hexagon`):
+    events, truth and engine config.  The seed moves only the noise."""
+    contour = build_contour("hexagon", width=65.0, center=(45.0, 90.0))
+    stream, gt = generate_scene(
+        objects=[(contour, ConstantMotion(*angled(58.0)))],
+        duration=2.6, noise_rate=1500.0, burst_size=5, seed=seed)
+    cfg = EngineConfig(track_plane=TrackPlaneConfig(evolve_threshold=12))
+    return list(stream.events), gt, cfg
+
+
 @pytest.fixture(scope="session")
 def hexagon_run():
     """Fast hexagon scene: events, truth, one timed engine run."""
-    vu, vv = angled(58.0)
-    contour = build_contour("hexagon", width=65.0, center=(45.0, 90.0))
-    stream, gt = generate_scene(
-        objects=[(contour, ConstantMotion(vu, vv))],
-        duration=2.6, noise_rate=1500.0, burst_size=5, seed=11)
-    events = list(stream.events)
-    cfg = EngineConfig(track_plane=TrackPlaneConfig(evolve_threshold=12))
+    events, gt, cfg = hexagon_scene(11)
     engine = Engine(cfg)
     start = time.perf_counter()
     labeled = engine.run(events)
@@ -56,8 +65,8 @@ def hexagon_run():
         "engine": engine,
         "labeled": labeled,
         "wall_s": wall_s,
-        "true_flow": (vu, vv),
-        "settled_after_us": 1.3e6,
+        "true_flow": angled(58.0),
+        "settled_after_us": HEXAGON_SETTLED_US,
     }
 
 

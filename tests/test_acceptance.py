@@ -25,7 +25,7 @@ from flowseg.synth import (ConstantMotion, PendulumMotion, RotationMotion,
                            build_contour, generate_scene)
 from flowseg.track_plane import TrackPlaneConfig, event_lifetime_s
 
-from conftest import angled
+from conftest import HEXAGON_SETTLED_US, angled, hexagon_scene
 from oracles import metric_bruteforce
 
 
@@ -120,6 +120,18 @@ def test_03_flow_accuracy_and_lk_comparison(hexagon_run, rectangle_runs):
     assert -10.0 < engine_signed < 10.0
     assert -50.0 <= lk_signed <= -20.0
     assert engine_angle < lk_angle
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_03_hexagon_bounds_hold_on_every_seed(seed):
+    # test_03's hexagon bounds, over ten noise draws of the same scene
+    events, gt, cfg = hexagon_scene(seed)
+    errors, _ = flow_errors(Engine(cfg).run(events), gt.records)
+    mag, _, angle = median_errors(errors, HEXAGON_SETTLED_US)
+    print(f"hexagon seed {seed} settled medians: |magnitude| {mag:.2f}% "
+          f"(bound 10%), angle {angle:.2f} deg (bound 10 deg)")
+    assert mag < 10.0
+    assert angle < 10.0
 
 
 def test_04_magnitude_bound_across_speed_range(hexagon_run):

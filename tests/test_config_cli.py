@@ -10,7 +10,7 @@ from flowseg.config import (ConfigError, config_lines, load_config,
 def test_load_config_defaults():
     cfg = load_config([])
     assert cfg.flow_plane.n == 20
-    assert cfg.track_plane.m_grid == 3
+    assert cfg.track_plane.m_grid == 1
     assert cfg.maintenance_period == 1000
 
 

@@ -166,11 +166,19 @@ DRAIN_BLOCKS = 7
 
 
 # 1,000 noise events held make about 400k cells (4.8 MB), half a block
-# per row store; 4,000 about 1.6M (19 MB), 1.8 blocks per row store
-@pytest.mark.parametrize("held, ingested", [(1000, 759), (4000, 759),
-                                            (1000, 2943)],
-                         ids=["1x", "4x", "full-block"])
-def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested):
+# per row store; 4,000 about 1.6M (19 MB), 1.8 blocks per row store.
+# The events and a flush of `flushed` held events once 380 of them are
+# in: 1,092 rows, blocks of 21,840 pairs; 3,276 rows, one slice of full
+# blocks of 65,520 pairs; or 5,333 and 6,333 rows, two slices whose
+# last merges and compacts row stores grown by the first
+@pytest.mark.parametrize("held, ingested, flushed",
+                         [(1000, 759, 333), (4000, 759, 333),
+                          (1000, 2943, 333), (4000, 4000, 1333),
+                          (1000, 6000, 333)],
+                         ids=["1x", "4x", "full-block", "two-slice-4x",
+                              "two-slice-1x"])
+def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested,
+                                                      flushed):
     events = random_events(random.Random(73), held + ingested,
                            t_span_us=2_000_000)
     array = MetricArray(FlowPlaneConfig())
@@ -179,17 +187,15 @@ def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        # the events and a flush of 333 held events once 380 of them are
-        # in: 1,092 rows, blocks of 21,840 pairs, or 3,276 rows, one
-        # slice of full blocks of 65,520 pairs
-        array.apply_batch(events[held:], [(380, 333)])
+        array.apply_batch(events[held:], [(380, flushed)])
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the merge of one row holds its old store, the merged one and their
-    # index arrays, less than two of the larger row stores.  With full
-    # blocks, the cells a block found missing from its row store also
-    # wait beside its temporaries, for that merge
+    # the merge of one row holds its old array, the merged one and their
+    # index arrays, and its compaction the merged row, the index of its
+    # nonzero cells and the compacted copy: less than two of the larger
+    # row stores.  With full blocks, the cells a block found missing
+    # from its row store also wait beside its temporaries, for that merge
     largest_row = max(rows + row_bytes(array))
     assert (peak - max(before, after)
             <= DRAIN_BLOCKS * BLOCK_BYTES + 2 * largest_row)
@@ -219,7 +225,9 @@ def test_row_stores_are_replaced_once_per_slice():
     # second ending inside the flush
     with mock.patch.object(flow_plane, "_BLOCK_PAIRS", 6000):
         best, tops = sliced.apply_batch(batch, flushes)
-    assert sliced.row_keys.sets == [3] * cfg.n
+    # one merge per slice; the last slice, which compacts, then replaces
+    # the merged row with its compacted copy
+    assert sliced.row_keys.sets == [4] * cfg.n
     # the same argmaxes, metrics and store as one slice
     whole_best, whole_tops = whole.apply_batch(batch, flushes)
     assert best.tolist() == whole_best.tolist() and tops == whole_tops

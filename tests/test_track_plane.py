@@ -121,8 +121,12 @@ def test_expire_raises_on_event_never_accumulated():
         plane.expire(plane.held[-1].t + 10 ** 6)
 
 
+# the velocity walk compares the perturbation grids, so its tests lay
+# out m_grid = 3; the default plane keeps the center grid alone
+
+
 def test_recenter_tie_widens_perturbations():
-    plane = make_plane((58.0, 0.0))
+    plane = make_plane((58.0, 0.0), TrackPlaneConfig(m_grid=3))
     h0 = plane.h
     flow0 = plane.center_flow
     plane.hits = [20] * 9            # no grid separated
@@ -133,7 +137,7 @@ def test_recenter_tie_widens_perturbations():
 
 
 def test_recenter_center_win_narrows():
-    cfg = TrackPlaneConfig(h0_deg=0.08)
+    cfg = TrackPlaneConfig(m_grid=3, h0_deg=0.08)
     plane = make_plane((58.0, 0.0), cfg)
     h0 = plane.h
     plane.hits = [10] * 9
@@ -144,7 +148,8 @@ def test_recenter_center_win_narrows():
 
 
 def test_recenter_h_clamps():
-    cfg = TrackPlaneConfig(h0_deg=0.002, h_min_deg=0.001, h_max_deg=0.004)
+    cfg = TrackPlaneConfig(m_grid=3, h0_deg=0.002, h_min_deg=0.001,
+                           h_max_deg=0.004)
     plane = make_plane((58.0, 0.0), cfg)
     plane.hits = [10] * 9
     plane.hits[plane.center_index] = 60
@@ -166,7 +171,7 @@ BLURRY = {pack_cell(0, 0): 6, pack_cell(1, 0): 2}
 
 
 def test_recenter_adopts_decisive_off_center_winner():
-    plane = make_plane((58.0, 0.0))
+    plane = make_plane((58.0, 0.0), TrackPlaneConfig(m_grid=3))
     h0 = plane.h
     winner = plane.center_index + 1       # one step up in v_u
     target_flow = (plane.col_vu[2], plane.row_vv[1])
@@ -186,7 +191,7 @@ def test_recenter_rejects_weak_or_blurry_winner():
     # a small hit surplus is boundary luck; keep the center flow
     # (both spreads clear the margin over the empty grids, so the refusal
     # counts as a center win and narrows h)
-    plane = make_plane((58.0, 0.0))
+    plane = make_plane((58.0, 0.0), TrackPlaneConfig(m_grid=3))
     h0 = plane.h
     winner = plane.center_index + 1
     plane.hits = [0] * 9
@@ -199,7 +204,7 @@ def test_recenter_rejects_weak_or_blurry_winner():
     assert plane.h == pytest.approx(h0 / 2)
 
     # a decisive surplus with a weaker contrast metric is also refused
-    plane2 = make_plane((58.0, 0.0))
+    plane2 = make_plane((58.0, 0.0), TrackPlaneConfig(m_grid=3))
     winner2 = plane2.center_index + 1
     plane2.hits = [0] * 9
     plane2.hits[plane2.center_index] = 10
@@ -216,7 +221,7 @@ def test_recenter_rejects_weak_or_blurry_winner():
 def aged_plane():
     """A plane whose oldest held event is no longer the one it was laid
     from: the five seed events expired, two later hits remain."""
-    cfg = TrackPlaneConfig(evolve_threshold=1000)
+    cfg = TrackPlaneConfig(m_grid=3, evolve_threshold=1000)
     plane = make_plane((58.0, 0.0), cfg)
     # the structure has marched 2.3 and 2.6 px in +u by then
     assert plane.try_match(Event(22, 40, 40_000, 1)) is True
@@ -272,8 +277,10 @@ def test_expire_projects_once_after_a_center_win():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrackPlaneConfig(m_grid=2)       # needs a center grid
+    TrackPlaneConfig(m_grid=1)           # the center grid alone
+    for m_grid in (0, 2):                # no grid, or no center grid
+        with pytest.raises(ValueError, match="m_grid must be odd"):
+            TrackPlaneConfig(m_grid=m_grid)
     TrackPlaneConfig(m_grid=1023)
     with pytest.raises(ValueError, match="m_grid must be at most 1023"):
         TrackPlaneConfig(m_grid=1025)    # grid keys past int64

@@ -70,32 +70,33 @@ def on_track(flow, du, dv, t, s):
        ops=st.lists(OPS, max_size=40),
        evolve=st.integers(1, 2),
        recenter_hits=st.integers(1, 8),
-       h0_deg=st.sampled_from((0.02, 1.0, 5.0)))
+       h0_deg=st.sampled_from((0.02, 1.0, 5.0)),
+       m_grid=st.sampled_from((1, 3)))
 # a promoted cell takes a hit, and expiry brings it back to 0
 @example(flow=(0, 25), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 1, 0, 1), ("offer", 0, 1, 0, 1),
               ("expire", 3_000_000)],
-         evolve=1, recenter_hits=1, h0_deg=0.02)
+         evolve=1, recenter_hits=1, h0_deg=0.02, m_grid=3)
 # a hit cancels a cell, and expiring the older event revives it
 @example(flow=(0, 25), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 50_000, -1), ("expire", 100_000)],
-         evolve=2, recenter_hits=8, h0_deg=0.02)
+         evolve=2, recenter_hits=8, h0_deg=0.02, m_grid=3)
 # expiry moves the oldest held event, and a center win rebuilds every
 # grid from the t_ref the plane was laid with, not from that event
 @example(flow=(20, 0), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 100_000, 1), ("expire", 100_000),
               ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
               ("offer", 0, 0, 0, 1)],
-         evolve=2, recenter_hits=8, h0_deg=0.02)
+         evolve=2, recenter_hits=8, h0_deg=0.02, m_grid=3)
 # then everything expires: every grid retracts through that same t_ref
 @example(flow=(20, 0), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 100_000, 1), ("expire", 100_000),
               ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
               ("offer", 0, 0, 0, 1), ("expire", 3_000_000)],
-         evolve=2, recenter_hits=8, h0_deg=0.02)
+         evolve=2, recenter_hits=8, h0_deg=0.02, m_grid=3)
 def test_track_plane_matches_bruteforce(flow, seed, ops, evolve,
-                                        recenter_hits, h0_deg):
-    cfg = TrackPlaneConfig(evolve_threshold=evolve,
+                                        recenter_hits, h0_deg, m_grid):
+    cfg = TrackPlaneConfig(m_grid=m_grid, evolve_threshold=evolve,
                            min_recenter_hits=recenter_hits, h0_deg=h0_deg)
     t = 0
     events = []
@@ -113,7 +114,9 @@ def test_track_plane_matches_bruteforce(flow, seed, ops, evolve,
             t += op[1]
             plane.expire(t)
         else:
-            plane.hits = list(op[1])
+            # the nine counts are the 3 x 3 layout's; a lone grid takes
+            # its center's (index 4), and can only tie
+            plane.hits = list(op[1]) if m_grid == 3 else [op[1][4]]
             plane.recenter(t)
         check_plane(plane)
 
