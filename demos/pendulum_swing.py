@@ -6,7 +6,7 @@ end of the stream.  A constant-flow fit would smear this.  A tracking
 plane keeps its flow, so as the velocity changes its hits thin out, it
 is pruned, and discovery seeds a new plane at the current flow: the
 planes follow the swing one after another (23 created, 4 merged and 18
-pruned on this scene, the same with the velocity walk of m_grid = 3).
+pruned on this scene).
 The table bins labeled events into 25 ms windows and prints the median
 tracked speed next to the true profile.
 """

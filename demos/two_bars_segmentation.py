@@ -22,9 +22,8 @@ def main():
                                 burst_size=2, seed=29)
 
     # A straight bar carries no texture along its length, so its
-    # along-edge flow component is unobservable.  A default plane keeps
-    # its seed's flow, with no velocity walk to wander along the edge
-    # (with m_grid >= 3 the walk is on; clamp h_max_deg near 0.1 then).
+    # along-edge flow component is unobservable.  A plane keeps its
+    # seed's flow until a merge, so it does not wander along the edge.
     # Promote misses quickly.
     cfg = EngineConfig(track_plane=TrackPlaneConfig(evolve_threshold=5))
     labeled, engine = run_stream(events.events, cfg)

@@ -5,9 +5,8 @@ with a segment id and that segment's image-plane velocity, with no
 frames and no batch optimization: candidate flows are scored by the
 sharpness of polarity-signed event projections, stable candidates become
 tracking planes, and tracking planes follow their structure through
-footprint evolution, merging and pruning (and, with `m_grid` >= 3, a
-recentering velocity walk).  A synthetic scene generator with
-per-event ground truth and a timestamp-surface plane-fit baseline
+footprint evolution, merging and pruning.  A synthetic scene generator
+with per-event ground truth and a timestamp-surface plane-fit baseline
 support evaluation.
 """
 

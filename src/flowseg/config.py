@@ -1,6 +1,6 @@
 """Flat key = value configuration files and run manifests.
 
-Config keys are dotted: `flow_plane.n`, `track_plane.h0_deg`,
+Config keys are dotted: `flow_plane.n`, `track_plane.lifetime_px`,
 `engine.maintenance_period`.  Values are parsed by the target field's
 type, unknown keys are errors, and the assembled dataclasses run their
 own validation.  A manifest records everything needed to repeat a run;
@@ -84,7 +84,6 @@ def _build(assignments: dict[str, tuple[str, str]]) -> EngineConfig:
         except ConfigError as exc:
             raise ConfigError(f"{where}{key}: {exc}") from None
 
-    # a failed validation names its section: both planes have a v_ref
     built = {}
     for section, cls in (("flow_plane", FlowPlaneConfig),
                          ("track_plane", TrackPlaneConfig)):

@@ -13,6 +13,7 @@ footprint, and prunes planes whose hit rate has collapsed.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -205,21 +206,22 @@ class Engine:
         shared = len(_dilate_cells(smaller) & larger)
         return shared / len(smaller) > self.cfg.merge_overlap_tol
 
-    def _merge_pair(self, keep: TrackPlane, drop: TrackPlane) -> TrackPlane:
+    def _merge_pair(self, keep: TrackPlane, drop: TrackPlane) -> None:
+        """Recenter `keep` on both planes' events, at the held-weighted
+        mean of their flows."""
         total = len(keep.held) + len(drop.held)
         wa = len(keep.held) / total
         wb = len(drop.held) / total
         flow = FlowVector(
             wa * keep.center_flow.v_u + wb * drop.center_flow.v_u,
             wa * keep.center_flow.v_v + wb * drop.center_flow.v_v)
-        events = sorted(list(keep.held) + list(drop.held), key=lambda e: e.t)
-        merged = TrackPlane(keep.plane_id, flow, events, self.cfg.track_plane)
-        merged.created_us = min(keep.created_us, drop.created_us)
+        keep.recenter(flow, sorted(list(keep.held) + list(drop.held),
+                                   key=lambda e: e.t))
+        keep.created_us = min(keep.created_us, drop.created_us)
         # hit history must survive, or the next prune sweep reads an
         # empty window and kills the merged plane on the spot
-        merged.hit_times.extend(sorted(list(keep.hit_times)
-                                       + list(drop.hit_times)))
-        return merged
+        keep.hit_times = deque(sorted(list(keep.hit_times)
+                                      + list(drop.hit_times)))
 
     def _merge_planes(self, now_us: int) -> None:
         changed = True
@@ -235,7 +237,7 @@ class Engine:
                         continue
                     if not self._footprints_overlap(a, b, now_us):
                         continue
-                    self.planes[i] = self._merge_pair(a, b)
+                    self._merge_pair(a, b)
                     del self.planes[j]
                     self.stats.merges += 1
                     changed = True
@@ -262,7 +264,7 @@ class Engine:
         """One CSV row per live plane, ascending id."""
         if now_us is None:
             now_us = self._last_t if self._last_t is not None else 0
-        rows = ["id,t,v_u,v_v,h_deg,cells,events"]
+        rows = ["id,t,v_u,v_v,cells,events"]
         for plane in sorted(self.planes, key=lambda p: p.plane_id):
             rows.append(plane.snapshot_row(now_us))
         return rows

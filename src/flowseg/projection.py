@@ -4,13 +4,14 @@ Projecting an event along a flow (v_u, v_v) removes the motion component:
 ``proj(e) = (round(u - v_u*dt), round(v - v_v*dt))`` with dt relative to the
 grid's reference timestamp.  Signed polarities are summed per cell; the
 sharpness metric is the sum of squared cell values (accumulating s into a
-cell holding c changes it by 2*c*s + s**2).  A tracking grid computes it
-only when read.  Rounding is half-away-from-zero.  A grid's owner keeps
-its flow and reference time.  A candidate array is stored as its two
-speed axes, grid k's flow is `grid_flow(col_vu, row_vv, k)`, and batches
-of events are projected onto a whole array one speed row of candidates
-at a time (`grid_pairs`), the kernel that discovery's n x n array and
-tracking's m x m grids share.  `grid_sums` groups each row into grid
+cell holding c changes it by 2*c*s + s**2); discovery keeps it per
+candidate, and a tracking plane keeps only the cells of its one grid.
+Rounding is half-away-from-zero.  A grid's owner keeps its flow and
+reference time.  A candidate array is stored as its two speed axes,
+grid k's flow is `grid_flow(col_vu, row_vv, k)`, and batches of events
+are projected onto a whole array one speed row of candidates at a time
+(`grid_pairs`), the kernel that discovery's n x n array and a tracking
+plane's one grid share.  `grid_sums` groups each row into grid
 cells as it comes, so its callers hold one row's temporaries at a
 time; discovery bounds a row's size by how many events it projects at
 once.
@@ -94,11 +95,6 @@ class AccumulatorGrid:
 
     def __init__(self):
         self.cells: dict[int, int] = {}
-
-    @property
-    def metric(self) -> int:
-        """Contrast: the sum of squared cell values, computed on each read."""
-        return sum(c * c for c in self.cells.values())
 
     def accumulate_batch(self, keys: np.ndarray, sums: np.ndarray) -> None:
         """Add a projected batch: unique packed cells, ascending, and the

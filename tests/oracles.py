@@ -39,6 +39,11 @@ def metric_bruteforce(events: Iterable[Event], flow, t_ref_us: int) -> int:
     return sum(c * c for c in f.values())
 
 
+def sum_squares(cells: dict[int, int]) -> int:
+    """The contrast of a grid's cells: the sum of their squares."""
+    return sum(c * c for c in cells.values())
+
+
 def bruteforce_image(events: Iterable[Event], flow,
                      t_ref_us: int) -> dict[int, int]:
     """The signed polarity sum in every packed cell that `events` project

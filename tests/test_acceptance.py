@@ -26,7 +26,7 @@ from flowseg.synth import (ConstantMotion, PendulumMotion, RotationMotion,
 from flowseg.track_plane import TrackPlaneConfig, event_lifetime_s
 
 from conftest import HEXAGON_SETTLED_US, angled, hexagon_scene
-from oracles import metric_bruteforce
+from oracles import metric_bruteforce, sum_squares
 
 
 def median_errors(errors, t_cut_us):
@@ -64,7 +64,7 @@ def test_01_incremental_metric_equals_bruteforce():
                 j = live.pop(rng.randrange(len(live)))
                 grid.retract_batch(keys[j:j + 1], polarities[j:j + 1])
             if i + 1 in checkpoints:
-                assert grid.metric == metric_bruteforce(
+                assert sum_squares(grid.cells) == metric_bruteforce(
                     [events[j] for j in live], flow, t_ref)
     elapsed = time.perf_counter() - start
     print(f"incremental==bruteforce for 50 flows x 10k events "
@@ -159,7 +159,7 @@ def test_04_magnitude_bound_across_speed_range(hexagon_run):
     engine = Engine(EngineConfig(
         flow_plane=FlowPlaneConfig(n=40, p_stable=2000,
                                    noise_lifespan_s=0.1),
-        track_plane=TrackPlaneConfig(evolve_threshold=5, h_max_deg=1.0)))
+        track_plane=TrackPlaneConfig(evolve_threshold=5)))
     errors, _ = flow_errors(engine.run(stream.events), gt.records)
     results[289.0], _, _ = median_errors(errors, 0.341e6)
 
@@ -180,7 +180,7 @@ def test_05_opposite_bars_segment_cleanly():
                  (bar_b, ConstantMotion(-58.0, 0.0))],
         duration=1.8, noise_rate=800.0, burst_size=2, seed=29)
     engine = Engine(EngineConfig(
-        track_plane=TrackPlaneConfig(evolve_threshold=5, h_max_deg=0.1)))
+        track_plane=TrackPlaneConfig(evolve_threshold=5)))
     labeled = engine.run(stream.events)
     errors, _ = flow_errors(labeled, gt.records)
     cross = cross_label_fraction(errors)

@@ -10,16 +10,16 @@ from flowseg.config import (ConfigError, config_lines, load_config,
 def test_load_config_defaults():
     cfg = load_config([])
     assert cfg.flow_plane.n == 20
-    assert cfg.track_plane.m_grid == 1
+    assert cfg.track_plane.lifetime_px == 3.0
     assert cfg.maintenance_period == 1000
 
 
 def test_load_config_overrides():
     cfg = load_config(["flow_plane.n = 40",
-                       "track_plane.h0_deg = 0.05",
+                       "track_plane.lifetime_px = 2.5",
                        "engine.maintenance_period = 500"])
     assert cfg.flow_plane.n == 40
-    assert cfg.track_plane.h0_deg == 0.05
+    assert cfg.track_plane.lifetime_px == 2.5
     assert cfg.maintenance_period == 500
 
 
@@ -30,6 +30,8 @@ def test_load_config_rejects_bad_keys():
         load_config(["flow_plane.bogus = 1"])
     with pytest.raises(ConfigError):
         load_config(["rocket.n = 1"])
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(["track_plane.h_max_deg = 0.1"])  # init-only, ignored
     with pytest.raises(ConfigError):
         load_config(["flow_plane.n = twenty"])
     with pytest.raises(ConfigError):
@@ -90,6 +92,29 @@ def test_cli_run_eval_render(tmp_path, synth_files, capsys):
     assert run_cli("render", "--labeled", labeled, "--out-dir", frames,
                    "--mode", "flow") == 0
     assert any(name.endswith(".ppm") for name in os.listdir(frames))
+
+
+def test_cli_run_writes_plane_snapshots(tmp_path, synth_files):
+    _, events, _ = synth_files
+    snapshots = tmp_path / "planes.csv"
+    manifest = tmp_path / "manifest.txt"
+    assert run_cli("run", events, "--out", str(tmp_path / "labeled.txt"),
+                   "--snapshots", str(snapshots),
+                   "--manifest", str(manifest)) == 0
+    header, *rows = snapshots.read_text().splitlines()
+    assert header == "id,t,v_u,v_v,cells,events"
+    fields = manifest.read_text().splitlines()
+    assert f"count.planes_live={len(rows)}" in fields
+    assert rows, "the scene ends with a live plane"
+    for row in rows:
+        plane_id, t, v_u, v_v, cells, held = row.split(",")
+        assert int(plane_id) >= 0 and int(t) > 0
+        assert float(v_u) > 0 and int(cells) > 0 and int(held) >= 0
+    # the manifest records the three tracking fields, no ignored one
+    tracking = [f for f in fields if f.startswith("config.track_plane.")]
+    assert tracking == ["config.track_plane.evolve_threshold=3",
+                        "config.track_plane.lifetime_px=3.0",
+                        "config.track_plane.v_floor=1.0"]
 
 
 def test_cli_lk(tmp_path, synth_files):
@@ -173,7 +198,6 @@ def test_cli_set_bad_integer_names_its_key(tmp_path, tiny_events, capsys):
     ("flow_plane.n=1", "flow_plane: n must be at least 2"),
     ("flow_plane.n=1025", "flow_plane: n must be at most 1024"),
     ("flow_plane.n=100000", "flow_plane: n must be at most 1024"),
-    ("track_plane.m_grid=1025", "track_plane: m_grid must be at most 1023"),
 ])
 def test_cli_rejects_arrays_past_the_grid_keys(tmp_path, tiny_events, capsys,
                                                assignment, message):
@@ -186,9 +210,9 @@ def test_cli_rejects_arrays_past_the_grid_keys(tmp_path, tiny_events, capsys,
 
 def test_cli_set_bad_number_names_its_key(tmp_path, tiny_events, capsys):
     assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
-                   "--set", "track_plane.h0_deg=fast") == 2
+                   "--set", "track_plane.lifetime_px=fast") == 2
     assert capsys.readouterr().err == (
-        "error: track_plane.h0_deg: expected a number, got 'fast'\n")
+        "error: track_plane.lifetime_px: expected a number, got 'fast'\n")
 
 
 @pytest.mark.parametrize("key, value", [

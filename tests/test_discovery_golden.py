@@ -40,7 +40,7 @@ def bars_scene():
                                duration=1.8, noise_rate=800.0, burst_size=2,
                                seed=29)
     return stream.events, EngineConfig(
-        track_plane=TrackPlaneConfig(evolve_threshold=5, h_max_deg=0.1))
+        track_plane=TrackPlaneConfig(evolve_threshold=5))
 
 
 def noise_scene():

@@ -151,9 +151,12 @@ def test_merge_combines_agreeing_overlapping_planes():
     assert len(engine.planes) == 1
     assert engine.stats.merges == 1
     merged = engine.planes[0]
-    assert merged.plane_id == 0
+    # the kept plane is recentered in place on both planes' events
+    assert merged is a and merged.plane_id == 0
     assert 50.0 <= merged.center_flow.v_u <= 52.0
     assert len(merged.held) == 60
+    assert merged.t_ref_us == events[0].t
+    assert merged.active == merged.grid.nonzero_cells()
 
 
 def test_merge_skips_disagreeing_flows():

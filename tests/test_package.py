@@ -10,6 +10,7 @@ import pytest
 
 import flowseg
 from flowseg.config import manifest_lines
+from flowseg.engine import EngineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 FROM_FLOWSEG = re.compile(r"^from flowseg import (?:\(([^)]*)\)|(.*))$", re.M)
@@ -97,9 +98,10 @@ def test_every_module_level_name_is_named_elsewhere():
     assert unnamed_elsewhere(module_level_names) == []
 
 
-# stored for callers: the column of a parse error, which the message
-# already names, kept as data for code that catches the error
-READ_BY_CALLERS = {"column"}
+# stored for callers: the column of a parse error and the event index
+# of an ordering error, which the messages already name, kept as data
+# for code that catches the error
+READ_BY_CALLERS = {"column", "index"}
 
 
 def test_every_instance_attribute_is_read():
@@ -141,6 +143,19 @@ def test_perfbench_traced_names_resolve(monkeypatch):
     missing = [f"{name}: {attr}" for name, owner, attr, _ in measure.TRACED
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_perfbench_workload_configs_build():
+    # the benchmark builds each workload's EngineConfig through the
+    # public config classes; a field it passes (the bars' ignored
+    # `h_max_deg`, say) must stay accepted until the benchmark drops it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert {"hexagon", "bars", "noise"} <= set(workloads.WORKLOADS)
+    for workload in workloads.WORKLOADS.values():
+        assert isinstance(workload.config(), EngineConfig)
 
 
 def test_manifest_version_is_package_version():

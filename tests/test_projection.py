@@ -10,7 +10,7 @@ from flowseg.projection import (AccumulatorGrid, ConsistencyError, FlowVector,
                                 unpack_cell)
 
 from oracles import (array_flows, bruteforce_image, metric_bruteforce,
-                     pack_cell)
+                     pack_cell, sum_squares)
 
 
 def random_events(rng, count, t_span_us=500_000, width=240, height=180):
@@ -72,13 +72,13 @@ def test_accumulate_deltas_and_inverse():
     metrics = []
     for step in (add, add, remove, remove):
         step(grid, [e], flow, 0)
-        metrics.append(grid.metric)
+        metrics.append(sum_squares(grid.cells))
     # deltas 1 (fresh cell), 3 (2c+1 at c=1), then their inverses
     assert metrics == [1, 4, 1, 0]
     # opposite polarity on a positive cell lowers the metric
     add(grid, [e], flow, 0)
     add(grid, [Event(5, 5, 0, -1)], flow, 0)
-    assert grid.metric == 0
+    assert sum_squares(grid.cells) == 0
 
 
 def test_retract_untouched_cell_raises():
@@ -94,17 +94,17 @@ def test_cancelled_cell_still_retractable():
     flow = FlowVector(0.0, 0.0)
     add(grid, [Event(3, 3, 0, 1)], flow, 0)
     add(grid, [Event(3, 3, 10, -1)], flow, 0)
-    assert grid.metric == 0
+    assert sum_squares(grid.cells) == 0
     assert grid.nonzero_cells() == set()
     # the zero entry stays, so retraction does not look untouched
     assert remove(grid, [Event(3, 3, 0, 1)], flow, 0) == [pack_cell(3, 3)]
-    assert grid.metric == 1
+    assert sum_squares(grid.cells) == 1
     # a batch that cancels within itself leaves its cell retractable too
     fresh = AccumulatorGrid()
     add(fresh, [Event(3, 3, 0, 1), Event(3, 3, 10, -1)], flow, 0)
     assert fresh.cells == {pack_cell(3, 3): 0}
     remove(fresh, [Event(3, 3, 10, -1)], flow, 0)
-    assert fresh.metric == 1
+    assert sum_squares(fresh.cells) == 1
 
 
 def test_incremental_matches_bruteforce_small():
@@ -121,7 +121,8 @@ def test_incremental_matches_bruteforce_small():
             if i % 5 == 4:
                 victim = live.pop(rng.randrange(len(live)))
                 remove(grid, [victim], flow, t_ref)
-        assert grid.metric == metric_bruteforce(live, flow, t_ref)
+        assert sum_squares(grid.cells) == metric_bruteforce(live, flow,
+                                                            t_ref)
 
 
 def test_batch_matches_scalar():
@@ -131,7 +132,8 @@ def test_batch_matches_scalar():
     batched = AccumulatorGrid()
     t_ref = events[0].t
     add(batched, events, flow, t_ref)
-    assert batched.metric == metric_bruteforce(events, flow, t_ref)
+    assert sum_squares(batched.cells) == metric_bruteforce(events, flow,
+                                                           t_ref)
     # every touched cell is kept, cancelled ones at 0
     assert batched.cells == bruteforce_image(events, flow, t_ref)
 
@@ -139,12 +141,14 @@ def test_batch_matches_scalar():
     more = random_events(rng, 150)
     shifted = [Event(e.u, e.v, e.t + events[-1].t, e.s) for e in more]
     add(batched, shifted, flow, t_ref)
-    assert batched.metric == metric_bruteforce(events + shifted, flow, t_ref)
+    assert sum_squares(batched.cells) == metric_bruteforce(events + shifted,
+                                                           flow, t_ref)
     assert batched.cells == bruteforce_image(events + shifted, flow, t_ref)
 
     touched = remove(batched, shifted, flow, t_ref)
     assert touched == sorted(bruteforce_image(shifted, flow, t_ref))
-    assert batched.metric == metric_bruteforce(events, flow, t_ref)
+    assert sum_squares(batched.cells) == metric_bruteforce(events, flow,
+                                                           t_ref)
     # the cells only the retracted batch touched stay, at 0
     expected = dict.fromkeys(touched, 0)
     expected.update(bruteforce_image(events, flow, t_ref))
@@ -166,11 +170,11 @@ def test_metric_counts_coincident_events():
     grid = AccumulatorGrid()
     for i in range(6):
         add(grid, [Event(9, 9, i, 1)], flow, 0)
-    assert grid.metric == 36
+    assert sum_squares(grid.cells) == 36
     spread = AccumulatorGrid()
     for i in range(6):
         add(spread, [Event(i, 0, 0, 1)], flow, 0)
-    assert spread.metric == 6
+    assert sum_squares(spread.cells) == 6
 
 
 @pytest.mark.parametrize("n", [3, 20])

@@ -1,10 +1,10 @@
 """Property tests of tracking.
 
-A tracking plane keeps its m x m grids incrementally: hits add one
-event to every grid, expiry retracts a batch of events, and recenters
-rebuild grids.  After every call each grid must equal the image
+A tracking plane keeps its one grid incrementally: a hit adds one
+event, expiry retracts a batch of events, and a recenter rebuilds the
+grid in a new frame.  After every call the grid must equal the image
 rebuilt from the plane's held events, and the footprint must be the
-nonzero center cells plus the promoted ones.
+nonzero cells plus the promoted ones.
 """
 
 import math
@@ -16,7 +16,7 @@ from flowseg.events import Event
 from flowseg.projection import AccumulatorGrid, event_columns, grid_images
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig
 
-from oracles import array_flows, bruteforce_image, metric_bruteforce
+from oracles import bruteforce_image, metric_bruteforce, sum_squares
 
 # 150 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -33,8 +33,7 @@ STEPS = st.one_of(st.integers(0, 3_000), st.integers(0, 300_000),
 OPS = st.one_of(
     st.tuples(st.just("offer"), PATCH, PATCH, STEPS, st.sampled_from((1, -1))),
     st.tuples(st.just("expire"), STEPS),
-    st.tuples(st.just("recenter"), st.lists(st.integers(0, 60),
-                                            min_size=9, max_size=9)),
+    st.tuples(st.just("recenter"), FLOWS, st.integers(0, 2)),
 )
 
 
@@ -43,17 +42,25 @@ def nonzero(cells):
 
 
 def check_plane(plane):
-    center = plane.grids[plane.center_index]
-    assert plane.active == center.nonzero_cells() | plane.promoted
-    # grid k = j*m + i projects along column i's v_u and row j's v_v,
-    # every grid from the plane's one t_ref
-    flows = array_flows(plane.col_vu, plane.row_vv)
-    assert flows[plane.center_index] == plane.center_flow
-    for grid, flow in zip(plane.grids, flows):
-        assert nonzero(grid.cells) == nonzero(
-            bruteforce_image(plane.held, flow, plane.t_ref_us))
-        assert grid.metric == metric_bruteforce(plane.held, flow,
-                                                plane.t_ref_us)
+    grid = plane.grid
+    assert plane.active == grid.nonzero_cells() | plane.promoted
+    # the grid projects along the plane's flow from its t_ref
+    flow, t_ref = plane.center_flow, plane.t_ref_us
+    assert nonzero(grid.cells) == nonzero(
+        bruteforce_image(plane.held, flow, t_ref))
+    assert sum_squares(grid.cells) == metric_bruteforce(plane.held, flow,
+                                                        t_ref)
+
+
+def same_plane(plane, fresh):
+    """Whether `plane` is in the state of `fresh`, a new plane."""
+    return (plane.center_flow == fresh.center_flow
+            and plane.t_ref_us == fresh.t_ref_us
+            and plane.held == fresh.held
+            and plane.grid.cells == fresh.grid.cells
+            and plane.active == fresh.active
+            and plane.promoted == fresh.promoted
+            and plane.miss_counts == fresh.miss_counts)
 
 
 def on_track(flow, du, dv, t, s):
@@ -68,36 +75,30 @@ def on_track(flow, du, dv, t, s):
                                st.sampled_from((1, -1))),
                      min_size=1, max_size=8),
        ops=st.lists(OPS, max_size=40),
-       evolve=st.integers(1, 2),
-       recenter_hits=st.integers(1, 8),
-       h0_deg=st.sampled_from((0.02, 1.0, 5.0)),
-       m_grid=st.sampled_from((1, 3)))
+       evolve=st.integers(1, 2))
 # a promoted cell takes a hit, and expiry brings it back to 0
 @example(flow=(0, 25), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 1, 0, 1), ("offer", 0, 1, 0, 1),
               ("expire", 3_000_000)],
-         evolve=1, recenter_hits=1, h0_deg=0.02, m_grid=3)
+         evolve=1)
 # a hit cancels a cell, and expiring the older event revives it
 @example(flow=(0, 25), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 50_000, -1), ("expire", 100_000)],
-         evolve=2, recenter_hits=8, h0_deg=0.02, m_grid=3)
-# expiry moves the oldest held event, and a center win rebuilds every
-# grid from the t_ref the plane was laid with, not from that event
+         evolve=2)
+# expiry moves the oldest held event, and a recenter lays its frame at
+# the oldest event it is given, not at the old t_ref
 @example(flow=(20, 0), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 100_000, 1), ("expire", 100_000),
-              ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
-              ("offer", 0, 0, 0, 1)],
-         evolve=2, recenter_hits=8, h0_deg=0.02, m_grid=3)
-# then everything expires: every grid retracts through that same t_ref
+              ("recenter", (20, 0), 0), ("offer", 0, 0, 0, 1)],
+         evolve=2)
+# then everything expires: the grid retracts through that new t_ref
 @example(flow=(20, 0), seed=[(0, 0, 0, 1)],
          ops=[("offer", 0, 0, 100_000, 1), ("expire", 100_000),
-              ("recenter", [0, 0, 0, 0, 60, 0, 0, 0, 0]),
-              ("offer", 0, 0, 0, 1), ("expire", 3_000_000)],
-         evolve=2, recenter_hits=8, h0_deg=0.02, m_grid=3)
-def test_track_plane_matches_bruteforce(flow, seed, ops, evolve,
-                                        recenter_hits, h0_deg, m_grid):
-    cfg = TrackPlaneConfig(m_grid=m_grid, evolve_threshold=evolve,
-                           min_recenter_hits=recenter_hits, h0_deg=h0_deg)
+              ("recenter", (20, 0), 0), ("offer", 0, 0, 0, 1),
+              ("expire", 3_000_000)],
+         evolve=2)
+def test_track_plane_matches_bruteforce(flow, seed, ops, evolve):
+    cfg = TrackPlaneConfig(evolve_threshold=evolve)
     t = 0
     events = []
     for du, dv, dt, s in seed:
@@ -114,10 +115,14 @@ def test_track_plane_matches_bruteforce(flow, seed, ops, evolve,
             t += op[1]
             plane.expire(t)
         else:
-            # the nine counts are the 3 x 3 layout's; a lone grid takes
-            # its center's (index 4), and can only tie
-            plane.hits = list(op[1]) if m_grid == 3 else [op[1][4]]
-            plane.recenter(t)
+            # a new flow over the held events less the oldest `drop`, or
+            # over all of them when that leaves none; a recenter needs one
+            _, new_flow, drop = op
+            held = list(plane.held)
+            kept = held[drop:] or held
+            if kept:
+                plane.recenter(new_flow, kept)
+                assert same_plane(plane, TrackPlane(0, new_flow, kept, cfg))
         check_plane(plane)
 
 
@@ -218,7 +223,8 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
         expected = dict.fromkeys(touched, 0)
         expected.update(bruteforce_image(live, flow, 0))
         assert batched.cells == expected
-        assert batched.metric == metric_bruteforce(live, flow, 0)
+        assert sum_squares(batched.cells) == metric_bruteforce(live,
+                                                               flow, 0)
 
 
 @SETTINGS
