@@ -116,10 +116,8 @@ class Engine:
         self.cfg = cfg or EngineConfig()
         self.flow_plane = FlowPlane(self.cfg.flow_plane)
         self.planes: list[TrackPlane] = []
-        self.next_plane_id = 0
         self.stats = EngineStats()
         self._last_t: Optional[int] = None
-        self._since_maintenance = 0
 
     def process(self, ev: Event) -> FlowLabeledEvent:
         """Label one event; may create, merge or prune planes as a side
@@ -154,18 +152,16 @@ class Engine:
             if self.flow_plane.stability_check():
                 seed = self.flow_plane.try_emit()
                 if seed is not None:
-                    plane = TrackPlane(self.next_plane_id, seed.flow,
-                                       seed.events, self.cfg.track_plane)
-                    self.next_plane_id += 1
-                    self.planes.append(plane)
+                    # ids count the planes created: each is used once
+                    self.planes.append(TrackPlane(
+                        self.stats.planes_created, seed.flow, seed.events,
+                        self.cfg.track_plane))
                     self.stats.planes_created += 1
             self.stats.unlabeled += 1
         else:
             self.stats.hits += 1
 
-        self._since_maintenance += 1
-        if self._since_maintenance >= self.cfg.maintenance_period:
-            self._since_maintenance = 0
+        if self.stats.events_in % self.cfg.maintenance_period == 0:
             self.maintenance(t)
         return FlowLabeledEvent(u, v, t, s, label, flow_u, flow_v)
 

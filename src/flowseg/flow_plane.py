@@ -135,7 +135,6 @@ class MetricArray:
         self._metrics = np.zeros(cfg.n * cfg.n, dtype=np.int64)
         self.held: list[Event] = []
         self.t_ref_us: Optional[int] = None
-        self.argmax_index: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.held)
@@ -143,6 +142,12 @@ class MetricArray:
     @property
     def metrics(self) -> list[int]:
         return self._metrics.tolist()
+
+    @property
+    def argmax_index(self) -> Optional[int]:
+        """The grid of greatest metric, ties to the lowest index; None
+        while the array holds no events."""
+        return int(np.argmax(self._metrics)) if self.held else None
 
     def grid(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Grid k's stored cells: packed cell keys ascending, and values."""
@@ -287,7 +292,6 @@ class MetricArray:
                 for end, empty in zip(ends, emptied)]
         held.extend(events)
         del held[:retired]
-        self.argmax_index = int(best[-1]) if held else None
         return best[~retract], tops
 
     def _apply_block(self, j: int, pairs: np.ndarray, bits: int,
@@ -362,7 +366,6 @@ class MetricArray:
                 if e1 == len(events):
                     self._metrics[j * n:j * n + n] = self._grid_squares(j)
         self.held.extend(events)
-        self.argmax_index = int(np.argmax(self._metrics))
 
     def _grid_squares(self, j: int) -> np.ndarray:
         """The sum of the squares of each of row j's grids' stored cells."""
@@ -376,9 +379,8 @@ class MetricArray:
 
     @property
     def argmax_flow(self) -> Optional[FlowVector]:
-        if self.argmax_index is None:
-            return None
-        return grid_flow(self.col_vu, self.row_vv, self.argmax_index)
+        k = self.argmax_index
+        return None if k is None else grid_flow(self.col_vu, self.row_vv, k)
 
 
 @dataclass
@@ -432,9 +434,9 @@ def extract_associated(array: MetricArray) -> AssociationResult:
     flood-fill closure over nonzero cells.  Raises AssociationError when
     no cell clears the threshold.
     """
-    if array.argmax_index is None:
-        raise AssociationError("empty array")
     k = array.argmax_index
+    if k is None:
+        raise AssociationError("empty array")
     cells, values = array.grid(k)
     mu, sigma = cell_value_stats(values)
     threshold = mu + array.cfg.w * sigma
@@ -496,7 +498,8 @@ class FlowPlane:
     pending ones; the next drain retracts them at the flush's place among
     the pending events, and applies each flush's stability reset there.
     Pending events and flushes are drained before an emission and any
-    read of `array`; `stability_count` is that of the last drain.
+    read of `array`; `stability_count` is that of the last drain, the
+    run of events over which the drained array's argmax has held.
     """
 
     def __init__(self, cfg: Optional[FlowPlaneConfig] = None):
@@ -506,7 +509,6 @@ class FlowPlane:
         # (pending events before the flush, events it retracts)
         self._flushes: list[tuple[int, int]] = []
         self.stability_count = 0
-        self._stable_index: Optional[int] = None
 
     @property
     def array(self) -> MetricArray:
@@ -526,31 +528,29 @@ class FlowPlane:
         start = 0
         for (at, _), top in zip(self._flushes, after):
             if at > start:
-                self._settle(best[start:at])
+                self._settle(best[start:at], last)
                 last, start = int(best[at - 1]), at
             # a flush that moves the argmax restarts the stable run
             if top != last:
                 self.stability_count = 0
-                self._stable_index = top
             last = top
         if start < len(best):
-            self._settle(best[start:])
+            self._settle(best[start:], last)
         self._pending = []
         self._flushes = []
 
-    def _settle(self, indices: np.ndarray) -> None:
+    def _settle(self, indices: np.ndarray, before: Optional[int]) -> None:
         """Advance the stable run over the argmax after each of a run of
-        ingested events."""
+        ingested events; `before` is the argmax before the run."""
         # the run of equal argmaxes that ends the batch
         last = int(indices[-1])
         changed = np.flatnonzero(indices != last)
         if len(changed):
             self.stability_count = len(indices) - 1 - int(changed[-1])
-        elif last == self._stable_index:
+        elif last == before:
             self.stability_count += len(indices)
         else:
             self.stability_count = len(indices)
-        self._stable_index = last
 
     def stability_check(self) -> bool:
         # pending events cannot reach p_stable before the drain that
@@ -574,7 +574,6 @@ class FlowPlane:
             assoc = extract_associated(self.array)
         except AssociationError:
             self.stability_count = 0
-            self._stable_index = None
             return None
         taken = set(assoc.event_indices)
         remaining = [e for i, e in enumerate(self._array.held)
@@ -585,7 +584,6 @@ class FlowPlane:
         flow = refined_flow(assoc, self.cfg)
         self._array.fill(remaining)
         self.stability_count = 0
-        self._stable_index = self._array.argmax_index
         return PlaneSeed(assoc.events, flow)
 
     def flush_noise(self, now_us: int) -> int:

@@ -107,18 +107,15 @@ class AccumulatorGrid:
         for key, add in zip(keys.tolist(), sums.tolist()):
             cells[key] = cells.get(key, 0) + add
 
-    def retract_batch(self, keys: np.ndarray, sums: np.ndarray) -> list[int]:
-        """Exact inverse of accumulate_batch; returns the packed cells it
-        touched."""
-        touched = keys.tolist()
+    def retract_batch(self, keys: np.ndarray, sums: np.ndarray) -> None:
+        """Exact inverse of accumulate_batch."""
         cells = self.cells
-        for key, sub in zip(touched, sums.tolist()):
+        for key, sub in zip(keys.tolist(), sums.tolist()):
             c = cells.get(key)
             if c is None:
                 raise ConsistencyError(
                     f"batch retract from untouched cell {unpack_cell(key)}")
             cells[key] = c - sub
-        return touched
 
     def nonzero_cells(self) -> set[int]:
         return {k for k, c in self.cells.items() if c != 0}

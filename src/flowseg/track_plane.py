@@ -1,16 +1,17 @@
 """Velocity tracking: one plane per segmented structure.
 
 A plane holds its structure's recent events in one accumulation grid:
-their projections along the plane's flow from one reference time.  An
-event whose projection lands in the active footprint is a hit and
-accumulates into the grid.  Misses are counted per projected cell; a
-cell missed evolve_threshold times is promoted into the footprint,
-which is how the plane follows contour change.  Events expire
-lifetime_px / speed seconds after arrival and retract from the grid in
-one batch.  `recenter` is the one place a plane's flow changes: it
-adopts a flow and a set of events and lays a new frame, at creation
-and when the engine merges two planes.  Bulk updates (a recenter, an
-expiry) project their events through the kernel that discovery uses.
+their projections along the plane's flow from one reference time.  Its
+footprint is the grid's nonzero cells plus the promoted ones; an event
+whose projection lands in it is a hit and accumulates into the grid.
+Misses are counted per projected cell; a cell missed evolve_threshold
+times is promoted into the footprint, which is how the plane follows
+contour change.  Events expire lifetime_px / speed seconds after
+arrival and retract from the grid in one batch.  `recenter` is the one
+place a plane's flow changes: it adopts a flow and a set of events and
+lays a new frame, at creation and when the engine merges two planes.
+Bulk updates (a recenter, an expiry) project their events through the
+kernel that discovery uses.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ class TrackPlane:
     """Tracks one structure: its flow, its footprint, its recent events.
 
     The grid projects along `center_flow` relative to `t_ref_us`, the
-    oldest held event's time when the frame was laid; the footprint
-    `active` and the miss counts are cells of that frame.
+    oldest held event's time when the frame was laid; the promoted
+    cells and the miss counts are cells of that frame.  The footprint,
+    the grid's nonzero cells plus the promoted ones, is read from them
+    and kept nowhere else.
     """
 
     def __init__(self, plane_id: int, flow, events: Sequence[Event],
@@ -66,9 +69,9 @@ class TrackPlane:
 
     def recenter(self, flow, events: Sequence[Event]) -> None:
         """Adopt `flow`, hold `events` (oldest first) and lay a new frame:
-        the reference time becomes the oldest event's, the footprint the
-        nonzero cells of the rebuilt grid, and the promoted cells and
-        miss counts, which are cells of the old frame, are cleared."""
+        the reference time becomes the oldest event's, the grid is
+        rebuilt from `events`, and the promoted cells and miss counts,
+        which are cells of the old frame, are cleared."""
         if not events:
             raise ValueError("a tracking plane needs at least one event")
         self.center_flow = FlowVector(float(flow[0]), float(flow[1]))
@@ -79,7 +82,6 @@ class TrackPlane:
         self.t_ref_us = events[0].t
         self.grid = AccumulatorGrid()
         self.grid.accumulate_batch(*self._image(self.held))
-        self.active = self.grid.nonzero_cells()
         self.promoted: set[int] = set()
         self.miss_counts: dict[int, int] = {}
 
@@ -105,22 +107,19 @@ class TrackPlane:
         key = cell_key(u, v, (t - self.t_ref_us) * 1e-6,
                        self._center_vu, self._center_vv)
 
-        if key not in self.active:
+        cells = self.grid.cells
+        c = cells.get(key, 0)
+        if not c and key not in self.promoted:     # outside the footprint
             count = self.miss_counts.get(key, 0) + 1
             if count >= self.cfg.evolve_threshold:
                 # persistent misses promote the cell; the footprint evolves
-                self.active.add(key)
                 self.promoted.add(key)
                 self.miss_counts.pop(key, None)
             else:
                 self.miss_counts[key] = count
             return False
 
-        cells = self.grid.cells
-        c = cells.get(key, 0) + s
-        cells[key] = c
-        if c == 0 and key not in self.promoted:
-            self.active.discard(key)
+        cells[key] = c + s
         held.append(ev)
         self.hit_times.append(t)
         return True
@@ -135,18 +134,15 @@ class TrackPlane:
         if not stale:
             return 0
         try:
-            touched = self.grid.retract_batch(*self._image(stale))
+            self.grid.retract_batch(*self._image(stale))
         except ConsistencyError as exc:
             raise ConsistencyError(f"plane {self.plane_id}: {exc}") from exc
-        # the footprint is the nonzero cells plus the promoted ones; only
-        # the touched cells can have changed
-        cells = self.grid.cells
-        for key in touched:
-            if cells[key]:
-                self.active.add(key)
-            elif key not in self.promoted:
-                self.active.discard(key)
         return len(stale)
+
+    def footprint_size(self) -> int:
+        """Cells in the footprint: the nonzero cells and the promoted ones,
+        a promoted cell counted whatever it holds."""
+        return len(self.grid.nonzero_cells() | self.promoted)
 
     def footprint_at(self, now_us: int) -> set[int]:
         """Nonzero grid cells translated to sensor position at now_us."""
@@ -170,7 +166,7 @@ class TrackPlane:
         while times and times[0] < cutoff:
             times.popleft()
         speed = max(self.center_flow.speed, self.cfg.v_floor)
-        expected = len(self.active) * speed * window_s
+        expected = self.footprint_size() * speed * window_s
         if expected <= 0.0:
             return 0.0
         return len(times) / expected
@@ -182,4 +178,4 @@ class TrackPlane:
     def snapshot_row(self, now_us: int) -> str:
         f = self.center_flow
         return (f"{self.plane_id},{now_us},{f.v_u!r},{f.v_v!r},"
-                f"{len(self.active)},{len(self.held)}")
+                f"{self.footprint_size()},{len(self.held)}")

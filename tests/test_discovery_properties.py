@@ -312,7 +312,6 @@ def flush_now(plane, now_us):
                            now_us - int(plane.cfg.noise_lifespan_s * 1e6))
     if removed and array.argmax_index != before:
         plane.stability_count = 0
-        plane._stable_index = array.argmax_index
     return removed
 
 
@@ -330,7 +329,8 @@ def offer(plane, ev, eager):
 
 
 def stable_run(plane):
-    return plane.stability_count, plane._stable_index
+    # the array as the last drain left it: `plane.array` would drain
+    return plane.stability_count, plane._array.argmax_index
 
 
 @SETTINGS

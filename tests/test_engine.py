@@ -53,7 +53,8 @@ def test_stats_balance(small_scene):
     assert stats.hits == sum(1 for rec in labeled if rec.segment != UNLABELED)
     assert stats.planes_created >= 1
     # periodic sweeps plus the end-of-stream one
-    assert stats.maintenance_runs >= len(events) // engine.cfg.maintenance_period
+    assert (stats.maintenance_runs
+            == len(events) // engine.cfg.maintenance_period + 1)
 
 
 def test_engine_repeatable(small_scene):
@@ -156,7 +157,8 @@ def test_merge_combines_agreeing_overlapping_planes():
     assert 50.0 <= merged.center_flow.v_u <= 52.0
     assert len(merged.held) == 60
     assert merged.t_ref_us == events[0].t
-    assert merged.active == merged.grid.nonzero_cells()
+    assert merged.promoted == set()
+    assert merged.footprint_size() == len(merged.grid.nonzero_cells())
 
 
 def test_merge_skips_disagreeing_flows():

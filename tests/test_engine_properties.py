@@ -5,7 +5,10 @@ maintenance periods) lets streams of a few hundred events emit, merge
 and prune planes.  Whatever the stream, every event must come back as
 exactly one record carrying its own (u, v, t, s), the hit and unlabeled
 counts must add up, a record is unlabeled exactly when its flow is nan,
-and no grid may be asked to retract what it never held.
+and no grid may be asked to retract what it never held.  Maintenance
+runs after every maintenance_period-th event and once at the end, and
+plane ids are the creation counts: every label names a plane created
+earlier, and no two live planes share an id.
 """
 
 import math
@@ -94,11 +97,19 @@ def test_engine_invariants_hold_on_adversarial_streams(events, p_stable,
                                                   w=w),
                        maintenance_period=period)
     engine = Engine(cfg)
-    labeled = engine.run(events)
+    labeled = []
+    for ev in events:
+        labeled.append(engine.process(ev))
+        # live planes keep their creation order, and no two share an id
+        ids = [plane.plane_id for plane in engine.planes]
+        assert ids == sorted(set(ids))
+    engine.finish()
     stats = engine.stats
     assert len(labeled) == len(events) == stats.events_in
     assert stats.hits + stats.unlabeled == stats.events_in
     assert stats.hits == sum(rec.segment != UNLABELED for rec in labeled)
+    assert stats.maintenance_runs == len(events) // period + bool(events)
+    assert all(rec.segment < stats.planes_created for rec in labeled)
     for ev, rec in zip(events, labeled):
         assert (rec.u, rec.v, rec.t, rec.s) == ev
         unlabeled = rec.segment == UNLABELED

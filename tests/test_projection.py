@@ -62,7 +62,7 @@ def add(grid, events, flow, t_ref_us):
 
 
 def remove(grid, events, flow, t_ref_us):
-    return grid.retract_batch(*projected(events, flow, t_ref_us))
+    grid.retract_batch(*projected(events, flow, t_ref_us))
 
 
 def test_accumulate_deltas_and_inverse():
@@ -97,7 +97,8 @@ def test_cancelled_cell_still_retractable():
     assert sum_squares(grid.cells) == 0
     assert grid.nonzero_cells() == set()
     # the zero entry stays, so retraction does not look untouched
-    assert remove(grid, [Event(3, 3, 0, 1)], flow, 0) == [pack_cell(3, 3)]
+    remove(grid, [Event(3, 3, 0, 1)], flow, 0)
+    assert grid.cells == {pack_cell(3, 3): -1}
     assert sum_squares(grid.cells) == 1
     # a batch that cancels within itself leaves its cell retractable too
     fresh = AccumulatorGrid()
@@ -145,8 +146,8 @@ def test_batch_matches_scalar():
                                                            flow, t_ref)
     assert batched.cells == bruteforce_image(events + shifted, flow, t_ref)
 
-    touched = remove(batched, shifted, flow, t_ref)
-    assert touched == sorted(bruteforce_image(shifted, flow, t_ref))
+    remove(batched, shifted, flow, t_ref)
+    touched = bruteforce_image(shifted, flow, t_ref)
     assert sum_squares(batched.cells) == metric_bruteforce(events, flow,
                                                            t_ref)
     # the cells only the retracted batch touched stay, at 0

@@ -48,9 +48,9 @@ def test_persistent_misses_promote_cell():
     key = pack_cell(90, 90)           # zero flow projects in place
     assert plane.try_match(ev) is False
     assert plane.try_match(ev._replace(t=2000)) is False
-    assert key not in plane.active and key not in plane.promoted
+    assert key not in plane.promoted and plane.footprint_size() == 5
     assert plane.try_match(ev._replace(t=3000)) is False   # third strike
-    assert key in plane.active and key in plane.promoted
+    assert key in plane.promoted and plane.footprint_size() == 6
     assert plane.try_match(ev._replace(t=4000)) is True
 
 
@@ -74,9 +74,13 @@ def test_expire_keeps_promoted_cell_in_footprint():
     key = pack_cell(90, 90)
     plane.expire(2000 + int(plane.event_lifetime_s() * 1e6) + 1)
     assert len(plane) == 0
-    # the cell is back at 0, but a promoted cell stays in the footprint
+    # the cell is back at 0, but a promoted cell stays in the footprint:
+    # it is counted, and an event there is a hit
     assert plane.grid.cells[key] == 0
-    assert key in plane.active
+    assert key in plane.promoted and plane.footprint_size() == 1
+    now_us = plane.hit_times[-1] + 10 ** 7
+    assert plane.snapshot_row(now_us).split(",")[4:] == ["1", "0"]
+    assert plane.try_match(stray._replace(t=now_us)) is True
 
 
 def test_expire_raises_on_event_never_accumulated():
@@ -107,7 +111,8 @@ def test_recenter_lays_a_new_frame():
     assert plane.t_ref_us == fresh.t_ref_us == 2000
     assert list(plane.held) == events
     assert plane.grid.cells == fresh.grid.cells
-    assert plane.active == fresh.active == plane.grid.nonzero_cells()
+    assert (plane.footprint_size() == fresh.footprint_size()
+            == len(plane.grid.nonzero_cells()))
     # promoted cells and miss counts belong to the old frame
     assert plane.promoted == set() and plane.miss_counts == {}
     # the hit history and the age are the plane's, not the frame's
