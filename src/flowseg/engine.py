@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .events import (Event, OrderingError, parse_record, read_ascii,
                      record_lines)
 from .flow_plane import FlowPlane, FlowPlaneConfig
 from .projection import NEIGHBORS_8, FlowVector
-from .track_plane import TrackPlane, TrackPlaneConfig
+from .track_plane import V_FLOOR, TrackPlane, TrackPlaneConfig
 
 UNLABELED = -1
 
@@ -68,21 +68,10 @@ class EngineConfig:
     flow_plane: FlowPlaneConfig = field(default_factory=FlowPlaneConfig)
     track_plane: TrackPlaneConfig = field(default_factory=TrackPlaneConfig)
     maintenance_period: int = 1000     # events between maintenance sweeps
-    merge_flow_tol: float = 0.15       # relative flow difference
-    # cells of the larger footprint within one cell (8-neighborhood) of
-    # the smaller one, over the smaller footprint's size; can exceed 1
-    merge_overlap_tol: float = 0.25
-    prune_fraction: float = 0.1        # expected_hit_fraction floor
-    prune_window_lifetimes: float = 2.0
-    prune_grace_lifetimes: float = 1.0
 
     def __post_init__(self):
         if self.maintenance_period < 1:
             raise ValueError("maintenance_period must be at least 1")
-        for name in ("merge_flow_tol", "merge_overlap_tol", "prune_fraction",
-                     "prune_window_lifetimes", "prune_grace_lifetimes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass
@@ -97,9 +86,17 @@ class EngineStats:
     maintenance_runs: int = 0
 
     def as_lines(self) -> list[str]:
-        return [f"{name}={getattr(self, name)}" for name in (
-            "events_in", "hits", "unlabeled", "planes_created", "merges",
-            "prunes", "noise_flushed", "maintenance_runs")]
+        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+
+
+# maintenance thresholds
+_MERGE_FLOW_TOL = 0.15          # relative flow difference
+# cells of the larger footprint within one cell (8-neighborhood) of the
+# smaller one, over the smaller footprint's size; can exceed 1
+_MERGE_OVERLAP_TOL = 0.25
+_PRUNE_FRACTION = 0.1           # expected_hit_fraction floor
+# a plane no older than this many event lifetimes is never pruned
+_PRUNE_GRACE_LIFETIMES = 1.0
 
 
 def _dilate_cells(cells: set[int]) -> set[int]:
@@ -186,8 +183,8 @@ class Engine:
     def _flows_agree(self, a: TrackPlane, b: TrackPlane) -> bool:
         fa, fb = a.center_flow, b.center_flow
         diff = math.hypot(fa.v_u - fb.v_u, fa.v_v - fb.v_v)
-        scale = max(fa.speed, fb.speed, self.cfg.track_plane.v_floor)
-        return diff / scale < self.cfg.merge_flow_tol
+        scale = max(fa.speed, fb.speed, V_FLOOR)
+        return diff / scale < _MERGE_FLOW_TOL
 
     def _footprints_overlap(self, a: TrackPlane, b: TrackPlane,
                             now_us: int) -> bool:
@@ -200,7 +197,7 @@ class Engine:
         else:
             smaller, larger = fp_b, fp_a
         shared = len(_dilate_cells(smaller) & larger)
-        return shared / len(smaller) > self.cfg.merge_overlap_tol
+        return shared / len(smaller) > _MERGE_OVERLAP_TOL
 
     def _merge_pair(self, keep: TrackPlane, drop: TrackPlane) -> None:
         """Recenter `keep` on both planes' events, at the held-weighted
@@ -227,8 +224,6 @@ class Engine:
             for i in range(n):
                 for j in range(i + 1, n):
                     a, b = self.planes[i], self.planes[j]
-                    if len(a.held) + len(b.held) == 0:
-                        continue
                     if not self._flows_agree(a, b):
                         continue
                     if not self._footprints_overlap(a, b, now_us):
@@ -242,24 +237,21 @@ class Engine:
                     break
 
     def _prune_planes(self, now_us: int) -> None:
-        cfg = self.cfg
         survivors = []
         for plane in self.planes:
-            if plane.age_lifetimes(now_us) <= cfg.prune_grace_lifetimes:
+            if plane.age_lifetimes(now_us) <= _PRUNE_GRACE_LIFETIMES:
                 survivors.append(plane)
                 continue
-            rate = plane.expected_hit_fraction(now_us,
-                                               cfg.prune_window_lifetimes)
-            if rate < cfg.prune_fraction:
+            if plane.expected_hit_fraction(now_us) < _PRUNE_FRACTION:
                 self.stats.prunes += 1
             else:
                 survivors.append(plane)
         self.planes = survivors
 
-    def snapshot_rows(self, now_us: Optional[int] = None) -> list[str]:
-        """One CSV row per live plane, ascending id."""
-        if now_us is None:
-            now_us = self._last_t if self._last_t is not None else 0
+    def snapshot_rows(self) -> list[str]:
+        """One CSV row per live plane, ascending id, at the last event's
+        time (0 before any event)."""
+        now_us = self._last_t if self._last_t is not None else 0
         rows = ["id,t,v_u,v_v,cells,events"]
         for plane in sorted(self.planes, key=lambda p: p.plane_id):
             rows.append(plane.snapshot_row(now_us))

@@ -26,16 +26,12 @@ from .events import Event, GeometryError, SensorGeometry, DEFAULT_GEOMETRY
 class LKConfig:
     window_half: int = 3          # 7 x 7 window
     min_valid: int = 10           # valid pixels required for a fit
-    eig_floor: float = 0.5        # min eigenvalue of the position spread
-    grad_floor: float = 1e-8      # |grad t|^2 below this is a flat surface
 
     def __post_init__(self):
         if self.window_half < 1:
             raise ValueError("window_half must be at least 1")
         if self.min_valid < 3:
             raise ValueError("min_valid must be at least 3 for a plane fit")
-        if self.eig_floor <= 0 or self.grad_floor <= 0:
-            raise ValueError("eig_floor and grad_floor must be positive")
 
 
 class TimestampSurfaces:
@@ -56,6 +52,10 @@ class TimestampSurfaces:
                 f"event at ({e.u}, {e.v}) outside {self.geometry.width}x"
                 f"{self.geometry.height}")
         self.surface_for(e.s)[e.v, e.u] = e.t * 1e-6
+
+
+_EIG_FLOOR = 0.5      # min eigenvalue of the position spread
+_GRAD_FLOOR = 1e-8    # |grad t|^2 below this is a flat surface
 
 
 def fit_plane_flow(surface: np.ndarray, u: int, v: int,
@@ -86,7 +86,7 @@ def fit_plane_flow(surface: np.ndarray, u: int, v: int,
     # smaller eigenvalue of the centered position scatter
     half_tr = 0.5 * (sxx + syy)
     root = math.sqrt(max(0.0, (0.5 * (sxx - syy)) ** 2 + sxy * sxy))
-    if half_tr - root < cfg.eig_floor:
+    if half_tr - root < _EIG_FLOOR:
         return None
     det = sxx * syy - sxy * sxy
     sxt = float(xc @ tc)
@@ -94,7 +94,7 @@ def fit_plane_flow(surface: np.ndarray, u: int, v: int,
     a = (syy * sxt - sxy * syt) / det
     b = (sxx * syt - sxy * sxt) / det
     g2 = a * a + b * b
-    if g2 < cfg.grad_floor:
+    if g2 < _GRAD_FLOOR:
         return None
     return a / g2, b / g2
 

@@ -98,7 +98,7 @@ class AccumulatorGrid:
 
     def accumulate_batch(self, keys: np.ndarray, sums: np.ndarray) -> None:
         """Add a projected batch: unique packed cells, ascending, and the
-        signed polarity sum of the batch in each (see `grid_images`)."""
+        signed polarity sum of the batch in each (see `flow_image`)."""
         cells = self.cells
         if not cells:
             # untouched grid: keys are unique, build the dict in one shot
@@ -221,24 +221,17 @@ def grid_sums(us, vs, dt, ss, col_vu, row_vv):
         yield j, keys, sums
 
 
-def grid_images(columns, t_ref_us: int, col_vu, row_vv):
-    """Per candidate k = j*n + i of a Cartesian array, the packed cells
-    that event `columns` (from `event_columns`) project to relative to
-    `t_ref_us`, ascending, and the signed polarity sum in each.
+def flow_image(columns, t_ref_us: int, v_u: float, v_v: float):
+    """The packed cells that event `columns` (from `event_columns`)
+    project to along one flow (v_u, v_v) relative to `t_ref_us`,
+    ascending, and the signed polarity sum in each.
 
-    Each grid is cut from the `grid_sums` row that holds it."""
+    It is the one row of a 1 x 1 `grid_sums` array, in which a grid key
+    is the packed cell."""
     us, vs, ts, ss = columns
     if not len(us):
         empty = np.zeros(0, dtype=np.int64)
-        return [(empty, empty)] * (len(col_vu) * len(row_vv))
-    n = len(col_vu)
-    edges = grid_edges(n * len(row_vv))
-    images = []
-    for j, keys, sums in grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
-                                   col_vu, row_vv):
-        bounds = np.searchsorted(keys, edges[j * n:j * n + n + 1]).tolist()
-        # each grid key less its grid's offset: the packed cell
-        cells = keys - ((keys + _HALF) >> _K_SHIFT << _K_SHIFT)
-        images += [(cells[lo:hi], sums[lo:hi])
-                   for lo, hi in zip(bounds, bounds[1:])]
-    return images
+        return empty, empty
+    ((_, keys, sums),) = grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
+                                   [v_u], [v_v])
+    return keys, sums

@@ -110,7 +110,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 def render_to_dir(records: Sequence[FlowLabeledEvent], out_dir,
                   geometry: SensorGeometry = DEFAULT_GEOMETRY,
-                  cfg: RenderConfig = None, prefix: str = "frame") -> list[str]:
+                  cfg: RenderConfig = None) -> list[str]:
     """Write numbered frames into out_dir; returns the paths written."""
     cfg = cfg or RenderConfig()
     frames = render_frames(records, geometry, cfg)
@@ -119,7 +119,7 @@ def render_to_dir(records: Sequence[FlowLabeledEvent], out_dir,
     writer = write_pgm if cfg.mode == "count" else write_ppm
     paths = []
     for i, frame in enumerate(frames):
-        path = os.path.join(out_dir, f"{prefix}_{i:05d}.{ext}")
+        path = os.path.join(out_dir, f"frame_{i:05d}.{ext}")
         writer(path, frame)
         paths.append(path)
     return paths

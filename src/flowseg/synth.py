@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -37,14 +37,12 @@ class ShapeContour:
 
     points: np.ndarray
     normals: np.ndarray
-    label: str
-    spacing: float = CONTOUR_SPACING
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def _polygon_contour(vertices: Sequence[tuple[float, float]], label: str,
+def _polygon_contour(vertices: Sequence[tuple[float, float]],
                      spacing: float) -> ShapeContour:
     verts = np.asarray(vertices, dtype=np.float64)
     centroid = verts.mean(axis=0)
@@ -64,7 +62,7 @@ def _polygon_contour(vertices: Sequence[tuple[float, float]], label: str,
         for k in range(n_seg):
             pts.append(a + (k / n_seg) * edge)
             nrm.append(normal)
-    return ShapeContour(np.array(pts), np.array(nrm), label, spacing)
+    return ShapeContour(np.array(pts), np.array(nrm))
 
 
 def build_contour(shape: str, *, radius: float | None = None,
@@ -87,26 +85,26 @@ def build_contour(shape: str, *, radius: float | None = None,
         n = max(3, math.ceil(2 * math.pi * radius / spacing))
         ang = 2 * math.pi * np.arange(n) / n
         ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        contour = ShapeContour(radius * ring, ring.copy(), "circle", spacing)
+        contour = ShapeContour(radius * ring, ring.copy())
     elif shape == "hexagon":
         if width is None or width <= 0:
             raise ValueError("hexagon needs a positive width")
         r = width / 2.0
         verts = [(r * math.cos(math.radians(60 * k)),
                   r * math.sin(math.radians(60 * k))) for k in range(6)]
-        contour = _polygon_contour(verts, "hexagon", spacing)
+        contour = _polygon_contour(verts, spacing)
     elif shape == "rectangle":
         if width is None or height is None or width <= 0 or height <= 0:
             raise ValueError("rectangle needs positive width and height")
         w2, h2 = width / 2.0, height / 2.0
         contour = _polygon_contour(
-            [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)], "rectangle", spacing)
+            [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)], spacing)
     elif shape == "bar":
         if length is None or thickness is None or length <= 0 or thickness <= 0:
             raise ValueError("bar needs positive length and thickness")
         w2, h2 = thickness / 2.0, length / 2.0
         contour = _polygon_contour(
-            [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)], "bar", spacing)
+            [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)], spacing)
     else:
         raise ValueError(f"unknown shape {shape!r}")
 
@@ -226,8 +224,6 @@ class GroundTruth:
     """
 
     records: list[tuple[int, int, float, float]]
-    models: list[MotionModel]
-    clipped: bool = False
 
 
 def write_gt(gt: GroundTruth, destination) -> None:
@@ -306,13 +302,11 @@ def _simulate_structure(contour: ShapeContour, model: MotionModel,
                 x0, y0 = pos0[idx, 0], pos0[idx, 1]
                 x1, y1 = pos1[idx, 0], pos1[idx, 1]
                 if nx[idx] != px[idx]:
-                    boundary = (max(px[idx], nx[idx]) - 0.5
-                                if nx[idx] > px[idx] else px[idx] - 0.5)
+                    boundary = max(px[idx], nx[idx]) - 0.5
                     frac = (boundary - x0) / (x1 - x0)
                     transitions.append((t0 + frac * step, idx, 0, int(nx[idx])))
                 if ny[idx] != py[idx]:
-                    boundary = (max(py[idx], ny[idx]) - 0.5
-                                if ny[idx] > py[idx] else py[idx] - 0.5)
+                    boundary = max(py[idx], ny[idx]) - 0.5
                     frac = (boundary - y0) / (y1 - y0)
                     transitions.append((t0 + frac * step, idx, 1, int(ny[idx])))
             transitions.sort(key=lambda tr: (tr[0], tr[1], tr[2]))
@@ -420,9 +414,6 @@ def generate_scene(objects: Sequence[tuple[ShapeContour, MotionModel]],
                       stacklevel=2)
 
     events = [Event(r[1], r[2], r[0], r[3]) for r in all_records]
-    gt = GroundTruth(
-        records=[(r[0], r[4], r[5], r[6]) for r in all_records],
-        models=[model for _, model in objects],
-        clipped=clipped)
+    gt = GroundTruth([(r[0], r[4], r[5], r[6]) for r in all_records])
     return EventStream(geometry, events), gt
 

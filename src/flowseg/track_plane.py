@@ -23,15 +23,19 @@ from typing import Optional, Sequence
 
 from .events import Event
 from .projection import (KEY_M, AccumulatorGrid, ConsistencyError,
-                         FlowVector, cell_key, event_columns, grid_images,
+                         FlowVector, cell_key, event_columns, flow_image,
                          round_half_away)
+
+
+V_FLOOR = 1.0                  # px/s floor for lifetime and rate estimates
+# hits are counted over this many event lifetimes for the hit fraction
+_HIT_WINDOW_LIFETIMES = 2.0
 
 
 @dataclass
 class TrackPlaneConfig:
     evolve_threshold: int = 3      # misses in one cell before promotion
     lifetime_px: float = 3.0       # event lifetime = lifetime_px / speed
-    v_floor: float = 1.0           # px/s floor for lifetime and rate estimates
     # accepted and ignored: the benchmark's bars configuration still
     # passes it, and the benchmark's files change only with the benchmark
     h_max_deg: InitVar[Optional[float]] = None
@@ -39,14 +43,14 @@ class TrackPlaneConfig:
     def __post_init__(self, h_max_deg):
         if self.evolve_threshold < 1:
             raise ValueError("evolve_threshold must be at least 1")
-        if self.lifetime_px <= 0 or self.v_floor <= 0:
-            raise ValueError("lifetime_px and v_floor must be positive")
+        if self.lifetime_px <= 0:
+            raise ValueError("lifetime_px must be positive")
 
 
 def event_lifetime_s(flow, cfg: TrackPlaneConfig) -> float:
-    """Seconds an event stays relevant: lifetime_px / max(speed, v_floor)."""
+    """Seconds an event stays relevant: lifetime_px / max(speed, V_FLOOR)."""
     speed = math.hypot(flow[0], flow[1])
-    return cfg.lifetime_px / max(speed, cfg.v_floor)
+    return cfg.lifetime_px / max(speed, V_FLOOR)
 
 
 class TrackPlane:
@@ -88,9 +92,8 @@ class TrackPlane:
     def _image(self, events) -> tuple:
         """The cells `events` project to in this frame, ascending, and
         the signed polarity sum in each."""
-        (image,) = grid_images(event_columns(events), self.t_ref_us,
-                               [self._center_vu], [self._center_vv])
-        return image
+        return flow_image(event_columns(events), self.t_ref_us,
+                          self._center_vu, self._center_vv)
 
     def event_lifetime_s(self) -> float:
         return event_lifetime_s(self.center_flow, self.cfg)
@@ -152,20 +155,20 @@ class TrackPlane:
         shift = dx * KEY_M + dy
         return {key + shift for key in self.grid.nonzero_cells()}
 
-    def expected_hit_fraction(self, now_us: int,
-                              window_lifetimes: float = 2.0) -> float:
-        """Observed hits over the window vs the rate the flow predicts.
+    def expected_hit_fraction(self, now_us: int) -> float:
+        """Hits over the last `_HIT_WINDOW_LIFETIMES` event lifetimes vs
+        the rate the flow predicts.
 
         The prediction is |footprint| * speed events per second, which
         overcounts interiors but is a stable normalizer; healthy planes
         sit well above the prune threshold on it.
         """
-        window_s = window_lifetimes * self.event_lifetime_s()
+        window_s = _HIT_WINDOW_LIFETIMES * self.event_lifetime_s()
         cutoff = now_us - int(window_s * 1e6)
         times = self.hit_times
         while times and times[0] < cutoff:
             times.popleft()
-        speed = max(self.center_flow.speed, self.cfg.v_floor)
+        speed = max(self.center_flow.speed, V_FLOOR)
         expected = self.footprint_size() * speed * window_s
         if expected <= 0.0:
             return 0.0

@@ -72,6 +72,23 @@ def array_flows(col_vu, row_vv) -> list[tuple[float, float]]:
     return flows
 
 
+def bruteforce_row_images(events: Iterable[Event], col_vu, row_vv,
+                          t_ref_us: int) -> list[dict[int, int]]:
+    """Per speed row j of a Cartesian array, the `bruteforce_image` of
+    each of its grids k = j*n + i, keyed by grid key k * 2**43 + packed
+    (the key layout of `flowseg.projection.grid_sums`)."""
+    n = len(col_vu)
+    rows = []
+    for j, vv in enumerate(row_vv):
+        row = {}
+        for i, vu in enumerate(col_vu):
+            for key, s in bruteforce_image(events, (vu, vv),
+                                           t_ref_us).items():
+                row[((j * n + i) << 43) + key] = s
+        rows.append(row)
+    return rows
+
+
 def decode_event_per_line(record: str, line: int = 0) -> Event:
     """`decode_event` as it was before `parse_record`, for
     `load_stream_per_line`."""

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -36,6 +37,20 @@ def test_load_config_rejects_bad_keys():
         load_config(["flow_plane.n = twenty"])
     with pytest.raises(ConfigError):
         load_config(["flow_plane.n = 1"])             # fails validation
+
+
+@pytest.mark.parametrize("key", [
+    "engine.merge_flow_tol", "engine.merge_overlap_tol",
+    "engine.prune_fraction", "engine.prune_window_lifetimes",
+    "engine.prune_grace_lifetimes", "track_plane.v_floor"])
+def test_load_config_rejects_maintenance_constants(key):
+    # the merge and prune thresholds and the speed floor are constants,
+    # not config keys: a file that sets one is refused, not ignored
+    message = re.escape(f"unknown config key '{key}'")
+    with pytest.raises(ConfigError, match=f"^line 1: {message}$"):
+        load_config([f"{key} = 1.0"])
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config([], [f"{key}=1.0"])
 
 
 def test_parse_assignments():
@@ -110,11 +125,10 @@ def test_cli_run_writes_plane_snapshots(tmp_path, synth_files):
         plane_id, t, v_u, v_v, cells, held = row.split(",")
         assert int(plane_id) >= 0 and int(t) > 0
         assert float(v_u) > 0 and int(cells) > 0 and int(held) >= 0
-    # the manifest records the three tracking fields, no ignored one
+    # the manifest records the two tracking fields, no ignored one
     tracking = [f for f in fields if f.startswith("config.track_plane.")]
     assert tracking == ["config.track_plane.evolve_threshold=3",
-                        "config.track_plane.lifetime_px=3.0",
-                        "config.track_plane.v_floor=1.0"]
+                        "config.track_plane.lifetime_px=3.0"]
 
 
 def test_cli_lk(tmp_path, synth_files):
@@ -218,12 +232,13 @@ def test_cli_set_bad_number_names_its_key(tmp_path, tiny_events, capsys):
 @pytest.mark.parametrize("key, value", [
     ("flow_plane.noise_lifespan_s", "nan"),
     ("flow_plane.v_ref", "inf"),
-    ("engine.merge_flow_tol", "-inf"),
+    ("flow_plane.w", "-inf"),
 ])
 def test_cli_set_non_finite_number_names_its_key(tmp_path, tiny_events,
                                                  capsys, key, value):
     # accepted, these stopped a run mid-way without naming the key, or
-    # ran to the end with garbage projections or merging silently off
+    # ran to the end with garbage projections; -inf is refused as not
+    # finite before the key's own bound is checked
     assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
                    "--set", f"{key}={value}") == 2
     assert capsys.readouterr().err == (

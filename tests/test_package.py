@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import flowseg
-from flowseg.config import manifest_lines
+from flowseg.config import config_lines, manifest_lines
 from flowseg.engine import EngineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,6 +156,28 @@ def test_perfbench_workload_configs_build():
     assert {"hexagon", "bars", "noise"} <= set(workloads.WORKLOADS)
     for workload in workloads.WORKLOADS.values():
         assert isinstance(workload.config(), EngineConfig)
+
+
+def readme_config_keys() -> list[str]:
+    """The keys README's Configuration section names, in order: each
+    paragraph that opens with a section prefix, as in "Discovery
+    (`flow_plane.`):", names that section's keys in backticks."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = []
+    for paragraph in section.strip().split("\n\n"):
+        opening = re.match(r"\w+ \(`(\w+)\.`\):", paragraph)
+        if opening:
+            keys += [f"{opening.group(1)}.{name}" for name in
+                     re.findall(r"`(\w+)`", paragraph[opening.end():])]
+    return keys
+
+
+def test_readme_names_every_config_key():
+    # a key the README leaves out, or one it still names after its
+    # removal, fails here
+    keys = [line.split(" = ")[0] for line in config_lines(EngineConfig())]
+    assert readme_config_keys() == keys
 
 
 def test_manifest_version_is_package_version():

@@ -5,12 +5,12 @@ import pytest
 
 from flowseg.events import Event
 from flowseg.projection import (AccumulatorGrid, ConsistencyError, FlowVector,
-                                KEY_M, cell_key, event_columns, grid_flow,
-                                grid_images, project_keys, round_half_away,
-                                unpack_cell)
+                                KEY_M, cell_key, event_columns, flow_image,
+                                grid_flow, grid_sums, project_keys,
+                                round_half_away, unpack_cell)
 
-from oracles import (array_flows, bruteforce_image, metric_bruteforce,
-                     pack_cell, sum_squares)
+from oracles import (array_flows, bruteforce_image, bruteforce_row_images,
+                     metric_bruteforce, pack_cell, sum_squares)
 
 
 def random_events(rng, count, t_span_us=500_000, width=240, height=180):
@@ -52,9 +52,8 @@ def test_project_keys_shift_against_flow():
 
 
 def projected(events, flow, t_ref_us):
-    """The batch image of events along one flow: a 1 x 1 candidate array."""
-    return grid_images(event_columns(events), t_ref_us, [flow[0]],
-                       [flow[1]])[0]
+    """The batch image of events along one flow."""
+    return flow_image(event_columns(events), t_ref_us, flow[0], flow[1])
 
 
 def add(grid, events, flow, t_ref_us):
@@ -185,14 +184,17 @@ def test_grid_flow_is_column_speed_and_row_speed(n):
     row_vv = np.linspace(-90.0, 160.0, n) - 0.75
     rng = random.Random(n)
     events = random_events(rng, 60)
-    images = grid_images(event_columns(events), 1234, col_vu, row_vv)
     flows = array_flows(col_vu.tolist(), row_vv.tolist())
-    assert len(images) == len(flows) == n * n
+    assert len(flows) == n * n
     for k, flow in enumerate(flows):
         got = grid_flow(col_vu, row_vv, k)
         assert got == flow
         # numpy scalars would print as np.float64(...) in label files
         assert type(got.v_u) is float and type(got.v_v) is float
-        keys, sums = images[k]
-        expected = bruteforce_image(events, flow, 1234)
+    # and the kernel projects grid k's events along that same flow
+    us, vs, ts, ss = event_columns(events)
+    rows = list(grid_sums(us, vs, (ts - 1234) * 1e-6, ss, col_vu, row_vv))
+    assert [j for j, _, _ in rows] == list(range(n))
+    for (_, keys, sums), expected in zip(
+            rows, bruteforce_row_images(events, col_vu, row_vv, 1234)):
         assert dict(zip(keys.tolist(), sums.tolist())) == expected

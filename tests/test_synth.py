@@ -129,8 +129,7 @@ def test_clipping_warns():
 
 
 def test_gt_round_trip():
-    gt = GroundTruth(records=[(100, 0, 58.0, 0.0), (200, -1, 0.0, 0.0)],
-                     models=[ConstantMotion(58.0, 0.0)])
+    gt = GroundTruth(records=[(100, 0, 58.0, 0.0), (200, -1, 0.0, 0.0)])
     buf = io.StringIO()
     write_gt(gt, buf)
     back = read_gt(io.StringIO(buf.getvalue()))

@@ -124,13 +124,15 @@ def test_recenter_lays_a_new_frame():
 
 def test_config_validation():
     assert [f.name for f in dataclasses.fields(TrackPlaneConfig)] == [
-        "evolve_threshold", "lifetime_px", "v_floor"]
+        "evolve_threshold", "lifetime_px"]
     # h_max_deg is accepted and ignored, and is no field
     assert TrackPlaneConfig(h_max_deg=0.1) == TrackPlaneConfig()
     with pytest.raises(ValueError):
         TrackPlaneConfig(evolve_threshold=0)
-    for name in ("lifetime_px", "v_floor"):
-        with pytest.raises(ValueError, match="must be positive"):
-            TrackPlaneConfig(**{name: 0.0})
+    for lifetime_px in (0.0, -3.0):
+        with pytest.raises(ValueError, match="lifetime_px must be positive"):
+            TrackPlaneConfig(lifetime_px=lifetime_px)
+    with pytest.raises(TypeError):
+        TrackPlaneConfig(v_floor=1.0)          # a constant, V_FLOOR
     with pytest.raises(ValueError):
         TrackPlane(0, (1.0, 0.0), [], TrackPlaneConfig())

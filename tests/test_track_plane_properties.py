@@ -13,10 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowseg.events import Event
-from flowseg.projection import AccumulatorGrid, event_columns, grid_images
+from flowseg.projection import (AccumulatorGrid, event_columns, flow_image,
+                                grid_sums)
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig
 
-from oracles import bruteforce_image, metric_bruteforce, sum_squares
+from oracles import (bruteforce_image, bruteforce_row_images,
+                     metric_bruteforce, sum_squares)
 
 # 150 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -209,8 +211,8 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
             for u, v, dt, s in op[1]:
                 t += dt
                 batch.append(Event(u, v, t, s))
-            batched.accumulate_batch(*grid_images(event_columns(batch), 0,
-                                                  [flow[0]], [flow[1]])[0])
+            batched.accumulate_batch(*flow_image(event_columns(batch), 0,
+                                                 flow[0], flow[1]))
             live.extend(batch)
             touched.update(bruteforce_image(batch, flow, 0))
         else:
@@ -218,7 +220,7 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
             batch = [e for i, e in enumerate(live) if i in picks]
             live = [e for i, e in enumerate(live) if i not in picks]
             batched.retract_batch(
-                *grid_images(event_columns(batch), 0, [flow[0]], [flow[1]])[0])
+                *flow_image(event_columns(batch), 0, flow[0], flow[1]))
         # every cell ever touched stays, holding its live sum (0 when
         # cancelled), so that a cancelled cell stays retractable
         expected = dict.fromkeys(touched, 0)
@@ -238,17 +240,27 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
                        max_size=40))
 def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events):
     # grid k = j*m + i of the kernel is the flow (col[i], row[j]), and
-    # holds every cell its events touch, cancelled ones included
+    # holds every cell its events touch, cancelled ones included; each
+    # speed row's grid keys come ascending, one row after another.  A
+    # tracking plane's one-flow image is that of grid 0 of a 1 x 1
+    # array, and has no cells when there are no events
     col, row = speeds[:m], speeds[5:5 + m]
     t = 0
     batch = []
     for u, v, dt, s in events:
         t += dt
         batch.append(Event(u, v, t, s))
-    images = grid_images(event_columns(batch), t_ref, col, row)
-    assert len(images) == m * m
-    for k, (keys, sums) in enumerate(images):
-        flow = (col[k % m], row[k // m])
-        expected = bruteforce_image(batch, flow, t_ref)
+    columns = event_columns(batch)
+    keys, sums = flow_image(columns, t_ref, col[0], row[0])
+    expected = bruteforce_image(batch, (col[0], row[0]), t_ref)
+    assert keys.tolist() == sorted(expected)
+    assert sums.tolist() == [expected[key] for key in sorted(expected)]
+    if not batch:
+        return                          # grid_sums takes at least one event
+    us, vs, ts, ss = columns
+    rows = list(grid_sums(us, vs, (ts - t_ref) * 1e-6, ss, col, row))
+    assert [j for j, _, _ in rows] == list(range(m))
+    for (_, keys, sums), expected in zip(
+            rows, bruteforce_row_images(batch, col, row, t_ref)):
         assert keys.tolist() == sorted(expected)
         assert sums.tolist() == [expected[key] for key in sorted(expected)]
