@@ -14,12 +14,11 @@ import sys
 import time
 from typing import Optional
 
-from .config import (ConfigError, config_lines, load_config, manifest_lines,
-                     write_manifest)
+from .config import ConfigError, load_config, manifest_lines, write_manifest
 from .engine import Engine, read_labeled, write_labeled
 from .evaluation import report_lines
-from .events import (DEFAULT_GEOMETRY, EventStream, SensorGeometry,
-                     StreamError, load_stream, save_stream)
+from .events import (DEFAULT_GEOMETRY, SensorGeometry, StreamError,
+                     load_stream, save_stream)
 from .lk import LKConfig, run_lk
 from .projection import ConsistencyError
 from .render import MODES, RenderConfig, render_to_dir

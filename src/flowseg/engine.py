@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .events import (Event, OrderingError, parse_record, read_ascii,
@@ -38,6 +39,10 @@ class FlowLabeledEvent(NamedTuple):
     def line(self) -> str:
         return (f"{self.t} {self.u} {self.v} {self.s} {self.segment} "
                 f"{self.v_u!r} {self.v_v!r}")
+
+
+# builds a FlowLabeledEvent from one 7-tuple with no Python-level call
+_labeled_event = partial(tuple.__new__, FlowLabeledEvent)
 
 
 def write_labeled(records: Iterable[FlowLabeledEvent], destination) -> int:
@@ -115,6 +120,7 @@ class Engine:
         self.planes: list[TrackPlane] = []
         self.stats = EngineStats()
         self._last_t: Optional[int] = None
+        self._maintenance_period = self.cfg.maintenance_period
 
     def process(self, ev: Event) -> FlowLabeledEvent:
         """Label one event; may create, merge or prune planes as a side
@@ -125,42 +131,42 @@ class Engine:
         `events.load_stream` is where off-sensor events are rejected.
         """
         u, v, t, s = ev
+        stats = self.stats
         if s != 1 and s != -1:
             # the grids count an event by s with s*s == 1
-            raise ValueError(f"event {self.stats.events_in}: polarity must "
+            raise ValueError(f"event {stats.events_in}: polarity must "
                              f"be +1 or -1, got {s}")
-        if self._last_t is not None and t < self._last_t:
-            raise OrderingError(
-                f"event at {t} us arrived after {self._last_t} us",
-                index=self.stats.events_in)
+        last_t = self._last_t
+        if last_t is not None and t < last_t:
+            raise OrderingError(f"event at {t} us arrived after {last_t} us",
+                                index=stats.events_in)
         self._last_t = t
-        self.stats.events_in += 1
+        stats.events_in += 1
 
-        label = UNLABELED
-        flow_u = flow_v = math.nan
         for plane in self.planes:
             if plane.try_match(ev):
-                label = plane.plane_id
-                flow_u = plane.center_flow.v_u
-                flow_v = plane.center_flow.v_v
+                stats.hits += 1
+                record = _labeled_event((u, v, t, s, plane.plane_id,
+                                         plane._center_vu, plane._center_vv))
                 break
-        if label == UNLABELED:
-            self.flow_plane.ingest(ev)
-            if self.flow_plane.stability_check():
-                seed = self.flow_plane.try_emit()
+        else:
+            flow_plane = self.flow_plane
+            flow_plane.ingest(ev)
+            if flow_plane.stability_check():
+                seed = flow_plane.try_emit()
                 if seed is not None:
                     # ids count the planes created: each is used once
                     self.planes.append(TrackPlane(
-                        self.stats.planes_created, seed.flow, seed.events,
+                        stats.planes_created, seed.flow, seed.events,
                         self.cfg.track_plane))
-                    self.stats.planes_created += 1
-            self.stats.unlabeled += 1
-        else:
-            self.stats.hits += 1
+                    stats.planes_created += 1
+            stats.unlabeled += 1
+            record = _labeled_event((u, v, t, s, UNLABELED, math.nan,
+                                     math.nan))
 
-        if self.stats.events_in % self.cfg.maintenance_period == 0:
+        if stats.events_in % self._maintenance_period == 0:
             self.maintenance(t)
-        return FlowLabeledEvent(u, v, t, s, label, flow_u, flow_v)
+        return record
 
     def run(self, events: Iterable[Event]) -> list[FlowLabeledEvent]:
         out = [self.process(ev) for ev in events]

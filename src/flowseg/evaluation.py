@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import UNLABELED, FlowLabeledEvent
 

@@ -6,15 +6,16 @@ grid's reference timestamp.  Signed polarities are summed per cell; the
 sharpness metric is the sum of squared cell values (accumulating s into a
 cell holding c changes it by 2*c*s + s**2); discovery keeps it per
 candidate, and a tracking plane keeps only the cells of its one grid.
-Rounding is half-away-from-zero.  A grid's owner keeps its flow and
-reference time.  A candidate array is stored as its two speed axes,
-grid k's flow is `grid_flow(col_vu, row_vv, k)`, and batches of events
-are projected onto a whole array one speed row of candidates at a time
-(`grid_pairs`), the kernel that discovery's n x n array and a tracking
-plane's one grid share.  `grid_sums` groups each row into grid
-cells as it comes, so its callers hold one row's temporaries at a
-time; discovery bounds a row's size by how many events it projects at
-once.
+Rounding is half-away-from-zero: `round_half_away`, `_round_array`
+and, written out for speed, `TrackPlane.try_match`.  A grid's owner
+keeps its flow and reference time.  A candidate array is stored as its
+two speed axes, grid k's flow is `grid_flow(col_vu, row_vv, k)`, and
+batches of events are projected onto a whole array one speed row of
+candidates at a time (`grid_pairs`), discovery's kernel; a tracking
+plane projects along its one flow with `project_keys`.  `grid_sums`
+groups each row into grid cells as it comes, so its callers hold one
+row's temporaries at a time; discovery bounds a row's size by how many
+events it projects at once.
 
 Timestamps are integer microseconds everywhere; they become float seconds
 only inside the projection arithmetic.
@@ -68,12 +69,6 @@ def _round_array(z: np.ndarray) -> np.ndarray:
     return np.trunc(z + np.copysign(0.5, z)).astype(np.int64)
 
 
-def cell_key(u, v, dt: float, v_u: float, v_v: float) -> int:
-    """Packed cell of (u, v) projected back `dt` seconds along (v_u, v_v)."""
-    return (round_half_away(u - v_u * dt) * KEY_M
-            + round_half_away(v - v_v * dt))
-
-
 def grid_flow(col_vu, row_vv, k: int) -> FlowVector:
     """Flow of grid k = j*n + i of a Cartesian array with n column speeds:
     (col_vu[i], row_vv[j]), as Python floats."""
@@ -98,7 +93,7 @@ class AccumulatorGrid:
 
     def accumulate_batch(self, keys: np.ndarray, sums: np.ndarray) -> None:
         """Add a projected batch: unique packed cells, ascending, and the
-        signed polarity sum of the batch in each (see `flow_image`)."""
+        signed polarity sum of the batch in each (see `grid_sums`)."""
         cells = self.cells
         if not cells:
             # untouched grid: keys are unique, build the dict in one shot
@@ -107,10 +102,11 @@ class AccumulatorGrid:
         for key, add in zip(keys.tolist(), sums.tolist()):
             cells[key] = cells.get(key, 0) + add
 
-    def retract_batch(self, keys: np.ndarray, sums: np.ndarray) -> None:
-        """Exact inverse of accumulate_batch."""
+    def retract_batch(self, keys: Sequence[int], sums: Sequence[int]) -> None:
+        """Exact inverse of accumulate_batch: subtract each `sums[i]` from
+        cell `keys[i]`.  The keys may repeat and come in any order."""
         cells = self.cells
-        for key, sub in zip(keys.tolist(), sums.tolist()):
+        for key, sub in zip(keys, sums):
             c = cells.get(key)
             if c is None:
                 raise ConsistencyError(
@@ -219,19 +215,3 @@ def grid_sums(us, vs, dt, ss, col_vu, row_vv):
         sums = np.add.reduceat(pairs, starts)
         del pairs, starts               # not kept while the caller works
         yield j, keys, sums
-
-
-def flow_image(columns, t_ref_us: int, v_u: float, v_v: float):
-    """The packed cells that event `columns` (from `event_columns`)
-    project to along one flow (v_u, v_v) relative to `t_ref_us`,
-    ascending, and the signed polarity sum in each.
-
-    It is the one row of a 1 x 1 `grid_sums` array, in which a grid key
-    is the packed cell."""
-    us, vs, ts, ss = columns
-    if not len(us):
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    ((_, keys, sums),) = grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
-                                   [v_u], [v_v])
-    return keys, sums

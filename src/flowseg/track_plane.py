@@ -10,8 +10,11 @@ contour change.  Events expire lifetime_px / speed seconds after
 arrival and retract from the grid in one batch.  `recenter` is the one
 place a plane's flow changes: it adopts a flow and a set of events and
 lays a new frame, at creation and when the engine merges two planes.
-Bulk updates (a recenter, an expiry) project their events through the
-kernel that discovery uses.
+
+Each held event is projected once per frame: a hit keeps the cell it
+was matched in, a recenter projects its events in one numpy pass, and
+an expiry retracts the kept cells, so the per-event calls (`try_match`,
+`expire`) run in plain Python with no numpy call.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ from collections import deque
 from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .events import Event
 from .projection import (KEY_M, AccumulatorGrid, ConsistencyError,
-                         FlowVector, cell_key, event_columns, flow_image,
+                         FlowVector, event_columns, project_keys,
                          round_half_away)
 
 
@@ -84,16 +89,18 @@ class TrackPlane:
         self._lifetime_us = int(self.event_lifetime_s() * 1e6)
         self.held: deque[Event] = deque(events)
         self.t_ref_us = events[0].t
+        us, vs, ts, ss = event_columns(events)
+        keys = project_keys(us, vs, (ts - self.t_ref_us) * 1e-6,
+                            self._center_vu, self._center_vv)
+        # the cell each held event was added under, in `held`'s order
+        self.held_keys: deque[int] = deque(keys.tolist())
+        cells, index = np.unique(keys, return_inverse=True)
+        sums = np.zeros(len(cells), dtype=np.int64)
+        np.add.at(sums, index, ss.astype(np.int64))
         self.grid = AccumulatorGrid()
-        self.grid.accumulate_batch(*self._image(self.held))
+        self.grid.accumulate_batch(cells, sums)
         self.promoted: set[int] = set()
         self.miss_counts: dict[int, int] = {}
-
-    def _image(self, events) -> tuple:
-        """The cells `events` project to in this frame, ascending, and
-        the signed polarity sum in each."""
-        return flow_image(event_columns(events), self.t_ref_us,
-                          self._center_vu, self._center_vv)
 
     def event_lifetime_s(self) -> float:
         return event_lifetime_s(self.center_flow, self.cfg)
@@ -107,23 +114,30 @@ class TrackPlane:
         held = self.held
         if held and held[0].t < t - self._lifetime_us:
             self.expire(t)
-        key = cell_key(u, v, (t - self.t_ref_us) * 1e-6,
-                       self._center_vu, self._center_vv)
+        dt = (t - self.t_ref_us) * 1e-6
+        x = u - self._center_vu * dt
+        y = v - self._center_vv * dt
+        # `round_half_away` of both axes, written out: the three calls
+        # took about 90 ns of each 1.0-1.2 us offer
+        key = ((int(x + 0.5) if x >= 0.0 else -int(0.5 - x)) * KEY_M
+               + (int(y + 0.5) if y >= 0.0 else -int(0.5 - y)))
 
         cells = self.grid.cells
         c = cells.get(key, 0)
         if not c and key not in self.promoted:     # outside the footprint
-            count = self.miss_counts.get(key, 0) + 1
+            miss_counts = self.miss_counts
+            count = miss_counts.get(key, 0) + 1
             if count >= self.cfg.evolve_threshold:
                 # persistent misses promote the cell; the footprint evolves
                 self.promoted.add(key)
-                self.miss_counts.pop(key, None)
+                miss_counts.pop(key, None)
             else:
-                self.miss_counts[key] = count
+                miss_counts[key] = count
             return False
 
         cells[key] = c + s
         held.append(ev)
+        self.held_keys.append(key)
         self.hit_times.append(t)
         return True
 
@@ -131,16 +145,19 @@ class TrackPlane:
         """Retract events older than the lifetime; returns how many."""
         cutoff = now_us - self._lifetime_us
         held = self.held
-        stale = []
-        while held and held[0].t < cutoff:
-            stale.append(held.popleft())
-        if not stale:
+        if not held or held[0].t >= cutoff:
             return 0
+        held_keys = self.held_keys
+        keys = []
+        polarities = []
+        while held and held[0].t < cutoff:
+            polarities.append(held.popleft().s)
+            keys.append(held_keys.popleft())
         try:
-            self.grid.retract_batch(*self._image(stale))
+            self.grid.retract_batch(keys, polarities)
         except ConsistencyError as exc:
             raise ConsistencyError(f"plane {self.plane_id}: {exc}") from exc
-        return len(stale)
+        return len(keys)
 
     def footprint_size(self) -> int:
         """Cells in the footprint: the nonzero cells and the promoted ones,

@@ -23,8 +23,8 @@ def metric_bruteforce(events: Iterable[Event], flow, t_ref_us: int) -> int:
     """Rebuild the accumulation image from scratch and sum squared cells.
 
     Oracle for the incremental metric.  It writes the projection and the
-    half-away rounding out itself rather than calling `cell_key`, so that
-    a fault in the shared kernel cannot hide behind the oracle.
+    half-away rounding out itself rather than calling `project_keys`, so
+    that a fault in the shared kernel cannot hide behind the oracle.
     """
     f: dict[int, int] = {}
     vu, vv = flow[0], flow[1]
@@ -44,21 +44,31 @@ def sum_squares(cells: dict[int, int]) -> int:
     return sum(c * c for c in cells.values())
 
 
-def bruteforce_image(events: Iterable[Event], flow,
-                     t_ref_us: int) -> dict[int, int]:
-    """The signed polarity sum in every packed cell that `events` project
-    to along `flow` relative to `t_ref_us`; a cell whose events cancel
-    holds 0."""
-    image: dict[int, int] = {}
+def bruteforce_keys(events: Iterable[Event], flow,
+                    t_ref_us: int) -> list[int]:
+    """The packed cell each event projects to along `flow` relative to
+    `t_ref_us`, in the events' order."""
+    keys = []
     vu, vv = flow[0], flow[1]
-    for u, v, t, s in events:
+    for u, v, t, _ in events:
         dt = (t - t_ref_us) * 1e-6
         x = u - vu * dt
         y = v - vv * dt
         xi = int(x + 0.5) if x >= 0.0 else -int(0.5 - x)
         yi = int(y + 0.5) if y >= 0.0 else -int(0.5 - y)
-        key = pack_cell(xi, yi)
-        image[key] = image.get(key, 0) + s
+        keys.append(pack_cell(xi, yi))
+    return keys
+
+
+def bruteforce_image(events: Iterable[Event], flow,
+                     t_ref_us: int) -> dict[int, int]:
+    """The signed polarity sum in every packed cell that `events` project
+    to along `flow` relative to `t_ref_us`; a cell whose events cancel
+    holds 0."""
+    events = list(events)
+    image: dict[int, int] = {}
+    for key, ev in zip(bruteforce_keys(events, flow, t_ref_us), events):
+        image[key] = image.get(key, 0) + ev.s
     return image
 
 

@@ -98,6 +98,35 @@ def test_every_module_level_name_is_named_elsewhere():
     assert unnamed_elsewhere(module_level_names) == []
 
 
+def imported_names(tree):
+    """Each name a module's import statements bind: (name, line)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_used():
+    # each name a module imports is loaded in that module, or, in
+    # `__init__`, exported through `__all__`
+    unused = []
+    for path in sorted((ROOT / "src" / "flowseg").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            loaded |= set(flowseg.__all__)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported_names(tree)
+                   if name not in loaded]
+    assert unused == []
+
+
 # stored for callers: the column of a parse error and the event index
 # of an ordering error, which the messages already name, kept as data
 # for code that catches the error

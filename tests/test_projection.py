@@ -5,12 +5,12 @@ import pytest
 
 from flowseg.events import Event
 from flowseg.projection import (AccumulatorGrid, ConsistencyError, FlowVector,
-                                KEY_M, cell_key, event_columns, flow_image,
-                                grid_flow, grid_sums, project_keys,
-                                round_half_away, unpack_cell)
+                                KEY_M, event_columns, grid_flow, grid_sums,
+                                project_keys, round_half_away, unpack_cell)
 
-from oracles import (array_flows, bruteforce_image, bruteforce_row_images,
-                     metric_bruteforce, pack_cell, sum_squares)
+from oracles import (array_flows, bruteforce_image, bruteforce_keys,
+                     bruteforce_row_images, metric_bruteforce, pack_cell,
+                     sum_squares)
 
 
 def random_events(rng, count, t_span_us=500_000, width=240, height=180):
@@ -47,21 +47,23 @@ def test_project_keys_shift_against_flow():
         pack_cell(0, 20)]
     assert project_keys(us, vs, np.array([0.0]), *flow).tolist() == [
         pack_cell(10, 20)]
-    # the scalar key of the tracking hit path agrees
-    assert cell_key(10, 20, 0.1, *flow) == pack_cell(0, 20)
-
-
-def projected(events, flow, t_ref_us):
-    """The batch image of events along one flow."""
-    return flow_image(event_columns(events), t_ref_us, flow[0], flow[1])
 
 
 def add(grid, events, flow, t_ref_us):
-    grid.accumulate_batch(*projected(events, flow, t_ref_us))
+    """Accumulate the batch image of events along one flow: the one row
+    of a 1 x 1 `grid_sums` array, in which a grid key is the packed
+    cell."""
+    us, vs, ts, ss = event_columns(events)
+    ((_, keys, sums),) = grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
+                                   [flow[0]], [flow[1]])
+    grid.accumulate_batch(keys, sums)
 
 
 def remove(grid, events, flow, t_ref_us):
-    grid.retract_batch(*projected(events, flow, t_ref_us))
+    """Retract events one key each, as a tracking plane expires them."""
+    us, vs, ts, _ = event_columns(events)
+    keys = project_keys(us, vs, (ts - t_ref_us) * 1e-6, flow[0], flow[1])
+    grid.retract_batch(keys.tolist(), [e.s for e in events])
 
 
 def test_accumulate_deltas_and_inverse():
@@ -153,6 +155,27 @@ def test_batch_matches_scalar():
     expected = dict.fromkeys(touched, 0)
     expected.update(bruteforce_image(events, flow, t_ref))
     assert batched.cells == expected
+
+
+def test_project_keys_match_bruteforce():
+    rng = random.Random(11)
+    events = random_events(rng, 200)
+    us, vs, ts, _ = event_columns(events)
+    for _ in range(5):
+        flow = (rng.uniform(-300, 300), rng.uniform(-300, 300))
+        t_ref = rng.randrange(-100_000, 100_000)
+        keys = project_keys(us, vs, (ts - t_ref) * 1e-6, *flow)
+        assert keys.tolist() == bruteforce_keys(events, flow, t_ref)
+
+
+def test_retract_batch_takes_repeated_keys_in_any_order():
+    grid = AccumulatorGrid()
+    flow = FlowVector(0.0, 0.0)
+    events = [Event(4, 4, 0, 1), Event(2, 2, 5, -1), Event(4, 4, 9, 1)]
+    add(grid, events, flow, 0)
+    grid.retract_batch([pack_cell(4, 4), pack_cell(2, 2), pack_cell(4, 4)],
+                       [1, -1, 1])
+    assert grid.cells == {pack_cell(2, 2): 0, pack_cell(4, 4): 0}
 
 
 def test_event_columns_shapes():

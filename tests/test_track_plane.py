@@ -86,8 +86,11 @@ def test_expire_keeps_promoted_cell_in_footprint():
 def test_expire_raises_on_event_never_accumulated():
     cfg = TrackPlaneConfig(evolve_threshold=1000)
     plane = make_plane((100.0, 0.0), cfg)
-    # a foreign event in `held` has no cell to retract from
+    # a foreign event in `held`, kept under a cell the grid never
+    # accumulated, has no cell to retract from
     plane.held.append(Event(200, 170, plane.held[-1].t + 1, 1))
+    plane.held_keys.append(pack_cell(200, 170))
+    assert pack_cell(200, 170) not in plane.grid.cells
     with pytest.raises(ConsistencyError, match="plane 0"):
         plane.expire(plane.held[-1].t + 10 ** 6)
 
@@ -110,6 +113,7 @@ def test_recenter_lays_a_new_frame():
     assert plane.center_flow == fresh.center_flow == (60.0, 1.0)
     assert plane.t_ref_us == fresh.t_ref_us == 2000
     assert list(plane.held) == events
+    assert plane.held_keys == fresh.held_keys
     assert plane.grid.cells == fresh.grid.cells
     assert (plane.footprint_size() == fresh.footprint_size()
             == len(plane.grid.nonzero_cells()))

@@ -3,8 +3,9 @@
 A tracking plane keeps its one grid incrementally: a hit adds one
 event, expiry retracts a batch of events, and a recenter rebuilds the
 grid in a new frame.  After every call the grid must equal the image
-rebuilt from the plane's held events, and the footprint must be the
-nonzero cells plus the promoted ones.
+rebuilt from the plane's held events, the cell kept for each held event
+must be its projection in the plane's frame, and the footprint must be
+the nonzero cells plus the promoted ones.
 """
 
 import math
@@ -13,12 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowseg.events import Event
-from flowseg.projection import (AccumulatorGrid, event_columns, flow_image,
-                                grid_sums)
+from flowseg.projection import (AccumulatorGrid, event_columns, grid_sums,
+                                project_keys)
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig
 
-from oracles import (bruteforce_image, bruteforce_row_images,
-                     metric_bruteforce, sum_squares)
+from oracles import (bruteforce_image, bruteforce_keys,
+                     bruteforce_row_images, metric_bruteforce, sum_squares)
 
 # 150 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -47,6 +48,8 @@ def check_plane(plane):
     grid = plane.grid
     # the grid projects along the plane's flow from its t_ref
     flow, t_ref = plane.center_flow, plane.t_ref_us
+    # each held event is kept with the cell it projects to in this frame
+    assert list(plane.held_keys) == bruteforce_keys(plane.held, flow, t_ref)
     image = nonzero(bruteforce_image(plane.held, flow, t_ref))
     assert nonzero(grid.cells) == image
     # the footprint counts the nonzero cells and the promoted ones
@@ -60,6 +63,7 @@ def same_plane(plane, fresh):
     return (plane.center_flow == fresh.center_flow
             and plane.t_ref_us == fresh.t_ref_us
             and plane.held == fresh.held
+            and plane.held_keys == fresh.held_keys
             and plane.grid.cells == fresh.grid.cells
             and plane.promoted == fresh.promoted
             and plane.miss_counts == fresh.miss_counts)
@@ -211,16 +215,19 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
             for u, v, dt, s in op[1]:
                 t += dt
                 batch.append(Event(u, v, t, s))
-            batched.accumulate_batch(*flow_image(event_columns(batch), 0,
-                                                 flow[0], flow[1]))
+            us, vs, ts, ss = event_columns(batch)
+            ((_, keys, sums),) = grid_sums(us, vs, ts * 1e-6, ss,
+                                           [flow[0]], [flow[1]])
+            batched.accumulate_batch(keys, sums)
             live.extend(batch)
             touched.update(bruteforce_image(batch, flow, 0))
         else:
             picks = {i % len(live) for i in op[1]} if live else set()
             batch = [e for i, e in enumerate(live) if i in picks]
             live = [e for i, e in enumerate(live) if i not in picks]
-            batched.retract_batch(
-                *flow_image(event_columns(batch), 0, flow[0], flow[1]))
+            # one key per event, as a tracking plane expires them
+            batched.retract_batch(bruteforce_keys(batch, flow, 0),
+                                  [e.s for e in batch])
         # every cell ever touched stays, holding its live sum (0 when
         # cancelled), so that a cancelled cell stays retractable
         expected = dict.fromkeys(touched, 0)
@@ -241,24 +248,26 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
 def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events):
     # grid k = j*m + i of the kernel is the flow (col[i], row[j]), and
     # holds every cell its events touch, cancelled ones included; each
-    # speed row's grid keys come ascending, one row after another.  A
-    # tracking plane's one-flow image is that of grid 0 of a 1 x 1
-    # array, and has no cells when there are no events
+    # speed row's grid keys come ascending, one row after another.  The
+    # keys a tracking plane keeps are `project_keys` along one flow, one
+    # per event, and a 1 x 1 array's grid keys are those packed cells
     col, row = speeds[:m], speeds[5:5 + m]
     t = 0
     batch = []
     for u, v, dt, s in events:
         t += dt
         batch.append(Event(u, v, t, s))
-    columns = event_columns(batch)
-    keys, sums = flow_image(columns, t_ref, col[0], row[0])
-    expected = bruteforce_image(batch, (col[0], row[0]), t_ref)
-    assert keys.tolist() == sorted(expected)
-    assert sums.tolist() == [expected[key] for key in sorted(expected)]
     if not batch:
         return                          # grid_sums takes at least one event
-    us, vs, ts, ss = columns
-    rows = list(grid_sums(us, vs, (ts - t_ref) * 1e-6, ss, col, row))
+    us, vs, ts, ss = event_columns(batch)
+    dt = (ts - t_ref) * 1e-6
+    keys = project_keys(us, vs, dt, col[0], row[0])
+    assert keys.tolist() == bruteforce_keys(batch, (col[0], row[0]), t_ref)
+    ((_, cells, sums),) = grid_sums(us, vs, dt, ss, col[:1], row[:1])
+    expected = bruteforce_image(batch, (col[0], row[0]), t_ref)
+    assert cells.tolist() == sorted(expected)
+    assert sums.tolist() == [expected[key] for key in sorted(expected)]
+    rows = list(grid_sums(us, vs, dt, ss, col, row))
     assert [j for j, _, _ in rows] == list(range(m))
     for (_, keys, sums), expected in zip(
             rows, bruteforce_row_images(batch, col, row, t_ref)):
