@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .events import (Event, OrderingError, parse_record, read_ascii,
-                     record_lines)
+from .events import (Event, OrderingError, RecordFormat, parse_record,
+                     read_records, source_text)
 from .flow_plane import FlowPlane, FlowPlaneConfig
 from .projection import NEIGHBORS_8, FlowVector
 from .track_plane import V_FLOOR, TrackPlane, TrackPlaneConfig
@@ -57,15 +57,22 @@ def write_labeled(records: Iterable[FlowLabeledEvent], destination) -> int:
 
 
 def read_labeled(source) -> list[FlowLabeledEvent]:
-    """Read a file written by `write_labeled`; a record that is not
-    ``t u v s segment v_u v_v`` raises ParseError naming its line and
-    field.  The file must be ASCII (see `read_ascii`)."""
-    records = []
-    for line_no, text in record_lines(read_ascii(source).split("\n")):
-        t, u, v, s, seg, v_u, v_v = parse_record(
-            text, line_no, (int, int, int, int, int, float, float))
-        records.append(FlowLabeledEvent(u, v, t, s, seg, v_u, v_v))
-    return records
+    """Read a file written by `write_labeled`, from its path or its
+    lines, as `events.read_records` reads any record format; a record
+    that is not ``t u v s segment v_u v_v`` raises ParseError naming its
+    line and field.  A file must be ASCII (see `read_ascii`)."""
+    return read_records(source_text(source), _LABELED_FORMAT)
+
+
+def _decode_labeled(text: str, line_no: int, _) -> FlowLabeledEvent:
+    t, u, v, s, seg, v_u, v_v = parse_record(
+        text, line_no, _LABELED_FORMAT.types)
+    return FlowLabeledEvent(u, v, t, s, seg, v_u, v_v)
+
+
+_LABELED_FORMAT = RecordFormat((int, int, int, int, int, float, float),
+                               (1, 2, 0, 3, 4, 5, 6), FlowLabeledEvent,
+                               _decode_labeled)
 
 
 @dataclass

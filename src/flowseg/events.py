@@ -12,17 +12,24 @@ with t in microseconds.  Blank lines and lines starting with '#'
 (comments) may appear anywhere.  The first other line may be a header
 ``geometry W H``, and no later one; a line is a header only when its
 first field is exactly ``geometry``.
+
+`read_records` reads this format and the other line-oriented record
+files (labeled events, ground truth): one numpy pass over a well-formed
+file, and the line-by-line decoder, which raises, for any other.
 """
 
 from __future__ import annotations
 
+import gc
 import io
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 import numpy as np
 
@@ -88,13 +95,20 @@ class EventStream:
         return self.events[i]
 
 
-def record_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped text) for each line of
-    `lines` that is neither blank nor a comment starting with '#'."""
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if text and not text.startswith("#"):
-            yield line_no, text
+def record_lines(text: str) -> Iterator[tuple[int, str, int]]:
+    """Yield (1-based line number, stripped text, offset of the line) for
+    each line of `text` that is neither blank nor a comment starting
+    with '#'.  It reads only as far as it is asked to."""
+    line_no = pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        line_no += 1
+        record = text[pos:end].strip()
+        if record and record[0] != "#":
+            yield line_no, record, pos
+        pos = end + 1
 
 
 def read_ascii(path) -> str:
@@ -150,6 +164,110 @@ def encode_event(e: Event) -> str:
     return f"{e.t} {e.u} {e.v} {e.s}"
 
 
+class RecordFormat(NamedTuple):
+    """How `read_records` reads one line-oriented record format."""
+
+    types: tuple[type, ...]     # each field of a line: int or float
+    fields: tuple[int, ...]     # the line field of each record field
+    record: type                # the tuple type of a record
+    # decode(text, line, records so far) -> one record; raises ParseError
+    # (or a format's own StreamError) naming the line
+    decode: Callable[[str, int, list], tuple]
+    # valid(*columns) -> whether the line fields, as numpy columns in
+    # line order, are all valid records; None accepts any that parse
+    valid: Optional[Callable[..., bool]] = None
+
+
+def source_text(source: Union[str, os.PathLike, Iterable[str]]) -> str:
+    """The text of a file path (see `read_ascii`), or of an iterable of
+    lines: one line per item, with the item's whitespace-separated
+    fields joined by single spaces, so that each line keeps the number
+    and the fields of its item."""
+    if isinstance(source, (str, os.PathLike)):
+        return read_ascii(source)
+    return "\n".join(" ".join(line.split()) for line in source)
+
+
+# the text of a whole-line comment
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
+
+
+def read_records(text: str, fmt: RecordFormat, skip: int = 0) -> list:
+    """The records of `text` after its first `skip` records (a header).
+
+    Blank lines and lines starting with '#' are skipped.  Every other
+    line is parsed in one numpy pass with the format's field types and
+    checked as whole columns, and the records are built with the cyclic
+    collector paused.  Any text the pass rejects is decoded line by line
+    by `fmt.decode`, and the first bad line raises.
+    """
+    first = next(islice(record_lines(text), skip, None), None)
+    if first is None:
+        return []
+    line_no, _, start = first
+    # a comment after the first record: blank each whole-line one, which
+    # keeps the line count, and leave an inline '#' to fail the pass
+    uncommented = (_COMMENT_LINE.sub("", text) if text.find("#", start) >= 0
+                   else text)
+    # `lines` lives until the records are built.  Freed after them, its
+    # strings leave warm memory that the caller's next allocations
+    # reuse; freed before, the records take it, and a labeling loop
+    # that follows faults in fresh pages instead (+11% on perfbench's
+    # noise p95, on a two-core virtual machine)
+    lines = uncommented.split("\n")
+    columns = _table_columns(islice(lines, line_no - 1, None), fmt.types)
+    if columns is not None and (fmt.valid is None or fmt.valid(*columns)):
+        return build_records(fmt.record,
+                             [columns[i].tolist() for i in fmt.fields])
+    return decode_records(islice(record_lines(text), skip, None), fmt.decode)
+
+
+def build_records(record: type, columns: Sequence[list]) -> list:
+    """[record(*row) for row in zip(*columns)], each made by
+    tuple.__new__ with no Python-level call.  The cyclic collector is
+    paused meanwhile (a bulk build of tuples would trigger it again and
+    again) and left as the caller had it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(partial(tuple.__new__, record), zip(*columns)))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def decode_records(records: Iterable[tuple[int, str, int]],
+                   decode: Callable[[str, int, list], tuple]) -> list:
+    """Decode the records `record_lines` yields one at a time; the first
+    bad one raises."""
+    out: list = []
+    for line_no, text, _ in records:
+        out.append(decode(text, line_no, out))
+    return out
+
+
+def _table_columns(lines: Iterable[str],
+                   types: Sequence[type]) -> Optional[list]:
+    """The fields of every nonblank line as numpy columns (int64 for int,
+    float64 for float), or None unless each such line has exactly
+    ``len(types)`` fields that numpy parses as their type.  Any value
+    numpy parses is the value `int` or `float` reads from it; the
+    spellings only those read (``1_0``, a value past int64) give None,
+    and so does a '#'."""
+    dtype = np.dtype([(f"f{i}", np.int64 if kind is int else np.float64)
+                      for i, kind in enumerate(types)])
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 parses '1.0', and a value past int64, in an
+            # int column via a float with only a DeprecationWarning; a
+            # text with no records warns too
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return [table[name] for name in dtype.names]
+
+
 def load_stream(source: Union[str, Iterable[str]],
                 geometry: Optional[SensorGeometry] = None) -> EventStream:
     """Load an event stream from a file path or an iterable of lines.
@@ -161,33 +279,23 @@ def load_stream(source: Union[str, Iterable[str]],
     ``t u v s`` event as `decode_event` defines it, inside the geometry
     and no earlier than the event before it.
 
-    A well-formed stream is parsed in one numpy pass and checked as
-    whole columns (about 1.4 us per event against 4.5 us line by line, on
-    the 93,780-event hexagon scene).  Any other input is decoded line by
+    A well-formed stream is read by `read_records` in one numpy pass
+    (0.9-1.0 us per event against 5.5-6.9 us line by line, on the
+    93,780-event hexagon scene).  Any other input is decoded line by
     line, and the first bad line raises a ParseError, GeometryError or
     OrderingError that names the line (ParseError also the field).
     """
-    if isinstance(source, str):
-        lines = read_ascii(source).split("\n")
-    else:
-        lines = list(source)
-    # the texts of `record_lines(lines)`, without the line numbers
-    texts = [text for raw in lines
-             if (text := raw.strip()) and text[0] != "#"]
+    text = source_text(source)
     effective = geometry or DEFAULT_GEOMETRY
-    first = 0
-    if texts and texts[0].split()[0] == "geometry":
-        effective = _header_geometry(*next(record_lines(lines)), geometry)
-        first = 1
-    table = _event_table(texts[first:], effective)
-    if table is None:
-        events = _decode_events(islice(record_lines(lines), first, None),
-                                effective)
-    else:
-        t, u, v, s = table.T.tolist()
-        # tuple.__new__ builds each Event with no Python-level call
-        events = list(map(partial(tuple.__new__, Event), zip(u, v, t, s)))
-    return EventStream(effective, events)
+    first = next(record_lines(text), None)
+    skip = 0
+    if first and first[1].split()[0] == "geometry":
+        effective = _header_geometry(first[0], first[1], geometry)
+        skip = 1
+    fmt = RecordFormat((int, int, int, int), (1, 2, 0, 3), Event,
+                       partial(_checked_event, effective),
+                       partial(_valid_events, effective))
+    return EventStream(effective, read_records(text, fmt, skip))
 
 
 def _header_geometry(line_no: int, text: str,
@@ -209,48 +317,29 @@ def _header_geometry(line_no: int, text: str,
     return effective
 
 
-def _event_table(rows: list[str],
-                 geometry: SensorGeometry) -> Optional[np.ndarray]:
-    """The (len(rows), 4) int64 table of t, u, v, s, or None unless every
-    row parses as four int64 values that form valid, in-order events
-    inside `geometry`.  None sends the rows to `_decode_events`, which
-    also accepts spellings numpy rejects (``1_0``, 20-digit values)."""
-    try:
-        with warnings.catch_warnings():
-            # numpy before 2.0 parses '1.0', and a value past int64, via
-            # a float with only a DeprecationWarning; an empty `rows`
-            # warns too
-            warnings.simplefilter("error")
-            table = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, Warning):
-        return None
-    if table.shape != (len(rows), 4):
-        return None
-    t, u, v, s = table.T
-    valid = (((s == 1) | (s == -1)).all() and (t >= 0).all()
-             and (u >= 0).all() and (u < geometry.width).all()
-             and (v >= 0).all() and (v < geometry.height).all()
-             and (np.diff(t) >= 0).all())
-    return table if valid else None
+def _valid_events(geometry: SensorGeometry, t, u, v, s) -> bool:
+    """Whether the t, u, v, s columns form valid, in-order events inside
+    `geometry`."""
+    return bool(((s == 1) | (s == -1)).all() and (t >= 0).all()
+                and (u >= 0).all() and (u < geometry.width).all()
+                and (v >= 0).all() and (v < geometry.height).all()
+                and (np.diff(t) >= 0).all())
 
 
-def _decode_events(records: Iterable[tuple[int, str]],
-                   geometry: SensorGeometry) -> list[Event]:
-    """Decode numbered event records one at a time, checking each
-    against `geometry` and the time order; the first bad record raises."""
-    events: list[Event] = []
-    for line_no, text in records:
-        e = decode_event(text, line_no)
-        if not geometry.contains(e.u, e.v):
-            raise GeometryError(
-                f"line {line_no}: coordinate ({e.u}, {e.v}) outside "
-                f"{geometry.width}x{geometry.height}")
-        if events and e.t < events[-1].t:
-            raise OrderingError(
-                f"line {line_no}: timestamp {e.t} before previous "
-                f"{events[-1].t}", len(events))
-        events.append(e)
-    return events
+def _checked_event(geometry: SensorGeometry, text: str, line_no: int,
+                   events: list[Event]) -> Event:
+    """Decode one event record, checking it against `geometry` and the
+    time of the event before it."""
+    e = decode_event(text, line_no)
+    if not geometry.contains(e.u, e.v):
+        raise GeometryError(
+            f"line {line_no}: coordinate ({e.u}, {e.v}) outside "
+            f"{geometry.width}x{geometry.height}")
+    if events and e.t < events[-1].t:
+        raise OrderingError(
+            f"line {line_no}: timestamp {e.t} before previous "
+            f"{events[-1].t}", len(events))
+    return e
 
 
 def save_stream(stream: EventStream, destination: Union[str, io.TextIOBase]) -> None:

@@ -21,7 +21,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .events import (DEFAULT_GEOMETRY, Event, EventStream, GeometryError,
-                     SensorGeometry, parse_record, read_ascii, record_lines)
+                     RecordFormat, SensorGeometry, parse_record, read_records,
+                     source_text)
 from .projection import KEY_M, _round_array, round_half_away
 
 CONTOUR_SPACING = 0.5         # px between contour sample points
@@ -237,17 +238,21 @@ def write_gt(gt: GroundTruth, destination) -> None:
 
 
 def read_gt(source) -> list[tuple[int, int, float, float]]:
-    """Read sidecar rows back as (t_us, structure_id, v_u, v_v); a row
-    that is not ``t v_u v_v structure_id`` raises ParseError naming its
-    line and field.  A file must be ASCII (see `read_ascii`)."""
-    if isinstance(source, str):
-        return read_gt(read_ascii(source).split("\n"))
-    records = []
-    for line_no, text in record_lines(source):
-        t_us, v_u, v_v, structure = parse_record(text, line_no,
-                                                 (int, float, float, int))
-        records.append((t_us, structure, v_u, v_v))
-    return records
+    """Read sidecar rows back as (t_us, structure_id, v_u, v_v), from a
+    path or the file's lines, as `events.read_records` reads any record
+    format; a row that is not ``t v_u v_v structure_id`` raises
+    ParseError naming its line and field.  A file must be ASCII (see
+    `read_ascii`)."""
+    return read_records(source_text(source), _GT_FORMAT)
+
+
+def _decode_gt(text: str, line_no: int, _) -> tuple[int, int, float, float]:
+    t_us, v_u, v_v, structure = parse_record(text, line_no, _GT_FORMAT.types)
+    return t_us, structure, v_u, v_v
+
+
+_GT_FORMAT = RecordFormat((int, float, float, int), (0, 3, 1, 2), tuple,
+                          _decode_gt)
 
 
 # ---------------------------------------------------------------------------

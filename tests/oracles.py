@@ -3,12 +3,14 @@
 They rebuild accumulation images event by event and write the
 projection and its half-away rounding out themselves instead of calling
 the kernels of `flowseg.projection`, so that a fault in a shared kernel
-cannot hide behind an oracle.  The event-file oracle decodes one line
-at a time with its own copy of the record parser.
+cannot hide behind an oracle.  The event-, labeled- and truth-file
+oracles decode one line at a time with their own copy of the record
+parser.
 """
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
+from flowseg.engine import FlowLabeledEvent
 from flowseg.events import (DEFAULT_GEOMETRY, Event, EventStream,
                             GeometryError, OrderingError, ParseError,
                             SensorGeometry)
@@ -164,3 +166,58 @@ def load_stream_per_line(source: Union[str, Iterable[str]],
                 f"{events[-1].t}", len(events))
         events.append(e)
     return EventStream(effective, events)
+
+
+def parse_fields_per_line(record: str, line: int, types) -> list:
+    """`events.parse_record` written out again, for the labeled- and
+    truth-file oracles."""
+    fields = record.split()
+    if len(fields) != len(types):
+        raise ParseError(f"expected {len(types)} fields, got {len(fields)}",
+                         line, 0)
+    values = []
+    for col, (kind, text) in enumerate(zip(types, fields), start=1):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ParseError(f"not {noun}: {text!r}", line, col) from None
+    return values
+
+
+def numbered_records_per_line(source: Union[str, Iterable[str]]
+                              ) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) of each line of a path or of an
+    iterable of lines that is neither blank nor a '#' comment."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="ascii") as fh:
+            yield from numbered_records_per_line(list(fh))
+        return
+    for line_no, raw in enumerate(source, start=1):
+        text = raw.strip()
+        if text and not text.startswith("#"):
+            yield line_no, text
+
+
+def read_labeled_per_line(source: Union[str, Iterable[str]]
+                          ) -> list[FlowLabeledEvent]:
+    """Oracle for `engine.read_labeled`: one line at a time, as it read
+    before its numpy pass."""
+    records = []
+    for line_no, text in numbered_records_per_line(source):
+        t, u, v, s, seg, v_u, v_v = parse_fields_per_line(
+            text, line_no, (int, int, int, int, int, float, float))
+        records.append(FlowLabeledEvent(u, v, t, s, seg, v_u, v_v))
+    return records
+
+
+def read_gt_per_line(source: Union[str, Iterable[str]]
+                     ) -> list[tuple[int, int, float, float]]:
+    """Oracle for `synth.read_gt`: one line at a time, as it read before
+    its numpy pass."""
+    records = []
+    for line_no, text in numbered_records_per_line(source):
+        t_us, v_u, v_v, structure = parse_fields_per_line(
+            text, line_no, (int, float, float, int))
+        records.append((t_us, structure, v_u, v_v))
+    return records
