@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .events import (Event, OrderingError, RecordFormat, parse_record,
-                     read_records, source_text)
+from .events import (Event, OrderingError, RecordFormat, read_records,
+                     source_text, write_records)
 from .flow_plane import FlowPlane, FlowPlaneConfig
 from .projection import NEIGHBORS_8, FlowVector
 from .track_plane import V_FLOOR, TrackPlane, TrackPlaneConfig
@@ -36,24 +36,19 @@ class FlowLabeledEvent(NamedTuple):
     v_u: float      # nan when unlabeled
     v_v: float
 
-    def line(self) -> str:
-        return (f"{self.t} {self.u} {self.v} {self.s} {self.segment} "
-                f"{self.v_u!r} {self.v_v!r}")
-
 
 # builds a FlowLabeledEvent from one 7-tuple with no Python-level call
 _labeled_event = partial(tuple.__new__, FlowLabeledEvent)
 
+LABELED_FORMAT = RecordFormat((int, int, int, int, int, float, float),
+                              (1, 2, 0, 3, 4, 5, 6), FlowLabeledEvent)
+
 
 def write_labeled(records: Iterable[FlowLabeledEvent], destination) -> int:
-    """Write labeled events, one per line; returns the record count."""
-    count = 0
-    with open(destination, "w", encoding="ascii") as fh:
-        fh.write("# t u v s segment v_u v_v\n")
-        for rec in records:
-            fh.write(rec.line() + "\n")
-            count += 1
-    return count
+    """Write labeled events, one per line after a header comment, to a
+    path or an open text file; returns the record count."""
+    return write_records(destination, LABELED_FORMAT,
+                         "# t u v s segment v_u v_v", records)
 
 
 def read_labeled(source) -> list[FlowLabeledEvent]:
@@ -61,18 +56,7 @@ def read_labeled(source) -> list[FlowLabeledEvent]:
     lines, as `events.read_records` reads any record format; a record
     that is not ``t u v s segment v_u v_v`` raises ParseError naming its
     line and field.  A file must be ASCII (see `read_ascii`)."""
-    return read_records(source_text(source), _LABELED_FORMAT)
-
-
-def _decode_labeled(text: str, line_no: int, _) -> FlowLabeledEvent:
-    t, u, v, s, seg, v_u, v_v = parse_record(
-        text, line_no, _LABELED_FORMAT.types)
-    return FlowLabeledEvent(u, v, t, s, seg, v_u, v_v)
-
-
-_LABELED_FORMAT = RecordFormat((int, int, int, int, int, float, float),
-                               (1, 2, 0, 3, 4, 5, 6), FlowLabeledEvent,
-                               _decode_labeled)
+    return read_records(source_text(source), LABELED_FORMAT)
 
 
 @dataclass

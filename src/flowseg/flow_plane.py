@@ -14,7 +14,7 @@ retractions at its own place in it.  Once the argmax cell has been
 stable for p_stable consecutive events, the events backing the winning
 projection are extracted (statistical threshold over cell values plus
 8-connected flood fill) and re-projected through progressively narrower
-arrays (range/q per level).
+arrays (`_RANGE_SHRINK` per level).
 The final association seeds a tracking plane; everything else is
 re-projected into a fresh level-0 array.  The drained array is freed
 first, and these rebuilds (`MetricArray.fill`) write each projected
@@ -45,10 +45,8 @@ class AssociationError(Exception):
 @dataclass
 class FlowPlaneConfig:
     n: int = 20                    # array is n x n candidate flows
-    angular_range: float = math.pi
     v_ref: float = 100.0           # px/s mapped to 45 deg
     p_stable: int = 500            # consecutive stable-argmax events
-    q: float = 9.0                 # range shrink factor per refinement
     depth_max: int = 3             # refinement levels below the top array
     w: float = 2.0                 # seed threshold: |f| > mu + w*sigma
     noise_lifespan_s: float = 0.5  # unassociated events older than this flush
@@ -59,20 +57,24 @@ class FlowPlaneConfig:
         if self.n * self.n > MAX_GRIDS:
             raise ValueError(f"n must be at most {math.isqrt(MAX_GRIDS)}: "
                              f"the keys of n*n grids must fit in int64")
-        if not 0 < self.angular_range <= math.pi:
-            raise ValueError("angular_range must be in (0, pi]")
         if self.v_ref <= 0:
             raise ValueError("v_ref must be positive")
         if self.p_stable < 1:
             raise ValueError("p_stable must be at least 1")
-        if self.q <= 1:
-            raise ValueError("q must exceed 1")
         if self.depth_max < 0:
             raise ValueError("depth_max must be non-negative")
         if self.w < 0:
             raise ValueError("w must be non-negative")
         if self.noise_lifespan_s <= 0:
             raise ValueError("noise_lifespan_s must be positive")
+
+
+# each axis of the top array spans pi radians of angle, all of the
+# tangent's (-pi/2, pi/2), so that it reaches every speed, however fast
+_ANGULAR_RANGE = math.pi
+# each refinement level spans 1/9 of its parent's range: 2.2 of the
+# parent's cells around its argmax at n = 20, each cell 9x finer
+_RANGE_SHRINK = 9.0
 
 
 def axis_speeds(center: float, angular_range: float,
@@ -122,9 +124,9 @@ class MetricArray:
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
-                 angular_range: Optional[float] = None):
+                 angular_range: float = _ANGULAR_RANGE):
         self.cfg = cfg
-        self.angular_range = cfg.angular_range if angular_range is None else angular_range
+        self.angular_range = angular_range
         self.col_vu = np.array(axis_speeds(float(center_flow[0]),
                                            self.angular_range, cfg))
         self.row_vv = np.array(axis_speeds(float(center_flow[1]),
@@ -461,10 +463,10 @@ def extract_associated(array: MetricArray) -> AssociationResult:
 
 def refine(assoc: AssociationResult, cfg: FlowPlaneConfig, parent_range: float,
            center_flow) -> MetricArray:
-    """Re-project associated events through a range/q array around
-    `center_flow`: the association's flow at the first level, the
-    previous level's argmax flow below it."""
-    child = MetricArray(cfg, center_flow, parent_range / cfg.q)
+    """Re-project associated events through an array of the parent's
+    range over `_RANGE_SHRINK` around `center_flow`: the association's
+    flow at the first level, the previous level's argmax flow below it."""
+    child = MetricArray(cfg, center_flow, parent_range / _RANGE_SHRINK)
     child.fill(assoc.events)
     return child
 
@@ -473,7 +475,7 @@ def refined_flow(assoc: AssociationResult, cfg: FlowPlaneConfig) -> FlowVector:
     """The association's flow sharpened through the depth_max refinement
     levels below the top-level array; the last level's array is freed on
     return."""
-    flow, parent_range = assoc.flow, cfg.angular_range
+    flow, parent_range = assoc.flow, _ANGULAR_RANGE
     for _ in range(cfg.depth_max):
         deeper = refine(assoc, cfg, parent_range, center_flow=flow)
         parent_range = deeper.angular_range

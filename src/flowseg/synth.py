@@ -21,8 +21,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .events import (DEFAULT_GEOMETRY, Event, EventStream, GeometryError,
-                     RecordFormat, SensorGeometry, parse_record, read_records,
-                     source_text)
+                     RecordFormat, SensorGeometry, read_records, source_text,
+                     write_records)
 from .projection import KEY_M, _round_array, round_half_away
 
 CONTOUR_SPACING = 0.5         # px between contour sample points
@@ -197,8 +197,9 @@ class RotationMotion:
                          rel[:, 0] * s + rel[:, 1] * c], axis=1) + self.center
 
     def velocity_at(self, pos_u: float, pos_v: float, t: float) -> tuple[float, float]:
-        return (-self.omega * (pos_v - self.center[1]),
-                self.omega * (pos_u - self.center[0]))
+        # positions come from numpy arrays; the truth records hold floats
+        return (float(-self.omega * (pos_v - self.center[1])),
+                float(self.omega * (pos_u - self.center[0])))
 
     def world_normal(self, normal, t: float):
         a = self.omega * t
@@ -227,14 +228,13 @@ class GroundTruth:
     records: list[tuple[int, int, float, float]]
 
 
+GT_FORMAT = RecordFormat((int, float, float, int), (0, 3, 1, 2), tuple)
+
+
 def write_gt(gt: GroundTruth, destination) -> None:
-    if isinstance(destination, str):
-        with open(destination, "w", encoding="ascii") as fh:
-            write_gt(gt, fh)
-        return
-    destination.write("# t v_u v_v structure_id\n")
-    for t_us, structure, v_u, v_v in gt.records:
-        destination.write(f"{t_us} {v_u!r} {v_v!r} {structure}\n")
+    """Write truth rows after a header comment, to a path or a file."""
+    write_records(destination, GT_FORMAT, "# t v_u v_v structure_id",
+                  gt.records)
 
 
 def read_gt(source) -> list[tuple[int, int, float, float]]:
@@ -243,16 +243,7 @@ def read_gt(source) -> list[tuple[int, int, float, float]]:
     format; a row that is not ``t v_u v_v structure_id`` raises
     ParseError naming its line and field.  A file must be ASCII (see
     `read_ascii`)."""
-    return read_records(source_text(source), _GT_FORMAT)
-
-
-def _decode_gt(text: str, line_no: int, _) -> tuple[int, int, float, float]:
-    t_us, v_u, v_v, structure = parse_record(text, line_no, _GT_FORMAT.types)
-    return t_us, structure, v_u, v_v
-
-
-_GT_FORMAT = RecordFormat((int, float, float, int), (0, 3, 1, 2), tuple,
-                          _decode_gt)
+    return read_records(source_text(source), GT_FORMAT)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ def bruteforce_row_images(events: Iterable[Event], col_vu, row_vv,
 
 
 def decode_event_per_line(record: str, line: int = 0) -> Event:
-    """`decode_event` as it was before `parse_record`, for
-    `load_stream_per_line`."""
+    """The event-line decoder of `load_stream` as it was before
+    `parse_record`, for `load_stream_per_line`."""
     fields = record.split()
     if len(fields) != 4:
         raise ParseError(f"expected 4 fields, got {len(fields)}", line, 0)

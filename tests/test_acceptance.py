@@ -18,7 +18,8 @@ import pytest
 from flowseg.engine import Engine, EngineConfig, UNLABELED, write_labeled
 from flowseg.evaluation import cross_label_fraction, flow_errors
 from flowseg.events import Event
-from flowseg.flow_plane import FlowPlaneConfig, MetricArray, axis_speeds
+from flowseg.flow_plane import (_ANGULAR_RANGE, FlowPlaneConfig, MetricArray,
+                                axis_speeds)
 from flowseg.projection import (AccumulatorGrid, FlowVector, event_columns,
                                 project_keys)
 from flowseg.synth import (ConstantMotion, PendulumMotion, RotationMotion,
@@ -81,7 +82,7 @@ def test_02_metric_argmax_lands_on_true_flow():
     array = MetricArray(cfg)
     array.fill(events)
     # the cells whose flow is closest to the truth (symmetric ties allowed)
-    speeds = axis_speeds(0.0, cfg.angular_range, cfg)
+    speeds = axis_speeds(0.0, _ANGULAR_RANGE, cfg)
     best = None
     nearest = []
     for j in range(cfg.n):

@@ -3,9 +3,11 @@ import re
 
 import pytest
 
-from flowseg.cli import main
+from flowseg.cli import main, parse_object_spec
 from flowseg.config import (ConfigError, config_lines, load_config,
                             parse_assignments)
+from flowseg.events import DEFAULT_GEOMETRY
+from flowseg.synth import generate_scene, read_gt
 
 
 def test_load_config_defaults():
@@ -42,10 +44,12 @@ def test_load_config_rejects_bad_keys():
 @pytest.mark.parametrize("key", [
     "engine.merge_flow_tol", "engine.merge_overlap_tol",
     "engine.prune_fraction", "engine.prune_window_lifetimes",
-    "engine.prune_grace_lifetimes", "track_plane.v_floor"])
+    "engine.prune_grace_lifetimes", "track_plane.v_floor",
+    "flow_plane.angular_range", "flow_plane.q"])
 def test_load_config_rejects_maintenance_constants(key):
-    # the merge and prune thresholds and the speed floor are constants,
-    # not config keys: a file that sets one is refused, not ignored
+    # the merge and prune thresholds, the speed floor, the top array's
+    # range and the refinement shrink are constants, not config keys: a
+    # file that sets one is refused, not ignored
     message = re.escape(f"unknown config key '{key}'")
     with pytest.raises(ConfigError, match=f"^line 1: {message}$"):
         load_config([f"{key} = 1.0"])
@@ -107,6 +111,21 @@ def test_cli_run_eval_render(tmp_path, synth_files, capsys):
     assert run_cli("render", "--labeled", labeled, "--out-dir", frames,
                    "--mode", "flow") == 0
     assert any(name.endswith(".ppm") for name in os.listdir(frames))
+
+
+def test_cli_rotation_truth_reads_back(tmp_path):
+    # a rotating object's truth velocities are computed from numpy
+    # positions; its truth file must hold numbers that `eval` reads
+    events, gt, labeled = (str(tmp_path / name)
+                           for name in ("events.txt", "gt.txt", "labeled.txt"))
+    spec = "shape=bar,length=30,thickness=3,motion=rotation,omega_deg=90"
+    assert run_cli("synth", "--out", events, "--gt", gt, "--object", spec,
+                   "--duration", "0.2", "--seed", "1") == 0
+    assert run_cli("run", events, "--out", labeled) == 0
+    assert run_cli("eval", "--labeled", labeled, "--gt", gt) == 0
+    _, truth = generate_scene([parse_object_spec(spec, DEFAULT_GEOMETRY)],
+                              0.2, seed=1)
+    assert truth.records and repr(read_gt(gt)) == repr(truth.records)
 
 
 def test_cli_run_writes_plane_snapshots(tmp_path, synth_files):

@@ -15,10 +15,11 @@ walk.  Any change to them is a change of behaviour.
 """
 
 import hashlib
+import io
 
 import pytest
 
-from flowseg.engine import Engine, EngineConfig
+from flowseg.engine import Engine, EngineConfig, write_labeled
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 from flowseg.track_plane import TrackPlaneConfig
 
@@ -114,9 +115,10 @@ def run_recorded(events, cfg):
 
     engine.flow_plane.try_emit = recording_try_emit
     labeled = engine.run(events)
-    text = "# t u v s segment v_u v_v\n" + "".join(
-        rec.line() + "\n" for rec in labeled)
-    return hashlib.sha256(text.encode()).hexdigest(), engine.stats, emissions
+    text = io.StringIO()
+    write_labeled(labeled, text)
+    return (hashlib.sha256(text.getvalue().encode()).hexdigest(),
+            engine.stats, emissions)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))

@@ -134,8 +134,9 @@ def test_ingest_and_flush_match_bruteforce(events, ops, n, block):
         assert nonzero_grids(array) == bruteforce_grids(array)
 
 
-# refinement ranges pi/q**level of the default q, and arbitrary ones
-RANGES = st.one_of(st.sampled_from([math.pi / 9.0 ** level
+# the top array's range and each refinement level's, and arbitrary ones
+RANGES = st.one_of(st.sampled_from([flow_plane._ANGULAR_RANGE
+                                    / flow_plane._RANGE_SHRINK ** level
                                     for level in range(4)]),
                    st.floats(1e-3, math.pi))
 CENTERS = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))

@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -26,19 +27,23 @@ def test_output_aligned_and_typed(small_scene):
     events, _ = small_scene
     labeled, _ = run_stream(events)
     assert len(labeled) == len(events)
+    buf = io.StringIO()
+    write_labeled(labeled, buf)
+    header, *lines = buf.getvalue().splitlines()
+    assert header == "# t u v s segment v_u v_v" and len(lines) == len(events)
     kinds = set()
-    for ev, rec in zip(events, labeled):
+    for ev, rec, line in zip(events, labeled, lines):
         # the record type itself, with its methods, not a bare tuple
         assert type(rec) is FlowLabeledEvent
         assert (rec.u, rec.v, rec.t, rec.s) == (ev.u, ev.v, ev.t, ev.s)
         if rec.segment == UNLABELED:
             assert math.isnan(rec.v_u) and math.isnan(rec.v_v)
-            assert rec.line() == f"{ev.t} {ev.u} {ev.v} {ev.s} -1 nan nan"
+            assert line == f"{ev.t} {ev.u} {ev.v} {ev.s} -1 nan nan"
         else:
             assert math.isfinite(rec.v_u) and math.isfinite(rec.v_v)
             assert type(rec.v_u) is float and type(rec.v_v) is float
-            assert rec.line() == (f"{ev.t} {ev.u} {ev.v} {ev.s} "
-                                  f"{rec.segment} {rec.v_u!r} {rec.v_v!r}")
+            assert line == (f"{ev.t} {ev.u} {ev.v} {ev.s} "
+                            f"{rec.segment} {rec.v_u!r} {rec.v_v!r}")
         kinds.add(rec.segment == UNLABELED)
     assert kinds == {True, False}          # both kinds were checked
 

@@ -1,46 +1,50 @@
 import gc
+import io
+import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowseg import events
-from flowseg.engine import read_labeled, run_stream, write_labeled
-from flowseg.events import (DEFAULT_GEOMETRY, Event, GeometryError,
-                            OrderingError, ParseError, SensorGeometry,
-                            StreamError, build_records, decode_event,
-                            encode_event, load_stream, save_stream,
+from flowseg.engine import (LABELED_FORMAT, FlowLabeledEvent, read_labeled,
+                            run_stream, write_labeled)
+from flowseg.events import (DEFAULT_GEOMETRY, EVENT_FORMAT, Event,
+                            GeometryError, OrderingError, ParseError,
+                            SensorGeometry, StreamError, build_records,
+                            load_stream, save_stream, write_records,
                             EventStream)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
-from flowseg.synth import read_gt, write_gt
+from flowseg.synth import GT_FORMAT, GroundTruth, read_gt, write_gt
 
 from oracles import (load_stream_per_line, read_gt_per_line,
                      read_labeled_per_line)
 
 
 def test_decode_basic():
-    assert decode_event("1000 12 34 1") == Event(12, 34, 1000, 1)
+    assert load_stream(["1000 12 34 1"]).events == [Event(12, 34, 1000, 1)]
 
 
-def test_encode_decode_round_trip():
-    e = Event(239, 179, 123456789, -1)
-    assert decode_event(encode_event(e)) == e
+def raises_at(message, line, column, source):
+    """`load_stream(source)` raises ParseError `message` at `line` and
+    `column`."""
+    with pytest.raises(ParseError, match=f"^{message}$") as err:
+        load_stream(source)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_decode_rejects_bad_polarity():
-    with pytest.raises(ParseError):
-        decode_event("1000 12 34 0")
-    with pytest.raises(ParseError):
-        decode_event("1000 12 34 2")
+    for s in (0, 2):
+        raises_at(rf"line 2, field 4: polarity must be \+1 or -1, got {s}",
+                  2, 4, ["10 1 1 1", f"1000 12 34 {s}"])
 
 
 def test_decode_rejects_malformed():
-    with pytest.raises(ParseError):
-        decode_event("1000 12 34")
-    with pytest.raises(ParseError):
-        decode_event("1000 12 x 1")
-    with pytest.raises(ParseError):
-        decode_event("-5 12 34 1")
+    raises_at("line 1: expected 4 fields, got 3", 1, 0, ["1000 12 34"])
+    raises_at("line 2, field 3: not an integer: 'x'", 2, 3,
+              ["# c", "1000 12 x 1"])
+    raises_at("line 1, field 1: negative timestamp -5", 1, 1, ["-5 12 34 1"])
 
 
 def test_load_stream_rejects_off_sensor_events():
@@ -100,6 +104,64 @@ def test_save_load_round_trip(tmp_path):
     back = load_stream(path)
     assert back.geometry == stream.geometry
     assert back.events == stream.events
+
+
+# the round-trip test: random records of each format through
+# `write_records`, as Python scalars and as numpy scalars, and back
+# through the format's reader, with floats a writer must keep exactly
+# drawn often
+EXTREME_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                  1.7976931348623157e308]
+INT64 = st.integers(-2**63, 2**63 - 1)
+FLOATS = st.floats() | st.sampled_from(EXTREME_FLOATS)
+# a sensor no generated coordinate leaves
+WIDE = SensorGeometry(2**62, 2**62)
+
+
+def as_numpy(records):
+    """Each record as a tuple of numpy int64 and float64 scalars."""
+    return [tuple(np.float64(x) if isinstance(x, float) else np.int64(x)
+                  for x in record) for record in records]
+
+
+@st.composite
+def event_records(draw):
+    """Valid events in time order inside `WIDE`."""
+    count = draw(st.integers(0, 6))
+    times = sorted(draw(st.lists(st.integers(0, 2**63 - 1),
+                                 min_size=count, max_size=count)))
+    return [Event(draw(st.integers(0, WIDE.width - 1)),
+                  draw(st.integers(0, WIDE.height - 1)), t,
+                  draw(st.sampled_from([1, -1]))) for t in times]
+
+
+ROUND_TRIPS = {
+    "events": (EVENT_FORMAT, f"geometry {WIDE.width} {WIDE.height}",
+               event_records(), lambda lines: load_stream(lines).events),
+    "labeled": (LABELED_FORMAT, "# t u v s segment v_u v_v",
+                st.lists(st.builds(FlowLabeledEvent, INT64, INT64, INT64,
+                                   INT64, INT64, FLOATS, FLOATS),
+                         max_size=6), read_labeled),
+    "gt": (GT_FORMAT, "# t v_u v_v structure_id",
+           st.lists(st.tuples(INT64, INT64, FLOATS, FLOATS), max_size=6),
+           read_gt),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+@given(data=st.data())
+def test_write_records_round_trip(name, data):
+    fmt, header, records, read = ROUND_TRIPS[name]
+    records = data.draw(records)
+    texts = []
+    for written in (records, as_numpy(records)):
+        buf = io.StringIO()
+        assert write_records(buf, fmt, header, written) == len(records)
+        texts.append(buf.getvalue())
+    # a numpy scalar writes the bytes of the equal Python scalar
+    assert texts[0] == texts[1]
+    # repr shows the types, -0.0, and that a nan reads back as nan
+    assert repr(read(io.StringIO(texts[0]))) == repr(records)
 
 
 # the loader reference test: generated line soups through `load_stream`
@@ -320,19 +382,31 @@ def test_read_gt_matches_per_line_oracle(tmp_path_factory, lines, endings,
 @pytest.fixture(scope="module")
 def written_files(tmp_path_factory):
     """Paths of what `save_stream`, `write_labeled` and `write_gt` write
-    for a generated scene, each with and without whole-line comments
+    for a generated scene, and for records of numpy scalars with the
+    extreme floats among them, each with and without whole-line comments
     added, and the records each must read back as."""
     contour = build_contour("circle", radius=8.0, center=(40.0, 40.0))
     stream, gt = generate_scene([(contour, ConstantMotion(40.0, 5.0))],
                                 duration=0.2, noise_rate=400.0, seed=4,
                                 geometry=SensorGeometry(80, 60))
     labeled, _ = run_stream(stream.events)
+    extreme_labeled = [rec._replace(v_u=x, v_v=-x)
+                       for rec, x in zip(labeled, EXTREME_FLOATS)]
+    extreme_gt = [(t, sid, x, -x)
+                  for (t, sid, _, _), x in zip(gt.records, EXTREME_FLOATS)]
     base = tmp_path_factory.mktemp("written")
     files = []
     for name, write, written, read, expected in [
             ("events", save_stream, stream, load_stream, stream.events),
             ("labeled", write_labeled, labeled, read_labeled, labeled),
-            ("gt", write_gt, gt, read_gt, gt.records)]:
+            ("gt", write_gt, gt, read_gt, gt.records),
+            ("events-numpy", save_stream,
+             EventStream(stream.geometry, as_numpy(stream.events)),
+             load_stream, stream.events),
+            ("labeled-numpy", write_labeled, as_numpy(extreme_labeled),
+             read_labeled, extreme_labeled),
+            ("gt-numpy", write_gt, GroundTruth(as_numpy(extreme_gt)),
+             read_gt, extreme_gt)]:
         path = base / name
         write(written, str(path))
         lines = path.read_text().splitlines()

@@ -277,7 +277,3 @@ def test_config_validation():
         FlowPlaneConfig(n=1025)         # grid keys past int64
     with pytest.raises(ValueError):
         FlowPlaneConfig(v_ref=0.0)
-    with pytest.raises(ValueError):
-        FlowPlaneConfig(q=1.0)
-    with pytest.raises(ValueError):
-        FlowPlaneConfig(angular_range=4.0)

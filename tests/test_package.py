@@ -127,10 +127,10 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-# stored for callers: the column of a parse error and the event index
-# of an ordering error, which the messages already name, kept as data
-# for code that catches the error
-READ_BY_CALLERS = {"column", "index"}
+# stored for callers: the line and column of a parse error and the
+# event index of an ordering error, which the messages already name,
+# kept as data for code that catches the error
+READ_BY_CALLERS = {"line", "column", "index"}
 
 
 def test_every_instance_attribute_is_read():
