@@ -51,8 +51,8 @@ def flow_errors(labeled: Sequence[FlowLabeledEvent],
     """Per-event errors for labeled non-noise events, plus coverage.
 
     Coverage is the labeled fraction of non-noise events.  Raises
-    ValueError when the two sequences disagree in length (they must be
-    index-aligned).
+    ValueError when the two sequences disagree in length or, at the
+    first index where they do, in time (they must be index-aligned).
     """
     if len(labeled) != len(gt_records):
         raise ValueError(
@@ -60,7 +60,11 @@ def flow_errors(labeled: Sequence[FlowLabeledEvent],
     errors = []
     eligible = 0
     covered = 0
-    for rec, (t_us, structure, gt_u, gt_v) in zip(labeled, gt_records):
+    for i, (rec, (t_us, structure, gt_u, gt_v)) in enumerate(
+            zip(labeled, gt_records)):
+        if rec.t != t_us:
+            raise ValueError(f"index {i}: labeled event at t={rec.t} vs "
+                             f"truth row at t_us={t_us}")
         if structure < 0:
             continue
         eligible += 1

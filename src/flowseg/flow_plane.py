@@ -9,12 +9,15 @@ time.  The cells of each speed row's n grids share one sorted row store
 (int64 keys, int32 values), and a batch looks up, merges and compacts a
 row store right after projecting onto it: a batch still rewrites every
 row store, but one row (about 1/n of the cells) at a time, while it is
-in cache, and once per slice.  A noise flush rides the next batch as
-retractions at its own place in it.  Once the argmax cell has been
-stable for p_stable consecutive events, the events backing the winning
-projection are extracted (statistical threshold over cell values plus
-8-connected flood fill) and re-projected through progressively narrower
-arrays (`_RANGE_SHRINK` per level).
+in cache, and once per slice.  Speed rows share no store and no
+metric, so on a machine with two CPUs a large enough drain splits each
+slice's rows between the calling thread and one worker thread, which
+numpy's kernels let run at once (`MetricArray.apply_batch`).  A noise
+flush rides the next batch as retractions at its own place in it.  Once
+the argmax cell has been stable for p_stable consecutive events, the
+events backing the winning projection are extracted (statistical
+threshold over cell values plus 8-connected flood fill) and re-projected
+through progressively narrower arrays (`_RANGE_SHRINK` per level).
 The final association seeds a tracking plane; everything else is
 re-projected into a fresh level-0 array.  The drained array is freed
 first, and these rebuilds (`MetricArray.fill`) write each projected
@@ -24,6 +27,7 @@ speed row into its row store as it comes.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -100,6 +104,41 @@ _BLOCK_PAIRS = 1 << 16
 # is at most the number of events held
 _HELD_MAX = np.iinfo(np.int32).max
 _time = itemgetter(2)
+# mean cells per row store from which a drain's slice splits its speed
+# rows between two threads.  Timed inside whole `Engine.run` passes over
+# perfbench's scenes (two vCPUs, medians of six alternating runs), the
+# drains of the fast hexagon, 12k-20k cells a row, took as long on two
+# threads as on one (1.20 against 1.18 s) while the rest of the run
+# slowed by 10%; drains above 24k cells a row took 0.67 (noise) to 0.79
+# (bars) of their serial time
+_THREAD_ROW_CELLS = 24_000
+# the executor of the worker thread of two-thread drains, and the
+# process that made it: made on first use, and again in a forked child,
+# which inherits the executor but not its thread (a submit there would
+# never run)
+_worker = None
+_worker_pid = 0
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _drain_worker():
+    """This process's executor of one drain worker thread, made on first
+    use.  Its module is imported here too: imported with this one, it
+    made perfbench's `noise` set-up 10% slower (median 12.7 against
+    14.0 ms over 15 passes each), though no thread had started."""
+    global _worker, _worker_pid
+    if _worker_pid != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(1, thread_name_prefix="flowseg-drain")
+        _worker_pid = os.getpid()
+    return _worker
 
 
 class MetricArray:
@@ -120,7 +159,10 @@ class MetricArray:
     row store takes one merge per slice of a drain (`_insert`).  A
     cell may hold 0 until the next batch that retracts events compacts
     its row.  An event counts by the sign of its polarity.  `held` is in
-    time order.
+    time order.  No two speed rows share a store or a metric, so a
+    drain may write the lower half of the rows on the calling thread
+    while a worker thread writes the upper half (`apply_batch`); fills
+    and every other method run on the calling thread alone.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -244,6 +286,17 @@ class MetricArray:
         cells that hold 0.  A retraction from a cell no longer stored
         reads it as 0: its events had cancelled.
 
+        A slice drains its speed rows on two threads when (a) the
+        process may run on at least two CPUs, (b) its two blocks in
+        flight fit in one block's budget (2 * rows * n <= _BLOCK_PAIRS)
+        and (c) the row stores hold at least `_THREAD_ROW_CELLS` cells
+        a row on average; otherwise it drains them in order on the
+        calling thread.  On two threads the calling thread drains rows
+        [0, n // 2) and the worker rows [n // 2, n), each in row order
+        with its own running argmax; the upper half's replaces the
+        lower's only where strictly greater, so ties still go to the
+        lowest grid and the result is the serial one.
+
         Stored cells are int32 and metrics int64.  A cell's value is at
         most the number of events held, so a batch after which more than
         2**31 - 1 would be held raises ValueError before any work.
@@ -274,27 +327,66 @@ class MetricArray:
         sign = np.where((ss > 0) != retract, np.int32(1), np.int32(-1))
         best = np.zeros(len(rows), dtype=np.int64)
         best_metric = np.full(len(rows), -1, dtype=np.int64)
-        step = max(1, _BLOCK_PAIRS // self.cfg.n)
+        n = self.cfg.n
+        step = max(1, _BLOCK_PAIRS // n)
         for r0 in range(0, len(rows), step):
             r1 = min(r0 + step, len(rows))
-            b = r1 - r0
-            bits = max(1, (b - 1).bit_length())
             compact = bool(retired) and r1 == len(rows)
             # views: the slice's rows and the argmax after each of them
-            signs, top_index, top_so_far = (
-                sign[r0:r1], best[r0:r1], best_metric[r0:r1])
-            for j, pairs in grid_pairs(us[r0:r1], vs[r0:r1], dt[r0:r1],
-                                       self.col_vu, self.row_vv,
-                                       np.arange(b), bits):
-                missing = [self._apply_block(j, pairs, bits, signs,
-                                             top_index, top_so_far)]
-                del pairs               # the block's temporaries go first
-                self._insert(j, missing, compact)
+            kernel = (us[r0:r1], vs[r0:r1], dt[r0:r1], sign[r0:r1], compact)
+            top_index, top_so_far = best[r0:r1], best_metric[r0:r1]
+            if not self._two_threads(r1 - r0):
+                self._drain_rows(0, n, kernel, top_index, top_so_far)
+                continue
+            upper = _drain_worker().submit(
+                self._drain_rows, n // 2, n, kernel,
+                np.zeros(r1 - r0, dtype=np.int64),
+                np.full(r1 - r0, -1, dtype=np.int64))
+            try:
+                self._drain_rows(0, n // 2, kernel, top_index, top_so_far)
+            finally:
+                upper_index, upper_metric = upper.result()
+            # strict: a tie keeps the lower half's lower index
+            better = upper_metric > top_so_far
+            top_index[better] = upper_index[better]
+            top_so_far[better] = upper_metric[better]
         tops = [None if empty else int(best[end])
                 for end, empty in zip(ends, emptied)]
         held.extend(events)
         del held[:retired]
         return best[~retract], tops
+
+    def _two_threads(self, b: int) -> bool:
+        """Whether a slice of b rows drains on two threads: the process
+        may run on two CPUs, the two blocks in flight fit in one block's
+        budget, and the row stores are large enough to pay for the
+        hand-off (`_THREAD_ROW_CELLS`)."""
+        n = self.cfg.n
+        return (2 * b * n <= _BLOCK_PAIRS
+                and sum(map(len, self.row_keys)) >= _THREAD_ROW_CELLS * n
+                and _cpus() >= 2)
+
+    def _drain_rows(self, lo: int, hi: int, kernel: tuple,
+                    top_index: np.ndarray, top_so_far: np.ndarray):
+        """Drain speed rows [lo, hi) of one slice of `apply_batch` in
+        row order: per row, its `grid_pairs` block, `_apply_block` and
+        `_insert`.  `kernel` is the slice's (u, v, dt, sign) columns and
+        whether its rows are compacted; `top_index` and `top_so_far` are
+        the running argmax over these rows' grids after each row of the
+        slice, advanced in place and returned.  Touches only these rows'
+        stores and metrics, so two calls over disjoint rows may run at
+        once."""
+        us, vs, dt, signs, compact = kernel
+        b = len(signs)
+        bits = max(1, (b - 1).bit_length())
+        for j, pairs in grid_pairs(us, vs, dt, self.col_vu,
+                                   self.row_vv[lo:hi], np.arange(b), bits):
+            j += lo
+            missing = [self._apply_block(j, pairs, bits, signs,
+                                         top_index, top_so_far)]
+            del pairs                   # the block's temporaries go first
+            self._insert(j, missing, compact)
+        return top_index, top_so_far
 
     def _apply_block(self, j: int, pairs: np.ndarray, bits: int,
                      signs: np.ndarray, top_index: np.ndarray,

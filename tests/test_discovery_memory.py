@@ -25,6 +25,7 @@ from flowseg.flow_plane import (FlowPlane, FlowPlaneConfig, MetricArray,
                                 extract_associated)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
+from test_discovery_properties import drain_path
 from test_projection import random_events
 
 # bytes of one kernel block of int64 (candidate, event) pairs (512 KiB)
@@ -170,15 +171,22 @@ DRAIN_BLOCKS = 7
 # The events and a flush of `flushed` held events once 380 of them are
 # in: 1,092 rows, blocks of 21,840 pairs; 3,276 rows, one slice of full
 # blocks of 65,520 pairs; or 5,333 and 6,333 rows, two slices whose
-# last merges and compacts row stores grown by the first
-@pytest.mark.parametrize("held, ingested, flushed",
-                         [(1000, 759, 333), (4000, 759, 333),
-                          (1000, 2943, 333), (4000, 4000, 1333),
-                          (1000, 6000, 333)],
+# last merges and compacts row stores grown by the first.  Two threads
+# drain only a slice whose two blocks in flight fit in one block's
+# budget: the 1,092 rows of "1x" and "4x" run on both paths
+@pytest.mark.parametrize("held, ingested, flushed, drain",
+                         [(1000, 759, 333, "serial"),
+                          (4000, 759, 333, "serial"),
+                          (1000, 2943, 333, "serial"),
+                          (4000, 4000, 1333, "serial"),
+                          (1000, 6000, 333, "serial"),
+                          (1000, 759, 333, "two-thread"),
+                          (4000, 759, 333, "two-thread")],
                          ids=["1x", "4x", "full-block", "two-slice-4x",
-                              "two-slice-1x"])
+                              "two-slice-1x", "1x-two-thread",
+                              "4x-two-thread"])
 def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested,
-                                                      flushed):
+                                                      flushed, drain):
     events = random_events(random.Random(73), held + ingested,
                            t_span_us=2_000_000)
     array = MetricArray(FlowPlaneConfig())
@@ -187,10 +195,14 @@ def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested,
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        array.apply_batch(events[held:], [(380, flushed)])
+        with drain_path(drain), \
+                mock.patch.object(flow_plane, "_drain_worker",
+                                  wraps=flow_plane._drain_worker) as worker:
+            array.apply_batch(events[held:], [(380, flushed)])
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert worker.called == (drain == "two-thread")
     # the merge of one row holds its old array, the merged one and their
     # index arrays, and its compaction the merged row, the index of its
     # nonzero cells and the compacted copy: less than two of the larger

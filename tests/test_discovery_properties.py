@@ -1,23 +1,32 @@
 """Property tests of batched discovery.
 
-The cell store and the deferred ingest must be a change of data layout
-only: batch boundaries, flushes and drain timing may not move a metric,
-an argmax or an emission.
+The cell store, the deferred ingest and the two-thread drain must be a
+change of data layout or of schedule only: batch boundaries, flushes,
+drain timing and the thread a speed row drains on may not move a
+metric, an argmax or an emission.
 """
 
 import math
+import os
+import sys
+import threading
+import time
 from bisect import bisect_left
+from contextlib import contextmanager
 from operator import itemgetter
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowseg import flow_plane, projection
+from flowseg.engine import Engine
 from flowseg.events import Event
 from flowseg.flow_plane import FlowPlane, FlowPlaneConfig, MetricArray
 
+from conftest import hexagon_scene
 from oracles import array_flows, bruteforce_image, metric_bruteforce
 
 # 60 examples in the default profile (tests/conftest.py), scaled with
@@ -28,6 +37,10 @@ SETTINGS = settings(max_examples=settings.default.max_examples * 6 // 10)
 # rows: small values put slice boundaries between events, between
 # flushes and inside flushes
 BLOCKS = st.sampled_from((1, 5, 6, 21, flow_plane._BLOCK_PAIRS))
+# a drain's slices run on the calling thread alone, or split their
+# speed rows with the worker thread wherever the two blocks in flight fit
+# in one (`MetricArray._two_threads`)
+DRAINS = pytest.mark.parametrize("drain", ["serial", "two-thread"])
 STEPS = st.integers(0, 40_000)
 # with gaps longer than a 0.2 s noise lifespan
 GAPPY_STEPS = st.one_of(STEPS, STEPS, st.integers(200_000, 600_000))
@@ -47,6 +60,17 @@ def event_streams(draw, min_size=1, max_size=60, span=4, steps=STEPS):
         t += dt
         events.append(Event(u, v, t, s))
     return events
+
+
+@contextmanager
+def drain_path(drain):
+    """Make every drain take the path `drain`: one CPU patched in, or two
+    and no row-store threshold."""
+    threads = drain == "two-thread"
+    with mock.patch.object(flow_plane, "_cpus", lambda: 2 if threads else 1), \
+            mock.patch.object(flow_plane, "_THREAD_ROW_CELLS",
+                              0 if threads else flow_plane._THREAD_ROW_CELLS):
+        yield
 
 
 def split(events, cuts):
@@ -106,26 +130,29 @@ def test_ingest_batch_splits_match_single_events(events, cuts, n, block):
     assert nonzero_grids(batched) == nonzero_grids(single)
 
 
+@DRAINS
 @SETTINGS
 @given(events=event_streams(max_size=80),
        ops=st.lists(st.tuples(st.integers(1, 20), st.booleans(),
                               st.integers(0, 100)), min_size=1, max_size=12),
        n=st.integers(2, 3), block=BLOCKS)
-def test_ingest_and_flush_match_bruteforce(events, ops, n, block):
+def test_ingest_and_flush_match_bruteforce(drain, events, ops, n, block):
     array = MetricArray(FlowPlaneConfig(n=n))
     at = 0
     for size, by_fill, cutoff_pct in ops:
         batch = events[at:at + size]
         at += size
-        with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
+        with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block), \
+                drain_path(drain):
             # `fill` is for an array that holds nothing
             if by_fill and not array.held:
                 array.fill(batch)
             else:
                 array.apply_batch(batch)
-        if array.held:
-            first, last = array.held[0].t, array.held[-1].t
-            flush_before(array, first + (last - first) * cutoff_pct // 100)
+            if array.held:
+                first, last = array.held[0].t, array.held[-1].t
+                flush_before(array,
+                             first + (last - first) * cutoff_pct // 100)
         if array.t_ref_us is None:
             continue
         for k, flow in enumerate(flows(array)):
@@ -179,6 +206,7 @@ def bruteforce_argmax(array):
     return metrics.index(max(metrics))
 
 
+@DRAINS
 @SETTINGS
 @given(events=event_streams(max_size=80),
        prefill=st.integers(0, 20),
@@ -186,8 +214,8 @@ def bruteforce_argmax(array):
                               st.tuples(st.just("flush"), st.integers(0, 100))),
                     min_size=1, max_size=16),
        n=st.integers(2, 3), block=BLOCKS)
-def test_ordered_batch_matches_one_operation_at_a_time(events, prefill, ops,
-                                                       n, block):
+def test_ordered_batch_matches_one_operation_at_a_time(drain, events, prefill,
+                                                       ops, n, block):
     # the operations applied one at a time, each checked against brute
     # force, give the argmax after every event and every flush
     cfg = FlowPlaneConfig(n=n)
@@ -214,7 +242,8 @@ def test_ordered_batch_matches_one_operation_at_a_time(events, prefill, ops,
     # the same operations as one ordered batch
     batched = MetricArray(cfg)
     batched.fill(events[:prefill])
-    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
+    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block), \
+            drain_path(drain):
         best, after = batched.apply_batch(batch, flushes)
     assert best.tolist() == expected
     assert after == expected_flushes
@@ -258,6 +287,7 @@ def row_store_faults(array, retracted):
     return faults
 
 
+@DRAINS
 @SETTINGS
 @given(events=event_streams(max_size=80),
        batches=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
@@ -271,7 +301,8 @@ def row_store_faults(array, retracted):
 @example(events=[Event(i % 3, i % 2, 1000 * i, 1 - 2 * (i % 2))
                  for i in range(20)],
          batches=[(8, 0, 0), (1, 1, 90)], n=3, block=6)
-def test_row_stores_stay_sorted_and_own_their_rows(events, batches, n, block):
+def test_row_stores_stay_sorted_and_own_their_rows(drain, events, batches, n,
+                                                   block):
     # each batch ingests `size` events and, once `where` of them are in,
     # retracts `pct` percent of the events then held
     array = MetricArray(FlowPlaneConfig(n=n))
@@ -281,7 +312,8 @@ def test_row_stores_stay_sorted_and_own_their_rows(events, batches, n, block):
         at += size
         where = min(where, len(batch))
         count = (len(array.held) + where) * pct // 100
-        with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
+        with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block), \
+                drain_path(drain):
             array.apply_batch(batch, [(where, count)] if count else [])
         assert row_store_faults(array, count > 0) == []
 
@@ -371,3 +403,171 @@ def test_deferred_plane_emits_like_eager(events, p_stable, n, w, flush_at):
     assert deferred.array.held == eager.array.held
     assert deferred.array.metrics == eager.array.metrics
     assert stable_run(deferred) == stable_run(eager)
+
+
+def array_state(array):
+    """Everything a drain writes: the metrics, the row stores with their
+    0 cells, and the held events."""
+    return (array.metrics, [keys.tolist() for keys in array.row_keys],
+            [values.tolist() for values in array.row_values], array.held)
+
+
+@SETTINGS
+@given(events=event_streams(max_size=80),
+       batches=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30),
+                                  st.integers(0, 100)),
+                        min_size=1, max_size=6),
+       n=st.integers(2, 3), block=BLOCKS)
+def test_two_thread_drains_match_serial(events, batches, n, block):
+    # the halves are uneven at n = 3: one row on the calling thread, two
+    # on the worker.  Every batch must give both paths the same argmax
+    # after each event and each flush, and leave the same array
+    arrays = {drain: MetricArray(FlowPlaneConfig(n=n))
+              for drain in ("serial", "two-thread")}
+    at = 0
+    for size, where, pct in batches:
+        batch = events[at:at + size]
+        at += size
+        where = min(where, len(batch))
+        count = (len(arrays["serial"].held) + where) * pct // 100
+        flushes = [(where, count)] if count else []
+        results = []
+        for drain, array in arrays.items():
+            with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block), \
+                    drain_path(drain):
+                best, tops = array.apply_batch(batch, flushes)
+            results.append((best.tolist(), tops, array_state(array)))
+        assert results[0] == results[1]
+
+
+def hexagon_cut():
+    """The first 0.4 s of the fast hexagon: about 14k events and several
+    emissions."""
+    events, _, cfg = hexagon_scene(11)
+    return [e for e in events if e.t < 400_000], cfg
+
+
+def test_engine_labels_do_not_depend_on_the_drain_path():
+    events, cfg = hexagon_cut()
+    runs = {}
+    for drain in ("serial", "two-thread"):
+        engine = Engine(cfg)
+        with drain_path(drain), \
+                mock.patch.object(flow_plane, "_drain_worker",
+                                  wraps=flow_plane._drain_worker) as worker:
+            labels = engine.run(events)
+        runs[drain] = labels, engine.stats, worker.call_count
+    assert runs["serial"][:2] == runs["two-thread"][:2]
+    assert runs["serial"][1].planes_created > 0
+    # one CPU: no drain used the worker; two: the drains did
+    assert runs["serial"][2] == 0 and runs["two-thread"][2] > 0
+
+
+def test_engine_and_a_drain_under_the_threshold_start_no_thread():
+    events, cfg = hexagon_cut()
+    # as in a fresh process: no worker made yet
+    with mock.patch.object(flow_plane, "_worker", None), \
+            mock.patch.object(flow_plane, "_worker_pid", 0), \
+            mock.patch.object(flow_plane, "_cpus", lambda: 2):
+        threads = threading.active_count()
+        Engine(cfg)
+        array = MetricArray(cfg.flow_plane)
+        array.fill(events[:200])
+        assert (sum(map(len, array.row_keys))
+                < flow_plane._THREAD_ROW_CELLS * cfg.flow_plane.n)
+        array.apply_batch(events[200:700], [(100, 50)])
+        assert flow_plane._worker is None
+        assert threading.active_count() == threads
+
+
+def drain_three_batches(cfg, events):
+    """Fill an array with 300 events, then drain three batches of 100
+    with a flush in each; the argmaxes and the array they leave."""
+    array = MetricArray(cfg)
+    array.fill(events[:300])
+    results = [array.apply_batch(events[at:at + 100], [(50, 40)])[0].tolist()
+               for at in range(300, 600, 100)]
+    return results, array_state(array)
+
+
+# a thread or a forked child that hangs is given up after this long
+HANG_TIMEOUT_S = 60
+
+
+# a 3 x 3 array over a 3 x 3 patch: many ties between the two halves
+SMALL_PATCH = (FlowPlaneConfig(n=3),
+               [Event(i % 3, i // 3 % 3, 997 * i, 1 if i % 7 else -1)
+                for i in range(600)])
+
+
+@pytest.mark.parametrize("case", ["hexagon", "small-patch"])
+def test_concurrent_callers_share_the_worker(case):
+    # four threads on two cores, each draining its own array through the
+    # one worker while the interpreter switches threads every 10 us: a
+    # row written by the wrong thread, a half applied twice or not at
+    # all, or a tie resolved by which half finished first would change
+    # an argmax or a store
+    if case == "hexagon":
+        events, cfg = hexagon_cut()
+        cfg = cfg.flow_plane
+    else:
+        cfg, events = SMALL_PATCH
+    callers = 4
+    with drain_path("serial"):
+        expected = drain_three_batches(cfg, events)
+    got = [None] * callers
+
+    def drain(i):
+        got[i] = drain_three_batches(cfg, events)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with drain_path("two-thread"):
+            threads = [threading.Thread(target=drain, args=(i,))
+                       for i in range(callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(HANG_TIMEOUT_S)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [expected] * callers
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fork is Linux-only here")
+def test_forked_child_drains_on_its_own_worker():
+    # the child inherits the parent's executor but not its thread: it
+    # must make its own worker, or its first two-thread drain waits
+    # forever for a thread that does not exist
+    events, cfg = hexagon_cut()
+    array = MetricArray(cfg.flow_plane)
+    array.fill(events[:300])
+    with drain_path("two-thread"):
+        expected = array.apply_batch(events[300:600])[0].tolist()
+        assert flow_plane._worker_pid == os.getpid()
+        parent_worker = flow_plane._worker
+        pid = os.fork()
+        if pid == 0:                    # the child: never back into pytest
+            code = 1
+            try:
+                again = MetricArray(cfg.flow_plane)
+                again.fill(events[:300])
+                got = again.apply_batch(events[300:600])[0].tolist()
+                code = 0 if (got == expected
+                             and flow_plane._worker is not parent_worker
+                             and flow_plane._worker_pid == os.getpid()) else 3
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + HANG_TIMEOUT_S
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child hung for {HANG_TIMEOUT_S} s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from flowseg.engine import FlowLabeledEvent, UNLABELED
+from flowseg.cli import main
+from flowseg.engine import FlowLabeledEvent, UNLABELED, write_labeled
 from flowseg.evaluation import (ErrorSummary, FlowError, angle_error_deg,
                                 cross_label_fraction, flow_errors,
                                 magnitude_pct_error, majority_structure_map,
                                 summarize)
+from flowseg.synth import GroundTruth, write_gt
 
 
 def test_magnitude_error_examples():
@@ -52,7 +54,7 @@ def test_summarize_stats():
         summarize([math.nan])
 
 
-def test_flow_errors_alignment_and_coverage():
+def test_flow_errors_alignment_and_coverage(tmp_path, capsys):
     labeled = [
         FlowLabeledEvent(1, 1, 100, 1, 0, 58.0, 0.0),       # labeled, truth
         FlowLabeledEvent(2, 1, 200, 1, UNLABELED, math.nan, math.nan),
@@ -72,6 +74,18 @@ def test_flow_errors_alignment_and_coverage():
     assert errors[1].mag_pct == pytest.approx(-50.0)
     with pytest.raises(ValueError):
         flow_errors(labeled[:2], gt)
+    # equal lengths, shifted times: the files are not index-aligned
+    shifted = [(t + 400 * (i > 0), *rest) for i, (t, *rest) in enumerate(gt)]
+    with pytest.raises(ValueError, match="index 1: labeled event at t=200 "
+                                         "vs truth row at t_us=600"):
+        flow_errors(labeled, shifted)
+    labeled_path, gt_path = tmp_path / "labeled.txt", tmp_path / "gt.txt"
+    write_labeled(labeled, str(labeled_path))
+    write_gt(GroundTruth(shifted), str(gt_path))
+    assert main(["eval", "--labeled", str(labeled_path),
+                 "--gt", str(gt_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: index 1: labeled event at t=200 vs truth row at t_us=600\n")
 
 
 def test_majority_map_and_cross_fraction():
