@@ -5,7 +5,12 @@ flow; every incoming event is accumulated into all n*n grids and the
 sharpness metric argmax is tracked per event.  Events are accumulated in
 batches: numpy projects a slice of a batch onto all candidates and
 groups the projections by sorting, one speed row of candidates at a
-time.  The cells of each speed row's n grids share one sorted row store
+time.  A run of identical consecutive rows (the same u, v, t and
+signed row: one burst of events, or of their retractions) projects to
+the same cell of every grid, so it is projected once, as one row
+weighted by its length; the replay of the argmax after each event
+still keeps one column per row.  The cells of each speed row's n grids
+share one sorted row store
 (int64 keys, int32 values), and a batch looks up, merges and compacts a
 row store right after projecting onto it: a batch still rewrites every
 row store, but one row (about 1/n of the cells) at a time, while it is
@@ -39,7 +44,8 @@ import numpy as np
 from .events import Event
 from .projection import (_HALF, _K_SHIFT, MAX_GRIDS, NEIGHBORS_8,
                          FlowVector, event_columns, grid_edges, grid_flow,
-                         grid_pairs, grid_sums, group_starts, project_keys)
+                         grid_pairs, grid_sums, group_starts, project_keys,
+                         runs)
 
 
 class AssociationError(Exception):
@@ -120,6 +126,40 @@ _worker = None
 _worker_pid = 0
 
 
+class _Slice(NamedTuple):
+    """One slice of the rows of `apply_batch`, as `_drain_rows` takes
+    it.  Each run of identical rows (`projection.runs`) is projected
+    once, at its first row, and weighs its length times its sign.  The
+    replay keeps one column per row: the d-th row after a run's first
+    finds its cell d signs further along, so its metric delta is the
+    first row's plus 2 * d."""
+    us: np.ndarray          # u, v and dt of each run's first row
+    vs: np.ndarray
+    dt: np.ndarray
+    first: np.ndarray       # each run's first row
+    weights: np.ndarray     # per row, int32: a run's weight at its first
+    signs: np.ndarray       # per row, int32: +1 or -1
+    copies: np.ndarray      # the rows that repeat the row before them
+    sources: np.ndarray     # the first row of each copy's run
+    steps: np.ndarray       # 2 * (copy - source), int64
+    compact: bool           # drop the row stores' 0 cells after merging
+
+    @classmethod
+    def of(cls, us, vs, dt, signs, compact: bool) -> "_Slice":
+        first, run_weights = runs(us, vs, dt, signs)
+        weights = signs                 # while each row is a run
+        if len(first) < len(signs):
+            weights = np.zeros(len(signs), dtype=np.int32)
+            weights[first] = run_weights
+            us, vs, dt = us[first], vs[first], dt[first]
+        # a run's later rows weigh 0
+        copies = np.flatnonzero(weights == 0)
+        sources = first[np.searchsorted(first, copies, side="right") - 1]
+        steps = 2 * (copies - sources)
+        return cls(us, vs, dt, first, weights, signs, copies, sources, steps,
+                   compact)
+
+
 def _cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -158,11 +198,13 @@ class MetricArray:
     while they are in cache, and no pass runs over the whole store.  A
     row store takes one merge per slice of a drain (`_insert`).  A
     cell may hold 0 until the next batch that retracts events compacts
-    its row.  An event counts by the sign of its polarity.  `held` is in
-    time order.  No two speed rows share a store or a metric, so a
-    drain may write the lower half of the rows on the calling thread
-    while a worker thread writes the upper half (`apply_batch`); fills
-    and every other method run on the calling thread alone.
+    its row.  An event counts by the sign of its polarity, and a run of
+    k identical events counts once, by k times that sign, in a fill and
+    in a drain.  `held` is in time order.  No two speed rows share a
+    store or a metric, so a drain may write the lower half of the rows
+    on the calling thread while a worker thread writes the upper half
+    (`apply_batch`); fills and every other method run on the calling
+    thread alone.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -277,14 +319,20 @@ class MetricArray:
         flush at a time would.  The events and retractions are the rows
         of the kernel, in order, taken in consecutive slices of at most
         _BLOCK_PAIRS // n rows; each slice writes its cells to the row
-        stores before the next one looks them up.  A kernel block is one
-        speed row: its cells are looked up and added to the cells its
-        store holds, and once the block's temporaries are freed its new
-        cells go into the store in one merge, so a slice merges into each
-        row store once.  If the batch retracted anything, the last slice
-        compacts each row store right after its merge, dropping the
-        cells that hold 0.  A retraction from a cell no longer stored
-        reads it as 0: its events had cancelled.
+        stores before the next one looks them up.  A slice projects,
+        sorts, groups, sums and looks up one pair per (candidate, run of
+        identical rows), weighted by the run's length times its sign
+        (`_Slice`); a retraction and its event, or two polarities, are
+        never one run.  The replay of each grid's metric keeps one column
+        per row, so the argmax after each row is that of one row at a
+        time.  A kernel block is one speed row of such pairs: its cells
+        are looked up and added to the cells its store holds, and once
+        the block's temporaries are freed its new cells go into the
+        store in one merge, so a slice merges into each row store once.
+        If the batch retracted anything, the last slice compacts each
+        row store right after its merge, dropping the cells that hold
+        0.  A retraction from a cell no longer stored reads it as 0:
+        its events had cancelled.
 
         A slice drains its speed rows on two threads when (a) the
         process may run on at least two CPUs, (b) its two blocks in
@@ -332,8 +380,9 @@ class MetricArray:
         for r0 in range(0, len(rows), step):
             r1 = min(r0 + step, len(rows))
             compact = bool(retired) and r1 == len(rows)
-            # views: the slice's rows and the argmax after each of them
-            kernel = (us[r0:r1], vs[r0:r1], dt[r0:r1], sign[r0:r1], compact)
+            kernel = _Slice.of(us[r0:r1], vs[r0:r1], dt[r0:r1], sign[r0:r1],
+                               compact)
+            # views: the argmax after each of the slice's rows
             top_index, top_so_far = best[r0:r1], best_metric[r0:r1]
             if not self._two_threads(r1 - r0):
                 self._drain_rows(0, n, kernel, top_index, top_so_far)
@@ -366,57 +415,63 @@ class MetricArray:
                 and sum(map(len, self.row_keys)) >= _THREAD_ROW_CELLS * n
                 and _cpus() >= 2)
 
-    def _drain_rows(self, lo: int, hi: int, kernel: tuple,
+    def _drain_rows(self, lo: int, hi: int, kernel: _Slice,
                     top_index: np.ndarray, top_so_far: np.ndarray):
         """Drain speed rows [lo, hi) of one slice of `apply_batch` in
-        row order: per row, its `grid_pairs` block, `_apply_block` and
-        `_insert`.  `kernel` is the slice's (u, v, dt, sign) columns and
-        whether its rows are compacted; `top_index` and `top_so_far` are
+        row order: per row, its `grid_pairs` block of the slice's runs,
+        `_apply_block` and `_insert`.  `top_index` and `top_so_far` are
         the running argmax over these rows' grids after each row of the
         slice, advanced in place and returned.  Touches only these rows'
         stores and metrics, so two calls over disjoint rows may run at
         once."""
-        us, vs, dt, signs, compact = kernel
-        b = len(signs)
-        bits = max(1, (b - 1).bit_length())
-        for j, pairs in grid_pairs(us, vs, dt, self.col_vu,
-                                   self.row_vv[lo:hi], np.arange(b), bits):
+        bits = max(1, (len(kernel.signs) - 1).bit_length())
+        for j, pairs in grid_pairs(kernel.us, kernel.vs, kernel.dt,
+                                   self.col_vu, self.row_vv[lo:hi],
+                                   kernel.first, bits):
             j += lo
-            missing = [self._apply_block(j, pairs, bits, signs,
+            missing = [self._apply_block(j, pairs, bits, kernel,
                                          top_index, top_so_far)]
             del pairs                   # the block's temporaries go first
-            self._insert(j, missing, compact)
+            self._insert(j, missing, kernel.compact)
         return top_index, top_so_far
 
     def _apply_block(self, j: int, pairs: np.ndarray, bits: int,
-                     signs: np.ndarray, top_index: np.ndarray,
+                     kernel: _Slice, top_index: np.ndarray,
                      top_so_far: np.ndarray) -> tuple:
-        """Speed row j's `grid_pairs` block of a slice of `apply_batch`:
-        look its cells up in row store j (`_lookup`), and advance the
-        metrics of the row's grids and the argmax after each row of the
-        slice.  Returns the cells the store lacks, for `_insert`; its
-        temporaries die on return."""
-        n, b = self.cfg.n, len(signs)
+        """Speed row j's `grid_pairs` block of a slice of `apply_batch`,
+        one pair per (candidate, run): look its cells up in row store j
+        (`_lookup`), and advance the metrics of the row's grids and the
+        argmax after each row of the slice.  Returns the cells the store
+        lacks, for `_insert`; its temporaries die on return."""
+        n, b = self.cfg.n, len(kernel.signs)
         k0 = j * n
         cells = pairs >> bits
         # in place: the pairs are not read again
         row = np.bitwise_and(pairs, (1 << bits) - 1, out=pairs)
-        s = signs[row]
+        w = kernel.weights[row]
+        # each pair's sign: its weight, when every run is one row
+        s = w if kernel.weights is kernel.signs else kernel.signs[row]
         starts = group_starts(cells)
         old = np.zeros(len(starts), dtype=np.int64)
         missing = self._lookup(j, cells[starts] + ((k0 << _K_SHIFT) - _HALF),
-                               np.add.reduceat(s, starts, dtype=np.int32),
+                               np.add.reduceat(w, starts, dtype=np.int32),
                                old)
-        # each pair's cell value before its row: the stored value plus the
-        # earlier rows of the slice in that cell
-        before = np.cumsum(s)
-        before -= s
+        # each pair's cell value before its run: the stored value plus the
+        # earlier runs of the slice in that cell
+        before = np.cumsum(w)
+        before -= w
         old -= before[starts]
         before += np.repeat(old, np.diff(starts, append=len(cells)))
-        del starts, old
-        # metric of each grid after each row: running sum of deltas
+        del starts, old, w
+        # metric of each grid after each row: running sum of deltas, a
+        # run's copies each 2 above the row before
         run = np.empty((n, b), dtype=np.int64)
         run[cells >> _K_SHIFT, row] = s * (2 * before + s)
+        del cells, row, s, before
+        copied = run[:, kernel.sources]
+        copied += kernel.steps
+        run[:, kernel.copies] = copied
+        del copied
         np.cumsum(run, axis=1, out=run)
         run += self._metrics[k0:k0 + n, None]
         self._metrics[k0:k0 + n] = run[:, -1]
@@ -432,8 +487,10 @@ class MetricArray:
         """Accumulate an event list into the array, which must hold no
         events yet (order preserved for held).
 
-        Projects at most _BLOCK_PAIRS // n events at a time, one speed
-        row per kernel block: the first slice's cells of a row are its
+        Projects at most _BLOCK_PAIRS // n events at a time, each run of
+        identical events once with its length times its sign as weight
+        (`projection.runs`, `grid_sums`), one speed row per kernel
+        block: the first slice's cells of a row are its
         store, a later slice's go in through `_lookup` and `_insert`,
         and the last slice sets the metric of each of the row's grids to
         the sum of its cells' squares.  No temporary spans more than one
@@ -447,13 +504,15 @@ class MetricArray:
         n = self.cfg.n
         step = max(1, _BLOCK_PAIRS // n)
         us, vs, dt, ss = self._columns(events)
+        sign = np.where(ss > 0, np.int32(1), np.int32(-1))
         for e0 in range(0, len(events), step):
             e1 = min(e0 + step, len(events))
-            for j, keys, sums in grid_sums(us[e0:e1], vs[e0:e1], dt[e0:e1],
-                                           ss[e0:e1], self.col_vu,
-                                           self.row_vv):
-                values = sums.astype(np.int32)
-                del sums
+            first, weights = runs(us[e0:e1], vs[e0:e1], dt[e0:e1],
+                                  sign[e0:e1])
+            first += e0
+            for j, keys, values in grid_sums(us[first], vs[first], dt[first],
+                                             weights, self.col_vu,
+                                             self.row_vv):
                 missing = [self._lookup(j, keys, values)]
                 del keys, values
                 self._insert(j, missing, False)

@@ -15,7 +15,9 @@ candidates at a time (`grid_pairs`), discovery's kernel; a tracking
 plane projects along its one flow with `project_keys`.  `grid_sums`
 groups each row into grid cells as it comes, so its callers hold one
 row's temporaries at a time; discovery bounds a row's size by how many
-events it projects at once.
+events it projects at once.  Consecutive events of the same u, v, t and
+sign project to the same cell along every flow, so discovery projects
+each such run once, weighted by its length (`runs`).
 
 Timestamps are integer microseconds everywhere; they become float seconds
 only inside the projection arithmetic.
@@ -134,6 +136,22 @@ def group_starts(ordered: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def runs(us, vs, dt, signs):
+    """The runs of identical consecutive rows of (u, v, dt, sign)
+    columns, of which there is at least one row: the index of each
+    run's first row, and its weight, its length times its sign (int32).
+    The rows of a run project to the same cell along every flow."""
+    new = np.empty(len(signs), dtype=bool)
+    new[0] = True
+    np.not_equal(us[1:], us[:-1], out=new[1:])
+    for column in (vs, dt, signs):
+        new[1:] |= column[1:] != column[:-1]
+    first = np.flatnonzero(new)
+    weights = np.diff(first, append=len(signs)).astype(np.int32)
+    weights *= signs[first]
+    return first, weights
+
+
 def event_columns(events: Sequence[Event]):
     """Split events into float64 numpy columns (u, v, t, s).
 
@@ -193,25 +211,30 @@ def grid_pairs(us, vs, dt, col_vu, row_vv, low: np.ndarray, bits: int):
         del pairs                       # not kept while the next is made
 
 
-def grid_sums(us, vs, dt, ss, col_vu, row_vv):
+def grid_sums(us, vs, dt, weights, col_vu, row_vv):
     """Per speed row j of `grid_pairs`: (j, keys, sums), the grid keys
-    its grids touch, ascending, and the signed sum of the events'
-    polarities in each.
+    its grids touch, ascending, and the sum of the events' weights in
+    each (int32).
 
-    An event counts by the sign of its polarity.  The rows come in grid
-    order, so the caller consumes each row's cells while only that
+    A column of +-1 polarities is the weight-1 case, in which an event
+    counts by the sign of its polarity; discovery's fill passes each run
+    of identical events once, weighted by its length times its sign
+    (`runs`).  Each event's index rides below its cell in the sort keys,
+    so n * len(us) <= 2**19 keeps them within int64.  The rows come in
+    grid order, so the caller consumes each row's cells while only that
     row's temporaries are alive.
     """
     n = len(col_vu)
-    for j, pairs in grid_pairs(us, vs, dt, col_vu, row_vv, ss > 0, 1):
-        cells = pairs >> 1
+    weights = np.asarray(weights, dtype=np.int32)
+    bits = max(1, (len(weights) - 1).bit_length())
+    for j, pairs in grid_pairs(us, vs, dt, col_vu, row_vv,
+                               np.arange(len(weights)), bits):
+        cells = pairs >> bits
         starts = group_starts(cells)
         keys = cells[starts] + ((j * n << _K_SHIFT) - _HALF)
         del cells
-        # the +-1 polarity terms, in place: the pairs are not read again
-        np.bitwise_and(pairs, 1, out=pairs)
-        pairs *= 2
-        pairs -= 1
-        sums = np.add.reduceat(pairs, starts)
+        # each pair's event, in place: the pairs are not read again
+        np.bitwise_and(pairs, (1 << bits) - 1, out=pairs)
+        sums = np.add.reduceat(weights.take(pairs), starts, dtype=np.int32)
         del pairs, starts               # not kept while the caller works
         yield j, keys, sums

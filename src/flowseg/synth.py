@@ -364,6 +364,10 @@ def generate_scene(objects: Sequence[tuple[ShapeContour, MotionModel]],
         raise ValueError("duration must be positive")
     if burst_size < 1:
         raise ValueError("burst_size must be at least 1")
+    for name, value in (("noise_rate", noise_rate), ("jitter_us", jitter_us),
+                        ("refractory_us", refractory_us)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     all_records: list[tuple[int, int, int, int, int, float, float]] = []
     clipped = False
     for sid, (contour, model) in enumerate(objects):

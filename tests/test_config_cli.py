@@ -213,6 +213,20 @@ def test_cli_object_spec_errors(tmp_path):
                    "--duration", "0.5") == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--noise-rate", "-1.5"),
+                                         ("--jitter-us", "-5"),
+                                         ("--refractory-us", "-5")])
+def test_cli_synth_rejects_negative_options(tmp_path, capsys, flag, value):
+    out = tmp_path / "events.txt"
+    assert run_cli("synth", "--out", str(out),
+                   "--object", "shape=circle,radius=5", "--duration", "0.5",
+                   flag, value) == 2
+    option = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"error: {option} must be non-negative, got {value}\n")
+    assert not out.exists()
+
+
 @pytest.fixture
 def tiny_events(tmp_path):
     events = tmp_path / "tiny.txt"

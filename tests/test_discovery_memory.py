@@ -36,6 +36,15 @@ BLOCK_BYTES = 8 * flow_plane._BLOCK_PAIRS
 FILL_TRANSIENT_BOUND = 6 * BLOCK_BYTES
 
 
+def random_bursts(rng, count, **kwargs):
+    """`count` events of `random_events`, each repeated 1-5 times as the
+    synth's bursts are: runs that a fill and a drain project once."""
+    events = []
+    for e in random_events(rng, count, **kwargs):
+        events += [e] * rng.randint(1, 5)
+    return events[:count]
+
+
 def store_bytes(array):
     return (sum(a.nbytes for a in array.row_keys + array.row_values)
             + array._metrics.nbytes)
@@ -57,11 +66,13 @@ def fill_transient(cfg, events):
 
 # on the default 20 x 20 array, 500 noise events make blocks of 10,000
 # pairs, 2,000 events of 40,000, and 3,276 fill each of the 20 blocks
-# with 65,520 pairs
-@pytest.mark.parametrize("count", [500, 2000, 3276],
-                         ids=["1x", "4x", "full-block"])
-def test_fill_transient_does_not_grow_with_events(count):
-    events = random_events(random.Random(71), count)
+# with 65,520 pairs; 3,276 events in bursts, about a third as many
+@pytest.mark.parametrize("count, events_of",
+                         [(500, random_events), (2000, random_events),
+                          (3276, random_events), (3276, random_bursts)],
+                         ids=["1x", "4x", "full-block", "full-block-bursts"])
+def test_fill_transient_does_not_grow_with_events(count, events_of):
+    events = events_of(random.Random(71), count)
     assert fill_transient(FlowPlaneConfig(), events) <= FILL_TRANSIENT_BOUND
 
 
@@ -173,22 +184,26 @@ DRAIN_BLOCKS = 7
 # blocks of 65,520 pairs; or 5,333 and 6,333 rows, two slices whose
 # last merges and compacts row stores grown by the first.  Two threads
 # drain only a slice whose two blocks in flight fit in one block's
-# budget: the 1,092 rows of "1x" and "4x" run on both paths
-@pytest.mark.parametrize("held, ingested, flushed, drain",
-                         [(1000, 759, 333, "serial"),
-                          (4000, 759, 333, "serial"),
-                          (1000, 2943, 333, "serial"),
-                          (4000, 4000, 1333, "serial"),
-                          (1000, 6000, 333, "serial"),
-                          (1000, 759, 333, "two-thread"),
-                          (4000, 759, 333, "two-thread")],
+# budget: the 1,092 rows of "1x" and "4x" run on both paths.  In bursts,
+# the full blocks' rows are about a third as many runs, each projected
+# once, while the replay still has a column per row
+@pytest.mark.parametrize("held, ingested, flushed, drain, events_of",
+                         [(1000, 759, 333, "serial", random_events),
+                          (4000, 759, 333, "serial", random_events),
+                          (1000, 2943, 333, "serial", random_events),
+                          (4000, 4000, 1333, "serial", random_events),
+                          (1000, 6000, 333, "serial", random_events),
+                          (1000, 759, 333, "two-thread", random_events),
+                          (4000, 759, 333, "two-thread", random_events),
+                          (1000, 2943, 333, "serial", random_bursts)],
                          ids=["1x", "4x", "full-block", "two-slice-4x",
                               "two-slice-1x", "1x-two-thread",
-                              "4x-two-thread"])
+                              "4x-two-thread", "full-block-bursts"])
 def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested,
-                                                      flushed, drain):
-    events = random_events(random.Random(73), held + ingested,
-                           t_span_us=2_000_000)
+                                                      flushed, drain,
+                                                      events_of):
+    events = events_of(random.Random(73), held + ingested,
+                       t_span_us=2_000_000)
     array = MetricArray(FlowPlaneConfig())
     array.fill(events[:held])
     rows = row_bytes(array)

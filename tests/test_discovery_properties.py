@@ -1,9 +1,10 @@
 """Property tests of batched discovery.
 
-The cell store, the deferred ingest and the two-thread drain must be a
-change of data layout or of schedule only: batch boundaries, flushes,
-drain timing and the thread a speed row drains on may not move a
-metric, an argmax or an emission.
+The cell store, the deferred ingest, the two-thread drain and the
+projection of each run of identical events as one weighted row must be
+a change of data layout or of schedule only: batch boundaries, flushes,
+drain timing, the thread a speed row drains on and where a run is cut
+may not move a metric, an argmax or an emission.
 """
 
 import math
@@ -60,6 +61,24 @@ def event_streams(draw, min_size=1, max_size=60, span=4, steps=STEPS):
         t += dt
         events.append(Event(u, v, t, s))
     return events
+
+
+@st.composite
+def burst_streams(draw, max_size=80, span=4):
+    """`event_streams` with each event repeated 1-5 times, as the synth's
+    bursts do, and sometimes next to copies of opposite polarity: runs
+    of identical events that slices, flushes and retractions cut."""
+    events = []
+    for e in draw(event_streams(max_size=max(1, max_size // 3), span=span)):
+        run = [e] * draw(st.integers(1, 5))
+        flipped = [e._replace(s=-e.s)] * draw(st.sampled_from((0, 0, 1, 2)))
+        events += run + flipped if draw(st.booleans()) else flipped + run
+    return events[:max_size]
+
+
+# event streams whose runs of identical events are one event long, or
+# several
+STREAMS = st.one_of(event_streams(max_size=80), burst_streams(max_size=80))
 
 
 @contextmanager
@@ -132,7 +151,7 @@ def test_ingest_batch_splits_match_single_events(events, cuts, n, block):
 
 @DRAINS
 @SETTINGS
-@given(events=event_streams(max_size=80),
+@given(events=STREAMS,
        ops=st.lists(st.tuples(st.integers(1, 20), st.booleans(),
                               st.integers(0, 100)), min_size=1, max_size=12),
        n=st.integers(2, 3), block=BLOCKS)
@@ -196,6 +215,22 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
     assert row_store_faults(filled, False) == []
 
 
+@SETTINGS
+@given(events=burst_streams(max_size=120, span=6), n=st.integers(2, 4),
+       block=BLOCKS)
+def test_fill_of_bursts_matches_bruteforce(events, n, block):
+    # a fill projects each run of identical events once, weighted by its
+    # length; the small blocks put slice boundaries inside runs
+    array = MetricArray(FlowPlaneConfig(n=n))
+    with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
+        array.fill(events)
+    for k, flow in enumerate(flows(array)):
+        assert array.metrics[k] == metric_bruteforce(events, flow,
+                                                     events[0].t)
+    assert nonzero_grids(array) == bruteforce_grids(array)
+    assert row_store_faults(array, False) == []
+
+
 def bruteforce_argmax(array):
     """The argmax of the brute-force metrics of the held events, lowest
     index on ties; None when nothing is held."""
@@ -208,7 +243,7 @@ def bruteforce_argmax(array):
 
 @DRAINS
 @SETTINGS
-@given(events=event_streams(max_size=80),
+@given(events=STREAMS,
        prefill=st.integers(0, 20),
        ops=st.lists(st.one_of(st.tuples(st.just("ingest"), st.integers(1, 12)),
                               st.tuples(st.just("flush"), st.integers(0, 100))),
@@ -413,7 +448,7 @@ def array_state(array):
 
 
 @SETTINGS
-@given(events=event_streams(max_size=80),
+@given(events=STREAMS,
        batches=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30),
                                   st.integers(0, 100)),
                         min_size=1, max_size=6),

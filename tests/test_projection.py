@@ -6,7 +6,8 @@ import pytest
 from flowseg.events import Event
 from flowseg.projection import (AccumulatorGrid, ConsistencyError, FlowVector,
                                 KEY_M, event_columns, grid_flow, grid_sums,
-                                project_keys, round_half_away, unpack_cell)
+                                project_keys, round_half_away, runs,
+                                unpack_cell)
 
 from oracles import (array_flows, bruteforce_image, bruteforce_keys,
                      bruteforce_row_images, metric_bruteforce, pack_cell,
@@ -220,4 +221,37 @@ def test_grid_flow_is_column_speed_and_row_speed(n):
     assert [j for j, _, _ in rows] == list(range(n))
     for (_, keys, sums), expected in zip(
             rows, bruteforce_row_images(events, col_vu, row_vv, 1234)):
+        assert dict(zip(keys.tolist(), sums.tolist())) == expected
+
+
+def test_runs_split_where_any_column_changes():
+    # the second row repeats the first; every later row changes one
+    # column of the row before it: u, v, dt, then the sign
+    us = np.array([3.0, 3.0, 4.0, 4.0, 4.0, 4.0, 4.0])
+    vs = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+    dt = np.array([0.5, 0.5, 0.5, 0.5, 0.7, 0.7, 0.7])
+    signs = np.array([1, 1, 1, 1, 1, -1, -1], dtype=np.int32)
+    first, weights = runs(us, vs, dt, signs)
+    assert first.tolist() == [0, 2, 3, 4, 5]
+    assert weights.tolist() == [2, 1, 1, 1, -2]
+    assert weights.dtype == np.int32
+
+
+def test_weighted_grid_sums_match_repeated_events():
+    # a run of k identical events summed once with weight k (times its
+    # sign) gives the cells of the k events each summed with weight 1
+    rng = random.Random(5)
+    events = [e for e in random_events(rng, 40)
+              for _ in range(rng.randint(1, 4))]
+    col_vu, row_vv = np.array([-40.0, 0.0, 35.0]), np.array([-20.0, 25.0])
+    us, vs, ts, ss = event_columns(events)
+    dt = (ts - 77) * 1e-6
+    signs = np.where(ss > 0, np.int32(1), np.int32(-1))
+    first, weights = runs(us, vs, dt, signs)
+    assert len(first) < len(events)
+    rows = list(grid_sums(us[first], vs[first], dt[first], weights, col_vu,
+                          row_vv))
+    assert [j for j, _, _ in rows] == [0, 1]
+    for (_, keys, sums), expected in zip(
+            rows, bruteforce_row_images(events, col_vu, row_vv, 77)):
         assert dict(zip(keys.tolist(), sums.tolist())) == expected

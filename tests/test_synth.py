@@ -112,6 +112,16 @@ def test_burst_size_repeats_structure_events():
     assert gt3.records[0] == gt3.records[1] == gt3.records[2]
 
 
+@pytest.mark.parametrize("option", ["noise_rate", "jitter_us",
+                                    "refractory_us"])
+def test_negative_rates_and_periods_raise(option):
+    contour = build_contour("circle", radius=8.0, center=(60.0, 60.0))
+    with pytest.raises(ValueError,
+                       match=rf"^{option} must be non-negative, got -5"):
+        generate_scene([(contour, ConstantMotion(40.0, 0.0))],
+                       duration=0.4, **{option: -5})
+
+
 def test_two_structures_get_distinct_ids():
     a = build_contour("bar", length=20.0, thickness=3.0, center=(50.0, 60.0))
     b = build_contour("bar", length=20.0, thickness=3.0, center=(180.0, 120.0))
