@@ -78,10 +78,14 @@ def parse_object_spec(text: str, geometry: SensorGeometry):
     def number(key: str, default: Optional[float] = None) -> float:
         raw = fields.pop(key, default)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"object spec {key}: expected a number, "
                               f"got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"object spec {key}: expected a finite "
+                              f"number, got {raw!r}")
+        return value
 
     cx = number("cx", geometry.width / 2.0)
     cy = number("cy", geometry.height / 2.0)

@@ -1,11 +1,11 @@
 """Flat key = value configuration files and run manifests.
 
-Config keys are dotted: `flow_plane.n`, `track_plane.lifetime_px`,
-`engine.maintenance_period`.  Values are parsed by the target field's
-type, unknown keys are errors, and the assembled dataclasses run their
-own validation.  A manifest records everything needed to repeat a run;
-the elapsed time line is informational and excluded from any
-reproducibility comparison.
+Config keys are dotted, a section and a field of its config class:
+`flow_plane.n`, `track_plane.evolve_threshold`.  Values are parsed by
+the target field's type, unknown keys are errors, and the assembled
+dataclasses run their own validation.  A manifest records everything
+needed to repeat a run; the elapsed time line is informational and
+excluded from any reproducibility comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ class ConfigError(ValueError):
     """Bad key, bad value, or failed validation in a config source."""
 
 
-_SECTIONS = ("flow_plane", "track_plane", "engine")
+# each key's section: an EngineConfig field and its class, in dump order
+_SECTIONS = (("flow_plane", FlowPlaneConfig),
+             ("track_plane", TrackPlaneConfig))
 
 
 def _parse_value(raw: str, current) -> Union[int, float]:
@@ -62,21 +64,11 @@ def parse_assignments(pairs: Iterable[str]) -> dict[str, str]:
 def _build(assignments: dict[str, tuple[str, str]]) -> EngineConfig:
     """EngineConfig from defaults plus overrides `key: (where, raw)`; an
     error about a value starts with its `where` and its key."""
-    fp = dataclasses.asdict(FlowPlaneConfig())
-    tp = dataclasses.asdict(TrackPlaneConfig())
-    eng = {f.name: getattr(EngineConfig(), f.name)
-           for f in dataclasses.fields(EngineConfig)
-           if f.name not in ("flow_plane", "track_plane")}
-    buckets = {"flow_plane": fp, "track_plane": tp, "engine": eng}
-
+    buckets = {section: dataclasses.asdict(cls())
+               for section, cls in _SECTIONS}
     for key, (where, raw) in assignments.items():
-        if "." not in key:
-            raise ConfigError(f"{where}config key {key!r} needs a section "
-                              f"prefix ({', '.join(_SECTIONS)})")
         section, _, name = key.partition(".")
-        if section not in buckets:
-            raise ConfigError(f"{where}unknown config section {section!r}")
-        bucket = buckets[section]
+        bucket = buckets.get(section, {})
         if name not in bucket:
             raise ConfigError(f"{where}unknown config key {key!r}")
         try:
@@ -85,16 +77,12 @@ def _build(assignments: dict[str, tuple[str, str]]) -> EngineConfig:
             raise ConfigError(f"{where}{key}: {exc}") from None
 
     built = {}
-    for section, cls in (("flow_plane", FlowPlaneConfig),
-                         ("track_plane", TrackPlaneConfig)):
+    for section, cls in _SECTIONS:
         try:
             built[section] = cls(**buckets[section])
         except ValueError as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-    try:
-        return EngineConfig(**built, **eng)
-    except ValueError as exc:
-        raise ConfigError(f"engine: {exc}") from exc
+    return EngineConfig(**built)
 
 
 def load_config(source: Union[str, Iterable[str]],
@@ -127,16 +115,8 @@ def load_config(source: Union[str, Iterable[str]],
 
 def config_lines(cfg: EngineConfig) -> list[str]:
     """Dotted key = value dump, section order fixed, field order declared."""
-    lines = []
-    for section, obj in (("flow_plane", cfg.flow_plane),
-                         ("track_plane", cfg.track_plane)):
-        for f in dataclasses.fields(obj):
-            lines.append(f"{section}.{f.name} = {getattr(obj, f.name)!r}")
-    for f in dataclasses.fields(cfg):
-        if f.name in ("flow_plane", "track_plane"):
-            continue
-        lines.append(f"engine.{f.name} = {getattr(cfg, f.name)!r}")
-    return lines
+    return [f"{section}.{f.name} = {getattr(getattr(cfg, section), f.name)!r}"
+            for section, cls in _SECTIONS for f in dataclasses.fields(cls)]
 
 
 def manifest_lines(command: str, input_path: Optional[str],

@@ -57,8 +57,6 @@ class FlowPlaneConfig:
     n: int = 20                    # array is n x n candidate flows
     v_ref: float = 100.0           # px/s mapped to 45 deg
     p_stable: int = 500            # consecutive stable-argmax events
-    depth_max: int = 3             # refinement levels below the top array
-    w: float = 2.0                 # seed threshold: |f| > mu + w*sigma
     noise_lifespan_s: float = 0.5  # unassociated events older than this flush
 
     def __post_init__(self):
@@ -67,16 +65,11 @@ class FlowPlaneConfig:
         if self.n * self.n > MAX_GRIDS:
             raise ValueError(f"n must be at most {math.isqrt(MAX_GRIDS)}: "
                              f"the keys of n*n grids must fit in int64")
-        if self.v_ref <= 0:
-            raise ValueError("v_ref must be positive")
         if self.p_stable < 1:
             raise ValueError("p_stable must be at least 1")
-        if self.depth_max < 0:
-            raise ValueError("depth_max must be non-negative")
-        if self.w < 0:
-            raise ValueError("w must be non-negative")
-        if self.noise_lifespan_s <= 0:
-            raise ValueError("noise_lifespan_s must be positive")
+        for name in ("v_ref", "noise_lifespan_s"):
+            if not 0 < getattr(self, name) < math.inf:     # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # each axis of the top array spans pi radians of angle, all of the
@@ -85,6 +78,12 @@ _ANGULAR_RANGE = math.pi
 # each refinement level spans 1/9 of its parent's range: 2.2 of the
 # parent's cells around its argmax at n = 20, each cell 9x finer
 _RANGE_SHRINK = 9.0
+# refinement levels below the top array: the last one's cells are
+# 9**3 = 729x finer in angle, about 0.02 px/s at v_ref = 100 and n = 20
+_DEPTH_MAX = 3
+# SOFAS's seed threshold w: a seed cell's |value| exceeds mu + w * sigma
+# of the winning grid's nonzero cells (at 0, any cell above the mean)
+_SEED_W = 2.0
 
 
 def axis_speeds(center: float, angular_range: float,
@@ -582,17 +581,17 @@ def flood_fill_cells(nonzero: set[int], seeds: set[int]) -> set[int]:
 def extract_associated(array: MetricArray) -> AssociationResult:
     """Select the events backing the winning projection.
 
-    Seeds are cells with |f| strictly above mu + w*sigma (stats over the
-    winning grid's nonzero cells); the footprint is their 8-connected
-    flood-fill closure over nonzero cells.  Raises AssociationError when
-    no cell clears the threshold.
+    Seeds are cells with |f| strictly above mu + _SEED_W * sigma (stats
+    over the winning grid's nonzero cells); the footprint is their
+    8-connected flood-fill closure over nonzero cells.  Raises
+    AssociationError when no cell clears the threshold.
     """
     k = array.argmax_index
     if k is None:
         raise AssociationError("empty array")
     cells, values = array.grid(k)
     mu, sigma = cell_value_stats(values)
-    threshold = mu + array.cfg.w * sigma
+    threshold = mu + _SEED_W * sigma
     nonzero = values != 0
     seeds = set(cells[nonzero & (np.abs(values) > threshold)].tolist())
     if not seeds:
@@ -623,11 +622,11 @@ def refine(assoc: AssociationResult, cfg: FlowPlaneConfig, parent_range: float,
 
 
 def refined_flow(assoc: AssociationResult, cfg: FlowPlaneConfig) -> FlowVector:
-    """The association's flow sharpened through the depth_max refinement
-    levels below the top-level array; the last level's array is freed on
-    return."""
+    """The association's flow sharpened through the `_DEPTH_MAX`
+    refinement levels below the top-level array; the last level's array
+    is freed on return."""
     flow, parent_range = assoc.flow, _ANGULAR_RANGE
-    for _ in range(cfg.depth_max):
+    for _ in range(_DEPTH_MAX):
         deeper = refine(assoc, cfg, parent_range, center_flow=flow)
         parent_range = deeper.angular_range
         flow = deeper.argmax_flow

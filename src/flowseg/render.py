@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .engine import UNLABELED, FlowLabeledEvent
-from .events import SensorGeometry, DEFAULT_GEOMETRY
+from .events import (DEFAULT_GEOMETRY, GeometryError, OrderingError,
+                     SensorGeometry)
 
 MODES = ("flow", "segment", "count")
 UNLABELED_GRAY = (96, 96, 96)
@@ -55,13 +56,31 @@ def flow_color(v_u: float, v_v: float, v_sat: float) -> tuple[int, int, int]:
     return int(r * 255), int(g * 255), int(b * 255)
 
 
+def _check_records(records: Sequence[FlowLabeledEvent],
+                   geometry: SensorGeometry) -> None:
+    """Raise GeometryError or OrderingError, naming its index, for the
+    first record outside `geometry` or earlier than the one before it."""
+    last_t = records[0].t
+    for i, rec in enumerate(records):
+        if not geometry.contains(rec.u, rec.v):
+            raise GeometryError(
+                f"record {i}: coordinate ({rec.u}, {rec.v}) outside "
+                f"{geometry.width}x{geometry.height}")
+        if rec.t < last_t:
+            raise OrderingError(
+                f"record {i}: timestamp {rec.t} before previous {last_t}", i)
+        last_t = rec.t
+
+
 def render_frames(records: Sequence[FlowLabeledEvent],
                   geometry: SensorGeometry = DEFAULT_GEOMETRY,
                   cfg: RenderConfig = None) -> list[np.ndarray]:
-    """One array per interval: (H, W, 3) uint8, or (H, W) for count mode."""
+    """One array per interval: (H, W, 3) uint8, or (H, W) for count mode;
+    records must lie inside `geometry`, in non-decreasing time order."""
     cfg = cfg or RenderConfig()
     if not records:
         return []
+    _check_records(records, geometry)
     h, w = geometry.height, geometry.width
     dt_us = max(1, int(cfg.frame_dt_s * 1e6))
     t0 = records[0].t

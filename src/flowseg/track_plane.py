@@ -6,7 +6,7 @@ footprint is the grid's nonzero cells plus the promoted ones; an event
 whose projection lands in it is a hit and accumulates into the grid.
 Misses are counted per projected cell; a cell missed evolve_threshold
 times is promoted into the footprint, which is how the plane follows
-contour change.  Events expire lifetime_px / speed seconds after
+contour change.  Events expire `_LIFETIME_PX` / speed seconds after
 arrival and retract from the grid in one batch.  `recenter` is the one
 place a plane's flow changes: it adopts a flow and a set of events and
 lays a new frame, at creation and when the engine merges two planes.
@@ -33,6 +33,9 @@ from .projection import (KEY_M, AccumulatorGrid, ConsistencyError,
 
 
 V_FLOOR = 1.0                  # px/s floor for lifetime and rate estimates
+# an event is held while its plane travels this many pixels: each grid
+# cell of a moving edge holds the events of its last three crossings
+_LIFETIME_PX = 3.0
 # hits are counted over this many event lifetimes for the hit fraction
 _HIT_WINDOW_LIFETIMES = 2.0
 
@@ -40,7 +43,6 @@ _HIT_WINDOW_LIFETIMES = 2.0
 @dataclass
 class TrackPlaneConfig:
     evolve_threshold: int = 3      # misses in one cell before promotion
-    lifetime_px: float = 3.0       # event lifetime = lifetime_px / speed
     # accepted and ignored: the benchmark's bars configuration still
     # passes it, and the benchmark's files change only with the benchmark
     h_max_deg: InitVar[Optional[float]] = None
@@ -48,14 +50,12 @@ class TrackPlaneConfig:
     def __post_init__(self, h_max_deg):
         if self.evolve_threshold < 1:
             raise ValueError("evolve_threshold must be at least 1")
-        if self.lifetime_px <= 0:
-            raise ValueError("lifetime_px must be positive")
 
 
-def event_lifetime_s(flow, cfg: TrackPlaneConfig) -> float:
-    """Seconds an event stays relevant: lifetime_px / max(speed, V_FLOOR)."""
+def event_lifetime_s(flow) -> float:
+    """Seconds an event stays relevant: _LIFETIME_PX / max(speed, V_FLOOR)."""
     speed = math.hypot(flow[0], flow[1])
-    return cfg.lifetime_px / max(speed, V_FLOOR)
+    return _LIFETIME_PX / max(speed, V_FLOOR)
 
 
 class TrackPlane:
@@ -103,7 +103,7 @@ class TrackPlane:
         self.miss_counts: dict[int, int] = {}
 
     def event_lifetime_s(self) -> float:
-        return event_lifetime_s(self.center_flow, self.cfg)
+        return event_lifetime_s(self.center_flow)
 
     def __len__(self) -> int:
         return len(self.held)

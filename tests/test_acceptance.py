@@ -24,7 +24,8 @@ from flowseg.projection import (AccumulatorGrid, FlowVector, event_columns,
                                 project_keys)
 from flowseg.synth import (ConstantMotion, PendulumMotion, RotationMotion,
                            build_contour, generate_scene)
-from flowseg.track_plane import TrackPlaneConfig, event_lifetime_s
+from flowseg.track_plane import (_LIFETIME_PX, TrackPlaneConfig,
+                                 event_lifetime_s)
 
 from conftest import HEXAGON_SETTLED_US, angled, hexagon_scene
 from oracles import metric_bruteforce, sum_squares
@@ -274,10 +275,9 @@ def test_07_pendulum_flow_tracks_ground_truth():
 
 
 def test_08_event_lifetime_arithmetic():
-    cfg = TrackPlaneConfig()
-    lifetime = event_lifetime_s((58.0, 0.0), cfg)
+    lifetime = event_lifetime_s((58.0, 0.0))
     print(f"lifetime at 58 px/s: {lifetime!r} s == 3/58 s")
-    assert cfg.lifetime_px == 3.0
+    assert _LIFETIME_PX == 3.0
     assert lifetime == pytest.approx(3.0 / 58.0, rel=1e-12)
 
 

@@ -6,24 +6,29 @@ import pytest
 from flowseg.cli import main, parse_object_spec
 from flowseg.config import (ConfigError, config_lines, load_config,
                             parse_assignments)
+from flowseg.engine import EngineConfig
 from flowseg.events import DEFAULT_GEOMETRY
 from flowseg.synth import generate_scene, read_gt
 
 
 def test_load_config_defaults():
     cfg = load_config([])
+    assert cfg == EngineConfig()
     assert cfg.flow_plane.n == 20
-    assert cfg.track_plane.lifetime_px == 3.0
-    assert cfg.maintenance_period == 1000
+    assert cfg.track_plane.evolve_threshold == 3
+    # every key a scene sets, and no other
+    assert [line.split(" = ")[0] for line in config_lines(cfg)] == [
+        "flow_plane.n", "flow_plane.v_ref", "flow_plane.p_stable",
+        "flow_plane.noise_lifespan_s", "track_plane.evolve_threshold"]
 
 
 def test_load_config_overrides():
     cfg = load_config(["flow_plane.n = 40",
-                       "track_plane.lifetime_px = 2.5",
-                       "engine.maintenance_period = 500"])
+                       "flow_plane.noise_lifespan_s = 2.5",
+                       "track_plane.evolve_threshold = 12"])
     assert cfg.flow_plane.n == 40
-    assert cfg.track_plane.lifetime_px == 2.5
-    assert cfg.maintenance_period == 500
+    assert cfg.flow_plane.noise_lifespan_s == 2.5
+    assert cfg.track_plane.evolve_threshold == 12
 
 
 def test_load_config_rejects_bad_keys():
@@ -45,11 +50,14 @@ def test_load_config_rejects_bad_keys():
     "engine.merge_flow_tol", "engine.merge_overlap_tol",
     "engine.prune_fraction", "engine.prune_window_lifetimes",
     "engine.prune_grace_lifetimes", "track_plane.v_floor",
-    "flow_plane.angular_range", "flow_plane.q"])
+    "flow_plane.angular_range", "flow_plane.q", "flow_plane.w",
+    "flow_plane.depth_max", "track_plane.lifetime_px",
+    "engine.maintenance_period"])
 def test_load_config_rejects_maintenance_constants(key):
     # the merge and prune thresholds, the speed floor, the top array's
-    # range and the refinement shrink are constants, not config keys: a
-    # file that sets one is refused, not ignored
+    # range, the refinement shrink and depth, the seed threshold, the
+    # event lifetime and the maintenance period are constants, not
+    # config keys: a file or a --set that sets one is refused, not ignored
     message = re.escape(f"unknown config key '{key}'")
     with pytest.raises(ConfigError, match=f"^line 1: {message}$"):
         load_config([f"{key} = 1.0"])
@@ -144,10 +152,9 @@ def test_cli_run_writes_plane_snapshots(tmp_path, synth_files):
         plane_id, t, v_u, v_v, cells, held = row.split(",")
         assert int(plane_id) >= 0 and int(t) > 0
         assert float(v_u) > 0 and int(cells) > 0 and int(held) >= 0
-    # the manifest records the two tracking fields, no ignored one
+    # the manifest records the one tracking field, no ignored one
     tracking = [f for f in fields if f.startswith("config.track_plane.")]
-    assert tracking == ["config.track_plane.evolve_threshold=3",
-                        "config.track_plane.lifetime_px=3.0"]
+    assert tracking == ["config.track_plane.evolve_threshold=3"]
 
 
 def test_cli_lk(tmp_path, synth_files):
@@ -164,6 +171,24 @@ def test_cli_render_empty_is_ok(tmp_path, capsys):
     assert run_cli("render", "--labeled", str(empty),
                    "--out-dir", frames) == 0
     assert "wrote 0 frames" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("record, message", [
+    ("100 500 5 1 0 58.0 0.0", "record 1: coordinate (500, 5) outside 10x10"),
+    ("100 -3 5 1 0 58.0 0.0", "record 1: coordinate (-3, 5) outside 10x10"),
+    ("40 5 5 1 0 58.0 0.0", "record 1: timestamp 40 before previous 50"),
+], ids=["past_the_width", "negative_u", "earlier"])
+def test_cli_render_rejects_bad_records(tmp_path, capsys, record, message):
+    # off the sensor, a record ended in an IndexError traceback, or was
+    # drawn at a wrapped pixel (u = -3 at u = 7); out of order, it ended
+    # in an IndexError traceback
+    labeled = tmp_path / "labeled.txt"
+    labeled.write_text(f"50 1 1 1 0 58.0 0.0\n{record}\n")
+    frames = tmp_path / "frames"
+    assert run_cli("render", "--labeled", str(labeled),
+                   "--out-dir", str(frames), "--geometry", "10x10") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not frames.exists()
 
 
 def test_cli_error_codes(tmp_path, capsys):
@@ -202,7 +227,7 @@ def test_cli_error_codes(tmp_path, capsys):
         f"error: {labeled}: line 1: expected 7 fields, got 6\n")
 
 
-def test_cli_object_spec_errors(tmp_path):
+def test_cli_object_spec_errors(tmp_path, capsys):
     out = str(tmp_path / "events.txt")
     assert run_cli("synth", "--out", out, "--object", "shape=triangle,width=5",
                    "--duration", "0.5") == 2
@@ -211,6 +236,20 @@ def test_cli_object_spec_errors(tmp_path):
     assert run_cli("synth", "--out", out,
                    "--object", "shape=circle,radius=5,warp=9",
                    "--duration", "0.5") == 2
+    capsys.readouterr()
+    # an infinite speed ended in a ZeroDivisionError traceback; a NaN
+    # center wrote no event and exited 0
+    assert run_cli("synth", "--out", out,
+                   "--object", "shape=circle,radius=5,vu=inf",
+                   "--duration", "0.5") == 2
+    assert capsys.readouterr().err == (
+        "error: object spec vu: expected a finite number, got 'inf'\n")
+    assert run_cli("synth", "--out", out,
+                   "--object", "shape=circle,radius=5,cx=nan",
+                   "--duration", "0.5") == 2
+    assert capsys.readouterr().err == (
+        "error: object spec cx: expected a finite number, got 'nan'\n")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("flag, value", [("--noise-rate", "-1.5"),
@@ -257,15 +296,15 @@ def test_cli_rejects_arrays_past_the_grid_keys(tmp_path, tiny_events, capsys,
 
 def test_cli_set_bad_number_names_its_key(tmp_path, tiny_events, capsys):
     assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
-                   "--set", "track_plane.lifetime_px=fast") == 2
+                   "--set", "flow_plane.v_ref=fast") == 2
     assert capsys.readouterr().err == (
-        "error: track_plane.lifetime_px: expected a number, got 'fast'\n")
+        "error: flow_plane.v_ref: expected a number, got 'fast'\n")
 
 
 @pytest.mark.parametrize("key, value", [
     ("flow_plane.noise_lifespan_s", "nan"),
     ("flow_plane.v_ref", "inf"),
-    ("flow_plane.w", "-inf"),
+    ("flow_plane.noise_lifespan_s", "-inf"),
 ])
 def test_cli_set_non_finite_number_names_its_key(tmp_path, tiny_events,
                                                  capsys, key, value):
@@ -317,9 +356,9 @@ def test_cli_config_file_line_without_value_names_its_line(tmp_path,
 
 
 def test_load_config_lines_name_the_line():
-    with pytest.raises(ConfigError, match=r"^line 2: engine\.maintenance_"
-                       r"period: expected an integer, got '1e3'$"):
-        load_config(["flow_plane.n = 12", "engine.maintenance_period = 1e3"])
+    with pytest.raises(ConfigError, match=r"^line 2: flow_plane\.p_"
+                       r"stable: expected an integer, got '1e3'$"):
+        load_config(["flow_plane.n = 12", "flow_plane.p_stable = 1e3"])
 
 
 def test_cli_object_spec_bad_number_names_its_key(tmp_path, capsys):

@@ -112,8 +112,10 @@ ASSOCIATION_SLACK = BLOCK_BYTES
 
 
 @pytest.mark.parametrize("depth_max", [0, 3])
-def test_emission_frees_the_drained_store_before_the_rebuild(depth_max):
-    cfg = FlowPlaneConfig(p_stable=400, depth_max=depth_max)
+def test_emission_frees_the_drained_store_before_the_rebuild(monkeypatch,
+                                                             depth_max):
+    monkeypatch.setattr(flow_plane, "_DEPTH_MAX", depth_max)
+    cfg = FlowPlaneConfig(p_stable=400)
     seed = None
     tracemalloc.start()
     try:
@@ -141,8 +143,9 @@ def test_emission_frees_the_drained_store_before_the_rebuild(depth_max):
     assert peak - before <= transient + ASSOCIATION_SLACK
 
 
-def test_flow_plane_without_refinement_emits_the_association():
-    cfg = FlowPlaneConfig(p_stable=400, depth_max=0)
+def test_flow_plane_without_refinement_emits_the_association(monkeypatch):
+    monkeypatch.setattr(flow_plane, "_DEPTH_MAX", 0)
+    cfg = FlowPlaneConfig(p_stable=400)
     plane = FlowPlane(cfg)
     seed = None
     for ev in emitting_scene():

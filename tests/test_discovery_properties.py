@@ -423,18 +423,19 @@ def test_deferred_plane_emits_like_eager(events, p_stable, n, w, flush_at):
     # the eager one drains every event and applies every flush on the
     # spot.  They must emit the same seeds, and agree on the stable run
     # whenever the deferred one has just drained
-    cfg = FlowPlaneConfig(n=n, p_stable=p_stable, w=w, noise_lifespan_s=0.2)
+    cfg = FlowPlaneConfig(n=n, p_stable=p_stable, noise_lifespan_s=0.2)
     flushes = {}
     for i, ahead in flush_at:
         flushes.setdefault(i % len(events), []).append(ahead)
     deferred, eager = FlowPlane(cfg), FlowPlane(cfg)
-    for i, ev in enumerate(events):
-        assert offer(deferred, ev, False) == offer(eager, ev, True)
-        if not deferred._pending:
-            assert stable_run(deferred) == stable_run(eager)
-        for ahead in flushes.get(i, ()):
-            assert (deferred.flush_noise(ev.t + ahead)
-                    == flush_now(eager, ev.t + ahead))
+    with mock.patch.object(flow_plane, "_SEED_W", w):
+        for i, ev in enumerate(events):
+            assert offer(deferred, ev, False) == offer(eager, ev, True)
+            if not deferred._pending:
+                assert stable_run(deferred) == stable_run(eager)
+            for ahead in flushes.get(i, ()):
+                assert (deferred.flush_noise(ev.t + ahead)
+                        == flush_now(eager, ev.t + ahead))
     assert deferred.array.held == eager.array.held
     assert deferred.array.metrics == eager.array.metrics
     assert stable_run(deferred) == stable_run(eager)

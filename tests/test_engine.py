@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from flowseg.engine import (Engine, EngineConfig, FlowLabeledEvent, UNLABELED,
-                            _dilate_cells, read_labeled, run_stream,
-                            write_labeled)
+from flowseg.engine import (_MAINTENANCE_PERIOD, Engine, EngineConfig,
+                            FlowLabeledEvent, UNLABELED, _dilate_cells,
+                            read_labeled, run_stream, write_labeled)
 from flowseg.events import Event, ParseError, load_stream
 from flowseg.synth import (ConstantMotion, build_contour, generate_scene,
                            read_gt)
@@ -68,7 +68,7 @@ def test_stats_balance(small_scene):
     assert stats.planes_created >= 1
     # periodic sweeps plus the end-of-stream one
     assert (stats.maintenance_runs
-            == len(events) // engine.cfg.maintenance_period + 1)
+            == len(events) // _MAINTENANCE_PERIOD + 1)
 
 
 def test_engine_repeatable(small_scene):

@@ -6,16 +6,19 @@ and prune planes.  Whatever the stream, every event must come back as
 exactly one record carrying its own (u, v, t, s), the hit and unlabeled
 counts must add up, a record is unlabeled exactly when its flow is nan,
 and no grid may be asked to retract what it never held.  Maintenance
-runs after every maintenance_period-th event and once at the end, and
+runs after every `_MAINTENANCE_PERIOD`-th event and once at the end, and
 plane ids are the creation counts: every label names a plane created
 earlier, and no two live planes share an id.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowseg import engine as engine_module
+from flowseg import flow_plane
 from flowseg.engine import UNLABELED, Engine, EngineConfig
 from flowseg.events import DEFAULT_GEOMETRY, Event
 from flowseg.flow_plane import FlowPlaneConfig
@@ -93,17 +96,17 @@ def streams(draw):
        period=st.integers(1, 60), w=st.sampled_from((0.0, 1.0, 2.0)))
 def test_engine_invariants_hold_on_adversarial_streams(events, p_stable,
                                                        period, w):
-    cfg = EngineConfig(flow_plane=FlowPlaneConfig(n=4, p_stable=p_stable,
-                                                  w=w),
-                       maintenance_period=period)
+    cfg = EngineConfig(flow_plane=FlowPlaneConfig(n=4, p_stable=p_stable))
     engine = Engine(cfg)
     labeled = []
-    for ev in events:
-        labeled.append(engine.process(ev))
-        # live planes keep their creation order, and no two share an id
-        ids = [plane.plane_id for plane in engine.planes]
-        assert ids == sorted(set(ids))
-    engine.finish()
+    with mock.patch.object(engine_module, "_MAINTENANCE_PERIOD", period), \
+            mock.patch.object(flow_plane, "_SEED_W", w):
+        for ev in events:
+            labeled.append(engine.process(ev))
+            # live planes keep their creation order, and no two share an id
+            ids = [plane.plane_id for plane in engine.planes]
+            assert ids == sorted(set(ids))
+        engine.finish()
     stats = engine.stats
     assert len(labeled) == len(events) == stats.events_in
     assert stats.hits + stats.unlabeled == stats.events_in

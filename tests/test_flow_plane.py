@@ -172,7 +172,7 @@ def test_extract_associated_selects_crisp_cluster():
     # structure: 40 coincident-cell events at zero flow; background: single
     # events scattered far away.  zero-flow grid wins; association should
     # keep the cluster and drop the scatter.
-    cfg = FlowPlaneConfig(n=5, w=2.0)
+    cfg = FlowPlaneConfig(n=5)          # seeds above mu + 2 sigma
     events = []
     t = 0
     rng = random.Random(5)
@@ -192,8 +192,9 @@ def test_extract_associated_selects_crisp_cluster():
     assert len(assoc.events) == 40
 
 
-def test_extract_associated_raises_without_seeds():
-    cfg = FlowPlaneConfig(n=3, w=50.0)    # unreachable threshold
+def test_extract_associated_raises_without_seeds(monkeypatch):
+    monkeypatch.setattr(flow_plane, "_SEED_W", 50.0)   # unreachable threshold
+    cfg = FlowPlaneConfig(n=3)
     array = MetricArray(cfg)
     array.fill(random_events(random.Random(8), 50))
     with pytest.raises(AssociationError):
@@ -277,3 +278,10 @@ def test_config_validation():
         FlowPlaneConfig(n=1025)         # grid keys past int64
     with pytest.raises(ValueError):
         FlowPlaneConfig(v_ref=0.0)
+    # a NaN or infinite v_ref ran over NaN candidate speeds; such a
+    # noise_lifespan_s failed at the first maintenance, naming no field
+    for field in ("v_ref", "noise_lifespan_s"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be positive and finite$"):
+                FlowPlaneConfig(**{field: value})

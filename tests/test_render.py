@@ -1,9 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from flowseg.engine import FlowLabeledEvent, UNLABELED
-from flowseg.events import SensorGeometry
+from flowseg.events import GeometryError, OrderingError, SensorGeometry
 from flowseg.render import (RenderConfig, UNLABELED_GRAY, flow_color,
                             render_frames, segment_color, write_ppm)
 
@@ -38,6 +39,25 @@ def test_render_frames_places_events():
     assert tuple(frames[0][3, 2]) != (0, 0, 0)
     assert tuple(frames[1][7, 5]) == UNLABELED_GRAY
     assert render_frames([], geom, cfg) == []
+
+
+@pytest.mark.parametrize("u, t, error, message", [
+    # past the width, a record raised IndexError; at u = -3 it was drawn
+    # at u = 13; earlier than the first, it left no frame: IndexError
+    (16, 60_000, GeometryError,
+     r"record 2: coordinate \(16, 3\) outside 16x12"),
+    (-3, 60_000, GeometryError,
+     r"record 2: coordinate \(-3, 3\) outside 16x12"),
+    (2, 0, OrderingError, "record 2: timestamp 0 before previous 50000"),
+], ids=["past_the_width", "negative_u", "earlier"])
+def test_render_frames_rejects_bad_records(u, t, error, message):
+    records = [FlowLabeledEvent(2, 3, 40_000, 1, 0, 40.0, 0.0),
+               FlowLabeledEvent(2, 3, 50_000, 1, 0, 40.0, 0.0),
+               FlowLabeledEvent(u, 3, t, 1, 0, 40.0, 0.0)]
+    with pytest.raises(error, match=f"^{message}$") as info:
+        render_frames(records, SensorGeometry(16, 12))
+    if error is OrderingError:
+        assert info.value.index == 2
 
 
 def test_write_ppm_header(tmp_path):

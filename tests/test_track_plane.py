@@ -4,7 +4,8 @@ import pytest
 
 from flowseg.events import Event
 from flowseg.projection import ConsistencyError
-from flowseg.track_plane import TrackPlane, TrackPlaneConfig, event_lifetime_s
+from flowseg.track_plane import (_LIFETIME_PX, TrackPlane, TrackPlaneConfig,
+                                 event_lifetime_s)
 
 from oracles import pack_cell, sum_squares
 
@@ -16,13 +17,12 @@ def make_plane(flow=(58.0, 0.0), cfg=None, n_events=5):
 
 
 def test_event_lifetime_is_pixels_over_speed():
-    cfg = TrackPlaneConfig()
-    assert cfg.lifetime_px == 3.0
-    lifetime = event_lifetime_s((58.0, 0.0), cfg)
+    assert _LIFETIME_PX == 3.0
+    lifetime = event_lifetime_s((58.0, 0.0))
     assert lifetime == pytest.approx(3.0 / 58.0, rel=1e-12)
     # slow flows clamp to the velocity floor instead of diverging
-    assert event_lifetime_s((0.0, 0.0), cfg) == pytest.approx(3.0)
-    assert event_lifetime_s((30.0, 40.0), cfg) == pytest.approx(3.0 / 50.0)
+    assert event_lifetime_s((0.0, 0.0)) == pytest.approx(3.0)
+    assert event_lifetime_s((30.0, 40.0)) == pytest.approx(3.0 / 50.0)
 
 
 def test_try_match_hits_and_march():
@@ -128,15 +128,14 @@ def test_recenter_lays_a_new_frame():
 
 def test_config_validation():
     assert [f.name for f in dataclasses.fields(TrackPlaneConfig)] == [
-        "evolve_threshold", "lifetime_px"]
+        "evolve_threshold"]
     # h_max_deg is accepted and ignored, and is no field
     assert TrackPlaneConfig(h_max_deg=0.1) == TrackPlaneConfig()
     with pytest.raises(ValueError):
         TrackPlaneConfig(evolve_threshold=0)
-    for lifetime_px in (0.0, -3.0):
-        with pytest.raises(ValueError, match="lifetime_px must be positive"):
-            TrackPlaneConfig(lifetime_px=lifetime_px)
     with pytest.raises(TypeError):
         TrackPlaneConfig(v_floor=1.0)          # a constant, V_FLOOR
+    with pytest.raises(TypeError):
+        TrackPlaneConfig(lifetime_px=3.0)      # a constant, _LIFETIME_PX
     with pytest.raises(ValueError):
         TrackPlane(0, (1.0, 0.0), [], TrackPlaneConfig())
