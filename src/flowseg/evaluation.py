@@ -145,7 +145,14 @@ def summarize(values: Sequence[float], bin_width: float = 5.0) -> ErrorSummary:
 def report_lines(labeled: Sequence[FlowLabeledEvent],
                  gt_records: Sequence[tuple[int, int, float, float]],
                  mag_bin: float = 5.0, angle_bin: float = 5.0) -> list[str]:
-    """Human-readable evaluation report used by the eval command."""
+    """Human-readable evaluation report used by the eval command.
+
+    Raises ValueError, naming it, for a bin width that is not positive
+    and finite."""
+    for name, width in (("mag_bin", mag_bin), ("angle_bin", angle_bin)):
+        if not 0 < width < math.inf:                    # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {width}")
     errors, coverage = flow_errors(labeled, gt_records)
     lines = [f"events={len(labeled)} labeled_coverage={coverage:.4f}"]
     if not errors:

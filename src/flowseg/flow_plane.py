@@ -14,15 +14,17 @@ share one sorted row store
 (int64 keys, int32 values), and a batch looks up, merges and compacts a
 row store right after projecting onto it: a batch still rewrites every
 row store, but one row (about 1/n of the cells) at a time, while it is
-in cache, and once per slice.  Speed rows share no store and no
-metric, so on a machine with two CPUs a large enough drain splits each
-slice's rows between the calling thread and one worker thread, which
-numpy's kernels let run at once (`MetricArray.apply_batch`).  A noise
-flush rides the next batch as retractions at its own place in it.  Once
-the argmax cell has been stable for p_stable consecutive events, the
-events backing the winning projection are extracted (statistical
-threshold over cell values plus 8-connected flood fill) and re-projected
-through progressively narrower arrays (`_RANGE_SHRINK` per level).
+in cache, and once per slice.  A slice has one form whether or not
+its rows repeat (`_Slice`).  Speed rows share no store and no metric,
+so on a machine with two CPUs a large enough drain splits each slice's
+rows between the calling thread and a worker thread opened for that
+slice alone, which numpy's kernels let run at once
+(`MetricArray.apply_batch`).  A noise flush rides the next batch as
+retractions at its own place in it.  Once the argmax cell has been
+stable for p_stable consecutive events, the events backing the winning
+projection are extracted (statistical threshold over cell values plus
+8-connected flood fill) and re-projected through progressively
+narrower arrays (`_RANGE_SHRINK` per level).
 The final association seeds a tracking plane; everything else is
 re-projected into a fresh level-0 array.  The drained array is freed
 first, and these rebuilds (`MetricArray.fill`) write each projected
@@ -117,27 +119,21 @@ _time = itemgetter(2)
 # slowed by 10%; drains above 24k cells a row took 0.67 (noise) to 0.79
 # (bars) of their serial time
 _THREAD_ROW_CELLS = 24_000
-# the executor of the worker thread of two-thread drains, and the
-# process that made it: made on first use, and again in a forked child,
-# which inherits the executor but not its thread (a submit there would
-# never run)
-_worker = None
-_worker_pid = 0
 
 
 class _Slice(NamedTuple):
     """One slice of the rows of `apply_batch`, as `_drain_rows` takes
-    it.  Each run of identical rows (`projection.runs`) is projected
-    once, at its first row, and weighs its length times its sign.  The
-    replay keeps one column per row: the d-th row after a run's first
-    finds its cell d signs further along, so its metric delta is the
-    first row's plus 2 * d."""
+    it, in one form whether or not its rows repeat.  Each run of
+    identical rows (`projection.runs`, at least one row) is projected
+    once, at its first row, and weighs its length times its sign; its
+    rows share that sign.  The replay keeps one column per row: the d-th
+    row after a run's first finds its cell d signs further along, so its
+    metric delta is the first row's plus 2 * d."""
     us: np.ndarray          # u, v and dt of each run's first row
     vs: np.ndarray
     dt: np.ndarray
     first: np.ndarray       # each run's first row
     weights: np.ndarray     # per row, int32: a run's weight at its first
-    signs: np.ndarray       # per row, int32: +1 or -1
     copies: np.ndarray      # the rows that repeat the row before them
     sources: np.ndarray     # the first row of each copy's run
     steps: np.ndarray       # 2 * (copy - source), int64
@@ -146,17 +142,14 @@ class _Slice(NamedTuple):
     @classmethod
     def of(cls, us, vs, dt, signs, compact: bool) -> "_Slice":
         first, run_weights = runs(us, vs, dt, signs)
-        weights = signs                 # while each row is a run
-        if len(first) < len(signs):
-            weights = np.zeros(len(signs), dtype=np.int32)
-            weights[first] = run_weights
-            us, vs, dt = us[first], vs[first], dt[first]
+        weights = np.zeros(len(signs), dtype=np.int32)
+        weights[first] = run_weights
         # a run's later rows weigh 0
         copies = np.flatnonzero(weights == 0)
         sources = first[np.searchsorted(first, copies, side="right") - 1]
         steps = 2 * (copies - sources)
-        return cls(us, vs, dt, first, weights, signs, copies, sources, steps,
-                   compact)
+        return cls(us[first], vs[first], dt[first], first, weights, copies,
+                   sources, steps, compact)
 
 
 def _cpus() -> int:
@@ -165,19 +158,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:              # no affinity on this platform
         return os.cpu_count() or 1
-
-
-def _drain_worker():
-    """This process's executor of one drain worker thread, made on first
-    use.  Its module is imported here too: imported with this one, it
-    made perfbench's `noise` set-up 10% slower (median 12.7 against
-    14.0 ms over 15 passes each), though no thread had started."""
-    global _worker, _worker_pid
-    if _worker_pid != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(1, thread_name_prefix="flowseg-drain")
-        _worker_pid = os.getpid()
-    return _worker
 
 
 class MetricArray:
@@ -201,9 +181,9 @@ class MetricArray:
     k identical events counts once, by k times that sign, in a fill and
     in a drain.  `held` is in time order.  No two speed rows share a
     store or a metric, so a drain may write the lower half of the rows
-    on the calling thread while a worker thread writes the upper half
-    (`apply_batch`); fills and every other method run on the calling
-    thread alone.
+    on the calling thread while a worker thread, which lives for one
+    slice, writes the upper half (`apply_batch`); fills and every other
+    method run on the calling thread alone.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -339,10 +319,13 @@ class MetricArray:
         and (c) the row stores hold at least `_THREAD_ROW_CELLS` cells
         a row on average; otherwise it drains them in order on the
         calling thread.  On two threads the calling thread drains rows
-        [0, n // 2) and the worker rows [n // 2, n), each in row order
+        [0, n // 2) and a worker thread, opened for that slice and
+        closed before the next, rows [n // 2, n), each in row order
         with its own running argmax; the upper half's replaces the
         lower's only where strictly greater, so ties still go to the
-        lowest grid and the result is the serial one.
+        lowest grid and the result is the serial one.  No thread
+        outlives the drain, and an exception from either half propagates
+        once both have finished.
 
         Stored cells are int32 and metrics int64.  A cell's value is at
         most the number of events held, so a batch after which more than
@@ -386,14 +369,19 @@ class MetricArray:
             if not self._two_threads(r1 - r0):
                 self._drain_rows(0, n, kernel, top_index, top_so_far)
                 continue
-            upper = _drain_worker().submit(
-                self._drain_rows, n // 2, n, kernel,
-                np.zeros(r1 - r0, dtype=np.int64),
-                np.full(r1 - r0, -1, dtype=np.int64))
-            try:
+            # imported here: imported with this module, it made
+            # perfbench's `noise` set-up 10% slower (median 12.7 against
+            # 14.0 ms over 15 passes each), though no thread had started
+            from concurrent.futures import ThreadPoolExecutor
+            # the worker lives for this slice alone: leaving the block
+            # waits for it, and no thread outlives the drain
+            with ThreadPoolExecutor(1) as worker:
+                upper = worker.submit(
+                    self._drain_rows, n // 2, n, kernel,
+                    np.zeros(r1 - r0, dtype=np.int64),
+                    np.full(r1 - r0, -1, dtype=np.int64))
                 self._drain_rows(0, n // 2, kernel, top_index, top_so_far)
-            finally:
-                upper_index, upper_metric = upper.result()
+            upper_index, upper_metric = upper.result()
             # strict: a tie keeps the lower half's lower index
             better = upper_metric > top_so_far
             top_index[better] = upper_index[better]
@@ -423,7 +411,7 @@ class MetricArray:
         slice, advanced in place and returned.  Touches only these rows'
         stores and metrics, so two calls over disjoint rows may run at
         once."""
-        bits = max(1, (len(kernel.signs) - 1).bit_length())
+        bits = max(1, (len(kernel.weights) - 1).bit_length())
         for j, pairs in grid_pairs(kernel.us, kernel.vs, kernel.dt,
                                    self.col_vu, self.row_vv[lo:hi],
                                    kernel.first, bits):
@@ -442,14 +430,13 @@ class MetricArray:
         (`_lookup`), and advance the metrics of the row's grids and the
         argmax after each row of the slice.  Returns the cells the store
         lacks, for `_insert`; its temporaries die on return."""
-        n, b = self.cfg.n, len(kernel.signs)
+        n, b = self.cfg.n, len(kernel.weights)
         k0 = j * n
         cells = pairs >> bits
         # in place: the pairs are not read again
         row = np.bitwise_and(pairs, (1 << bits) - 1, out=pairs)
         w = kernel.weights[row]
-        # each pair's sign: its weight, when every run is one row
-        s = w if kernel.weights is kernel.signs else kernel.signs[row]
+        s = np.sign(w)                  # the sign of each of the run's rows
         starts = group_starts(cells)
         old = np.zeros(len(starts), dtype=np.int64)
         missing = self._lookup(j, cells[starts] + ((k0 << _K_SHIFT) - _HALF),

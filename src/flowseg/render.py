@@ -35,10 +35,13 @@ class RenderConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.frame_dt_s <= 0:
-            raise ValueError("frame_dt_s must be positive")
-        if self.v_sat <= 0:
-            raise ValueError("v_sat must be positive")
+        # timestamps are whole microseconds, so no frame is shorter
+        if not 1e-6 <= self.frame_dt_s < math.inf:      # NaN fails too
+            raise ValueError(f"frame_dt_s must be finite and at least "
+                             f"1e-6 s, got {self.frame_dt_s}")
+        if not 0 < self.v_sat < math.inf:
+            raise ValueError(f"v_sat must be positive and finite, "
+                             f"got {self.v_sat}")
 
 
 def segment_color(segment: int) -> tuple[int, int, int]:
@@ -82,7 +85,7 @@ def render_frames(records: Sequence[FlowLabeledEvent],
         return []
     _check_records(records, geometry)
     h, w = geometry.height, geometry.width
-    dt_us = max(1, int(cfg.frame_dt_s * 1e6))
+    dt_us = int(cfg.frame_dt_s * 1e6)
     t0 = records[0].t
     n_frames = (records[-1].t - t0) // dt_us + 1
     if cfg.mode == "count":

@@ -66,6 +66,20 @@ def _polygon_contour(vertices: Sequence[tuple[float, float]],
     return ShapeContour(np.array(pts), np.array(nrm))
 
 
+def _check_diameter(shape: str, diameter: float, spacing: float,
+                    geometry: SensorGeometry) -> None:
+    """Raise GeometryError before sampling a shape whose `diameter`
+    less 2 * `spacing` exceeds the sensor's diagonal.  Sample points
+    lie within `spacing` of the diameter's two ends, so the extent of
+    such a shape's samples would fail the sensor-size check too, which
+    runs only after sampling has taken time and memory in proportion to
+    the contour's length."""
+    if diameter - 2 * spacing > math.hypot(geometry.width, geometry.height):
+        raise GeometryError(
+            f"{shape} diameter {diameter:.1f} exceeds the diagonal of "
+            f"sensor {geometry.width}x{geometry.height}")
+
+
 def build_contour(shape: str, *, radius: float | None = None,
                   width: float | None = None, height: float | None = None,
                   length: float | None = None, thickness: float | None = None,
@@ -78,11 +92,13 @@ def build_contour(shape: str, *, radius: float | None = None,
     circle(radius); hexagon(width = extent across opposite corners);
     rectangle(width, height); bar(length, thickness).  The shape is placed
     at `center` and optionally rotated.  A shape larger than the sensor is
-    a geometry error.
+    a geometry error, raised before sampling when the shape's diameter
+    alone shows it (`_check_diameter`).
     """
     if shape == "circle":
         if radius is None or radius <= 0:
             raise ValueError("circle needs a positive radius")
+        _check_diameter(shape, 2 * radius, spacing, geometry)
         n = max(3, math.ceil(2 * math.pi * radius / spacing))
         ang = 2 * math.pi * np.arange(n) / n
         ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -90,6 +106,7 @@ def build_contour(shape: str, *, radius: float | None = None,
     elif shape == "hexagon":
         if width is None or width <= 0:
             raise ValueError("hexagon needs a positive width")
+        _check_diameter(shape, width, spacing, geometry)
         r = width / 2.0
         verts = [(r * math.cos(math.radians(60 * k)),
                   r * math.sin(math.radians(60 * k))) for k in range(6)]
@@ -97,12 +114,15 @@ def build_contour(shape: str, *, radius: float | None = None,
     elif shape == "rectangle":
         if width is None or height is None or width <= 0 or height <= 0:
             raise ValueError("rectangle needs positive width and height")
+        _check_diameter(shape, math.hypot(width, height), spacing, geometry)
         w2, h2 = width / 2.0, height / 2.0
         contour = _polygon_contour(
             [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)], spacing)
     elif shape == "bar":
         if length is None or thickness is None or length <= 0 or thickness <= 0:
             raise ValueError("bar needs positive length and thickness")
+        _check_diameter(shape, math.hypot(length, thickness), spacing,
+                        geometry)
         w2, h2 = thickness / 2.0, length / 2.0
         contour = _polygon_contour(
             [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)], spacing)
@@ -360,14 +380,17 @@ def generate_scene(objects: Sequence[tuple[ShapeContour, MotionModel]],
     timestamp: physical sensors fire several events per edge crossing,
     and event counts comparable to recordings need this bumped to 4-6.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:                     # NaN fails too
+        raise ValueError(f"duration must be positive and finite, "
+                         f"got {duration}")
     if burst_size < 1:
         raise ValueError("burst_size must be at least 1")
     for name, value in (("noise_rate", noise_rate), ("jitter_us", jitter_us),
                         ("refractory_us", refractory_us)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+    if not math.isfinite(noise_rate):
+        raise ValueError(f"noise_rate must be finite, got {noise_rate}")
     all_records: list[tuple[int, int, int, int, int, float, float]] = []
     clipped = False
     for sid, (contour, model) in enumerate(objects):

@@ -266,6 +266,65 @@ def test_cli_synth_rejects_negative_options(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--duration", "inf", "duration must be positive and finite, got inf"),
+    ("--duration", "nan", "duration must be positive and finite, got nan"),
+    ("--noise-rate", "inf", "noise_rate must be finite, got inf"),
+    ("--noise-rate", "nan", "noise_rate must be finite, got nan")])
+def test_cli_synth_rejects_non_finite_options(tmp_path, capsys, flag, value,
+                                              message):
+    # inf ended in an OverflowError traceback; a NaN duration exited 2
+    # naming no option, and a NaN noise rate wrote a noiseless scene
+    out = tmp_path / "events.txt"
+    args = {"--duration": "0.5", flag: value}
+    assert run_cli("synth", "--out", str(out),
+                   "--object", "shape=circle,radius=5",
+                   *[item for pair in args.items() for item in pair]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.fixture
+def tiny_truth(tmp_path):
+    labeled = tmp_path / "labeled.txt"
+    labeled.write_text("100 5 5 1 0 58.0 0.0\n")
+    gt = tmp_path / "gt.txt"
+    gt.write_text("100 50.0 0.0 0\n")
+    return str(labeled), str(gt)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--mag-bin", "0", "mag_bin must be positive and finite, got 0.0"),
+    ("--mag-bin", "nan", "mag_bin must be positive and finite, got nan"),
+    ("--mag-bin", "-5", "mag_bin must be positive and finite, got -5.0"),
+    ("--angle-bin", "inf", "angle_bin must be positive and finite, got inf")])
+def test_cli_eval_rejects_unusable_bin_widths(tiny_truth, capsys, flag, value,
+                                              message):
+    # 0 ended in a ZeroDivisionError traceback; the others exited 0
+    labeled, gt = tiny_truth
+    assert run_cli("eval", "--labeled", labeled, "--gt", gt,
+                   flag, value) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--frame-dt", "nan",
+     "frame_dt_s must be finite and at least 1e-6 s, got nan"),
+    ("--frame-dt", "1e-9",
+     "frame_dt_s must be finite and at least 1e-6 s, got 1e-09"),
+    ("--v-sat", "nan", "v_sat must be positive and finite, got nan")])
+def test_cli_render_rejects_unusable_settings(tmp_path, tiny_truth, capsys,
+                                              flag, value, message):
+    # a NaN frame length exited 2 naming no option, 1-ns frames were
+    # rendered as 1-us frames, and a NaN v_sat rendered and exited 0
+    labeled, _ = tiny_truth
+    frames = tmp_path / "frames"
+    assert run_cli("render", "--labeled", labeled, "--out-dir", str(frames),
+                   flag, value) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not frames.exists()
+
+
 @pytest.fixture
 def tiny_events(tmp_path):
     events = tmp_path / "tiny.txt"

@@ -25,7 +25,7 @@ from flowseg.flow_plane import (FlowPlane, FlowPlaneConfig, MetricArray,
                                 extract_associated)
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
-from test_discovery_properties import drain_path
+from test_discovery_properties import drain_path, upper_halves
 from test_projection import random_events
 
 # bytes of one kernel block of int64 (candidate, event) pairs (512 KiB)
@@ -213,14 +213,12 @@ def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested,
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        with drain_path(drain), \
-                mock.patch.object(flow_plane, "_drain_worker",
-                                  wraps=flow_plane._drain_worker) as worker:
+        with drain_path(drain), upper_halves() as uppers:
             array.apply_batch(events[held:], [(380, flushed)])
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert worker.called == (drain == "two-thread")
+    assert bool(uppers) == (drain == "two-thread")
     # the merge of one row holds its old array, the merged one and their
     # index arrays, and its compaction the merged row, the index of its
     # nonzero cells and the compacted copy: less than two of the larger

@@ -39,7 +39,7 @@ SETTINGS = settings(max_examples=settings.default.max_examples * 6 // 10)
 # flushes and inside flushes
 BLOCKS = st.sampled_from((1, 5, 6, 21, flow_plane._BLOCK_PAIRS))
 # a drain's slices run on the calling thread alone, or split their
-# speed rows with the worker thread wherever the two blocks in flight fit
+# speed rows with a worker thread wherever the two blocks in flight fit
 # in one (`MetricArray._two_threads`)
 DRAINS = pytest.mark.parametrize("drain", ["serial", "two-thread"])
 STEPS = st.integers(0, 40_000)
@@ -90,6 +90,23 @@ def drain_path(drain):
             mock.patch.object(flow_plane, "_THREAD_ROW_CELLS",
                               0 if threads else flow_plane._THREAD_ROW_CELLS):
         yield
+
+
+@contextmanager
+def upper_halves():
+    """Record, for each `_drain_rows` call that drains the upper half of
+    a split slice (`lo` above 0), the thread it ran on.  The threads
+    themselves, not their idents: an ended thread's ident may be reused."""
+    threads = []
+    drain_rows = MetricArray._drain_rows
+
+    def spy(self, lo, hi, *args):
+        if lo:
+            threads.append(threading.current_thread())
+        return drain_rows(self, lo, hi, *args)
+
+    with mock.patch.object(MetricArray, "_drain_rows", spy):
+        yield threads
 
 
 def split(events, cuts):
@@ -488,23 +505,25 @@ def test_engine_labels_do_not_depend_on_the_drain_path():
     runs = {}
     for drain in ("serial", "two-thread"):
         engine = Engine(cfg)
-        with drain_path(drain), \
-                mock.patch.object(flow_plane, "_drain_worker",
-                                  wraps=flow_plane._drain_worker) as worker:
+        threads = threading.active_count()
+        with drain_path(drain), upper_halves() as uppers:
             labels = engine.run(events)
-        runs[drain] = labels, engine.stats, worker.call_count
+        runs[drain] = labels, engine.stats, uppers
+        # each split slice's worker has ended with its slice
+        assert threading.active_count() == threads
     assert runs["serial"][:2] == runs["two-thread"][:2]
     assert runs["serial"][1].planes_created > 0
-    # one CPU: no drain used the worker; two: the drains did
-    assert runs["serial"][2] == 0 and runs["two-thread"][2] > 0
+    # one CPU: no drain split its rows; two: the drains did, and drained
+    # the upper half off the calling thread
+    assert runs["serial"][2] == []
+    assert runs["two-thread"][2]
+    assert threading.current_thread() not in runs["two-thread"][2]
 
 
 def test_engine_and_a_drain_under_the_threshold_start_no_thread():
     events, cfg = hexagon_cut()
-    # as in a fresh process: no worker made yet
-    with mock.patch.object(flow_plane, "_worker", None), \
-            mock.patch.object(flow_plane, "_worker_pid", 0), \
-            mock.patch.object(flow_plane, "_cpus", lambda: 2):
+    with mock.patch.object(flow_plane, "_cpus", lambda: 2), \
+            upper_halves() as uppers:
         threads = threading.active_count()
         Engine(cfg)
         array = MetricArray(cfg.flow_plane)
@@ -512,7 +531,7 @@ def test_engine_and_a_drain_under_the_threshold_start_no_thread():
         assert (sum(map(len, array.row_keys))
                 < flow_plane._THREAD_ROW_CELLS * cfg.flow_plane.n)
         array.apply_batch(events[200:700], [(100, 50)])
-        assert flow_plane._worker is None
+        assert uppers == []
         assert threading.active_count() == threads
 
 
@@ -537,12 +556,12 @@ SMALL_PATCH = (FlowPlaneConfig(n=3),
 
 
 @pytest.mark.parametrize("case", ["hexagon", "small-patch"])
-def test_concurrent_callers_share_the_worker(case):
-    # four threads on two cores, each draining its own array through the
-    # one worker while the interpreter switches threads every 10 us: a
-    # row written by the wrong thread, a half applied twice or not at
-    # all, or a tie resolved by which half finished first would change
-    # an argmax or a store
+def test_concurrent_callers_each_drain_on_their_own_worker(case):
+    # four threads on two cores, each draining its own array with a
+    # worker of its own per split slice while the interpreter switches
+    # threads every 10 us: a row written by the wrong thread, a half
+    # applied twice or not at all, or a tie resolved by which half
+    # finished first would change an argmax or a store
     if case == "hexagon":
         events, cfg = hexagon_cut()
         cfg = cfg.flow_plane
@@ -559,7 +578,7 @@ def test_concurrent_callers_share_the_worker(case):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with drain_path("two-thread"):
+        with drain_path("two-thread"), upper_halves() as uppers:
             threads = [threading.Thread(target=drain, args=(i,))
                        for i in range(callers)]
             for thread in threads:
@@ -570,30 +589,60 @@ def test_concurrent_callers_share_the_worker(case):
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [expected] * callers
+    # three drains of each caller split every slice, and no caller
+    # drained an upper half itself
+    assert len(uppers) == 3 * callers
+    assert not set(threads) & set(uppers)
+
+
+@pytest.mark.parametrize("failing", ["lower", "upper"])
+def test_a_failing_half_raises_once_both_halves_end(failing):
+    # the other half, slowed down, must have ended by the time the error
+    # reaches the caller, and its worker with it
+    cfg, events = SMALL_PATCH
+    array = MetricArray(cfg)
+    array.fill(events[:300])
+    drain_rows = MetricArray._drain_rows
+    ended = []
+
+    def spy(self, lo, hi, *args):
+        if (lo > 0) == (failing == "upper"):
+            raise RuntimeError(f"the {failing} half failed")
+        time.sleep(0.05)
+        result = drain_rows(self, lo, hi, *args)
+        ended.append(lo)
+        return result
+
+    threads = threading.active_count()
+    with drain_path("two-thread"), \
+            mock.patch.object(MetricArray, "_drain_rows", spy), \
+            pytest.raises(RuntimeError, match=f"^the {failing} half failed$"):
+        array.apply_batch(events[300:400])
+    assert ended == [0 if failing == "upper" else cfg.n // 2]
+    assert threading.active_count() == threads
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fork is Linux-only here")
 def test_forked_child_drains_on_its_own_worker():
-    # the child inherits the parent's executor but not its thread: it
-    # must make its own worker, or its first two-thread drain waits
-    # forever for a thread that does not exist
+    # a child forked after the parent's two-thread drains inherits no
+    # thread: its own split drains must still drain the upper half on a
+    # worker, or wait forever for one that does not exist
     events, cfg = hexagon_cut()
     array = MetricArray(cfg.flow_plane)
     array.fill(events[:300])
-    with drain_path("two-thread"):
+    with drain_path("two-thread"), upper_halves() as uppers:
         expected = array.apply_batch(events[300:600])[0].tolist()
-        assert flow_plane._worker_pid == os.getpid()
-        parent_worker = flow_plane._worker
+        assert uppers and threading.current_thread() not in uppers
         pid = os.fork()
         if pid == 0:                    # the child: never back into pytest
             code = 1
             try:
+                del uppers[:]
                 again = MetricArray(cfg.flow_plane)
                 again.fill(events[:300])
                 got = again.apply_batch(events[300:600])[0].tolist()
-                code = 0 if (got == expected
-                             and flow_plane._worker is not parent_worker
-                             and flow_plane._worker_pid == os.getpid()) else 3
+                code = 0 if (got == expected and uppers and
+                             threading.current_thread() not in uppers) else 3
             finally:
                 os._exit(code)
     deadline = time.monotonic() + HANG_TIMEOUT_S

@@ -7,7 +7,7 @@ from flowseg.engine import FlowLabeledEvent, UNLABELED, write_labeled
 from flowseg.evaluation import (ErrorSummary, FlowError, angle_error_deg,
                                 cross_label_fraction, flow_errors,
                                 magnitude_pct_error, majority_structure_map,
-                                summarize)
+                                report_lines, summarize)
 from flowseg.synth import GroundTruth, write_gt
 
 
@@ -97,3 +97,17 @@ def test_majority_map_and_cross_fraction():
     assert majority_structure_map(errors) == {0: 0, 1: 1}
     assert cross_label_fraction(errors) == pytest.approx(2.0 / 7.0)
     assert cross_label_fraction([]) == 0.0
+
+
+@pytest.mark.parametrize("option, width", [
+    ("mag_bin", 0.0), ("mag_bin", math.nan), ("mag_bin", -5.0),
+    ("angle_bin", math.inf)])
+def test_report_refuses_unusable_bin_widths(option, width):
+    # 0 ended in a ZeroDivisionError; NaN printed "none finite" over
+    # finite errors, inf one [+nan, +nan) bin and -5 inverted bins
+    labeled = [FlowLabeledEvent(1, 1, 100, 1, 0, 58.0, 0.0)]
+    gt = [(100, 0, 50.0, 0.0)]
+    assert len(report_lines(labeled, gt)) > 2
+    with pytest.raises(ValueError, match=rf"^{option} must be positive and "
+                                         rf"finite, got {width}$"):
+        report_lines(labeled, gt, **{option: width})

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ def test_render_frames_places_events():
     assert tuple(frames[0][3, 2]) != (0, 0, 0)
     assert tuple(frames[1][7, 5]) == UNLABELED_GRAY
     assert render_frames([], geom, cfg) == []
+    # 1 us, the shortest frame whole-microsecond timestamps tell apart
+    records[1] = records[1]._replace(t=3)
+    frames = render_frames(records, geom,
+                           RenderConfig(mode="count", frame_dt_s=1e-6))
+    assert [int(frame.sum()) for frame in frames] == [255, 0, 0, 255]
 
 
 @pytest.mark.parametrize("u, t, error, message", [
@@ -58,6 +64,22 @@ def test_render_frames_rejects_bad_records(u, t, error, message):
         render_frames(records, SensorGeometry(16, 12))
     if error is OrderingError:
         assert info.value.index == 2
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("frame_dt_s", math.nan, "frame_dt_s must be finite and at least 1e-6 s"),
+    ("frame_dt_s", math.inf, "frame_dt_s must be finite and at least 1e-6 s"),
+    ("frame_dt_s", 1e-9, "frame_dt_s must be finite and at least 1e-6 s"),
+    ("frame_dt_s", 0.0, "frame_dt_s must be finite and at least 1e-6 s"),
+    ("v_sat", math.nan, "v_sat must be positive and finite"),
+    ("v_sat", math.inf, "v_sat must be positive and finite"),
+], ids=["dt_nan", "dt_inf", "dt_1ns", "dt_0", "v_sat_nan", "v_sat_inf"])
+def test_render_config_refuses_unusable_settings(field, value, message):
+    # a NaN frame length failed later on a message naming no field, a
+    # NaN v_sat rendered, and 1-ns frames were made 1-us frames
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(message)}, got {value}$"):
+        RenderConfig(**{field: value})
 
 
 def test_write_ppm_header(tmp_path):

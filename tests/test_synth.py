@@ -1,13 +1,17 @@
 import io
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from flowseg.events import ParseError, SensorGeometry
-from flowseg.synth import (ConstantMotion, GroundTruth, PendulumMotion,
-                           RotationMotion, build_contour, generate_scene,
-                           read_gt, write_gt)
+from flowseg import synth
+from flowseg.events import (DEFAULT_GEOMETRY, GeometryError, ParseError,
+                            SensorGeometry)
+from flowseg.synth import (CONTOUR_SPACING, ConstantMotion, GroundTruth,
+                           PendulumMotion, RotationMotion, build_contour,
+                           generate_scene, read_gt, write_gt)
 
 # independently derived: v_max = sqrt(2*9.82*0.72*(1 - cos(23 deg))),
 # period = 2*pi*sqrt(0.72/9.82), both frozen to full precision
@@ -78,6 +82,38 @@ def test_build_contour_shapes():
         build_contour("blob", radius=5.0)
 
 
+@pytest.mark.parametrize("shape, size", [
+    ("circle", dict(radius=1e7)),
+    ("bar", dict(length=1e9, thickness=3.0))])
+def test_huge_shapes_raise_before_sampling(shape, size):
+    # sampled first, these did not finish in 20 s
+    start = time.perf_counter()
+    with pytest.raises(GeometryError, match=rf"^{shape} diameter .* exceeds "
+                                            r"the diagonal of sensor 240x180$"):
+        build_contour(shape, **size)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("rotate_deg", [0.0, 20.0, 45.0, 70.0, 135.0])
+def test_diameter_check_refuses_only_what_sampling_refuses(rotate_deg):
+    # just past the diameter bound, each shape fails the extent check
+    # after sampling too: the early check refuses no shape it accepts
+    diameter = (math.hypot(DEFAULT_GEOMETRY.width, DEFAULT_GEOMETRY.height)
+                + 2 * CONTOUR_SPACING + 1e-6)
+    sizes = {"circle": dict(radius=diameter / 2),
+             "hexagon": dict(width=diameter),
+             "rectangle": dict(width=0.6 * diameter, height=0.8 * diameter),
+             "bar": dict(length=math.sqrt(diameter ** 2 - 9.0),
+                         thickness=3.0)}
+    for shape, size in sizes.items():
+        with pytest.raises(GeometryError, match="diameter"):
+            build_contour(shape, rotate_deg=rotate_deg, **size)
+        with mock.patch.object(synth, "_check_diameter",
+                               lambda *args: None), \
+                pytest.raises(GeometryError, match="extent"):
+            build_contour(shape, rotate_deg=rotate_deg, **size)
+
+
 def test_generate_scene_deterministic_and_aligned():
     contour = build_contour("circle", radius=8.0, center=(60.0, 60.0))
     kwargs = dict(objects=[(contour, ConstantMotion(40.0, 0.0))],
@@ -120,6 +156,22 @@ def test_negative_rates_and_periods_raise(option):
                        match=rf"^{option} must be non-negative, got -5"):
         generate_scene([(contour, ConstantMotion(40.0, 0.0))],
                        duration=0.4, **{option: -5})
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("duration", math.inf, "positive and finite"),
+    ("duration", math.nan, "positive and finite"),
+    ("noise_rate", math.inf, "finite"),
+    ("noise_rate", math.nan, "finite")])
+def test_non_finite_duration_and_noise_rate_raise(option, value, message):
+    # inf ended in an OverflowError; a NaN duration failed on a message
+    # naming nothing, and a NaN noise rate wrote a scene with no noise
+    contour = build_contour("circle", radius=8.0, center=(60.0, 60.0))
+    kwargs = dict(duration=0.4, noise_rate=100.0)
+    kwargs[option] = value
+    with pytest.raises(ValueError,
+                       match=rf"^{option} must be {message}, got {value}$"):
+        generate_scene([(contour, ConstantMotion(40.0, 0.0))], **kwargs)
 
 
 def test_two_structures_get_distinct_ids():
