@@ -276,7 +276,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (StreamError, ConfigError, OSError, ValueError) as exc:
+    # a well-formed input may still ask for more memory than there is
+    except (StreamError, ConfigError, OSError, ValueError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -2,12 +2,13 @@
 
 Events are offered to tracking planes oldest-first; the first hit labels
 the event with that plane's id and current flow.  Events every plane
-misses feed the flow initializer, which emits a new tracking plane once
-a candidate flow has been stable and its support extracted.  Every
-`_MAINTENANCE_PERIOD` events the engine flushes stale initializer events
-(they are retracted with the initializer's next batch), expires old
-tracking events, merges planes that agree in flow and overlap in
-footprint, and prunes planes whose hit rate has collapsed.
+misses feed the flow initializer, whose `ingest` returns the seed of a
+new tracking plane once a candidate flow has been stable for p_stable
+events and its support extracted.  Every `_MAINTENANCE_PERIOD` events
+the engine flushes stale initializer events (they are retracted with
+the initializer's next batch), expires old tracking events, merges
+planes that agree in flow and overlap in footprint, and prunes planes
+whose hit rate has collapsed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .events import (Event, OrderingError, RecordFormat, read_records,
@@ -138,16 +140,13 @@ class Engine:
                                          plane._center_vu, plane._center_vv))
                 break
         else:
-            flow_plane = self.flow_plane
-            flow_plane.ingest(ev)
-            if flow_plane.stability_check():
-                seed = flow_plane.try_emit()
-                if seed is not None:
-                    # ids count the planes created: each is used once
-                    self.planes.append(TrackPlane(
-                        stats.planes_created, seed.flow, seed.events,
-                        self.cfg.track_plane))
-                    stats.planes_created += 1
+            seed = self.flow_plane.ingest(ev)
+            if seed is not None:
+                # ids count the planes created: each is used once
+                self.planes.append(TrackPlane(
+                    stats.planes_created, seed.flow, seed.events,
+                    self.cfg.track_plane))
+                stats.planes_created += 1
             stats.unlabeled += 1
             record = _labeled_event((u, v, t, s, UNLABELED, math.nan,
                                      math.nan))
@@ -211,24 +210,15 @@ class Engine:
                                       + list(drop.hit_times)))
 
     def _merge_planes(self, now_us: int) -> None:
-        changed = True
-        while changed:
-            changed = False
-            n = len(self.planes)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    a, b = self.planes[i], self.planes[j]
-                    if not self._flows_agree(a, b):
-                        continue
-                    if not self._footprints_overlap(a, b, now_us):
-                        continue
-                    self._merge_pair(a, b)
-                    del self.planes[j]
-                    self.stats.merges += 1
-                    changed = True
-                    break
-                if changed:
-                    break
+        """Merge the first pair of planes, in plane order, that agree in
+        flow and overlap in footprint, until no pair does."""
+        while pair := next((
+                (a, b) for a, b in combinations(self.planes, 2)
+                if self._flows_agree(a, b)
+                and self._footprints_overlap(a, b, now_us)), None):
+            self._merge_pair(*pair)
+            self.planes.remove(pair[1])
+            self.stats.merges += 1
 
     def _prune_planes(self, now_us: int) -> None:
         survivors = []

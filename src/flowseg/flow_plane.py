@@ -110,6 +110,13 @@ _BLOCK_PAIRS = 1 << 16
 # events a MetricArray may hold: a stored cell is int32, and its value
 # is at most the number of events held
 _HELD_MAX = np.iinfo(np.int32).max
+# a grid key holds a projected column only below 2**21 px (`grid_pairs`),
+# and an array keeps its first event's t_ref: once its fastest candidate
+# would carry the oldest held event this far from t_ref (412 s at the
+# defaults), a drain rebuilds the array from its held events, which
+# moves t_ref to the oldest of them.  Held events that themselves span
+# 2**21 px are not caught
+_REBUILD_PX = 1 << 19
 _time = itemgetter(2)
 # mean cells per row store from which a drain's slice splits its speed
 # rows between two threads.  Timed inside whole `Engine.run` passes over
@@ -279,8 +286,6 @@ class MetricArray:
             merged[moved] = self.row_values[j]
             self.row_values[j] = merged
             del keys, adds, pos, new, moved, merged
-        elif not compact:
-            return                      # every cell was stored: no change
         if compact:
             nonzero = np.flatnonzero(self.row_values[j])
             self.row_keys[j] = self.row_keys[j].take(nonzero)
@@ -635,10 +640,14 @@ class FlowPlane:
     such a window and the result is the one of ingesting event by event.
     A noise flush only marks its stale events, a prefix of the held then
     pending ones; the next drain retracts them at the flush's place among
-    the pending events, and applies each flush's stability reset there.
-    Pending events and flushes are drained before an emission and any
-    read of `array`; `stability_count` is that of the last drain, the
-    run of events over which the drained array's argmax has held.
+    the pending events.  `stability_count` is the run of events over
+    which the drained array's argmax has held: over the argmax after
+    each drained event and each flush, in order (-1 once a flush empties
+    the array), the run restarts wherever the argmax moves.  When a
+    drain leaves it at p_stable, `ingest` emits (`try_emit`) and returns
+    the seed.  A drain rebuilds the array once its oldest held event
+    nears the grid keys' limit (`_REBUILD_PX`).  Pending events and
+    flushes are drained before an emission and any read of `array`.
     """
 
     def __init__(self, cfg: Optional[FlowPlaneConfig] = None):
@@ -654,61 +663,58 @@ class FlowPlane:
         self._drain()
         return self._array
 
-    def ingest(self, ev: Event) -> None:
+    def ingest(self, ev: Event) -> Optional[PlaneSeed]:
+        """Take one event; returns the seed of a new tracking plane when
+        the drain it ends leaves the stable run at p_stable and
+        `try_emit` succeeds, else None."""
         self._pending.append(ev)
         if len(self._pending) >= self.cfg.p_stable - self.stability_count:
             self._drain()
+            if self.stability_count >= self.cfg.p_stable:
+                return self.try_emit()
+        return None
 
     def _drain(self) -> None:
         if not self._pending and not self._flushes:
             return
-        last = self._array.argmax_index
-        best, after = self._array.apply_batch(self._pending, self._flushes)
-        start = 0
-        for (at, _), top in zip(self._flushes, after):
-            if at > start:
-                self._settle(best[start:at], last)
-                last, start = int(best[at - 1]), at
-            # a flush that moves the argmax restarts the stable run
-            if top != last:
-                self.stability_count = 0
-            last = top
-        if start < len(best):
-            self._settle(best[start:], last)
+        before = self._array.argmax_index
+        best, tops = self._array.apply_batch(self._pending, self._flushes)
+        # the argmax after each event and after each flush, in order (-1:
+        # the array is empty), and how many events each of them is; the
+        # run restarts wherever the argmax moves
+        at = [pos for pos, _ in self._flushes]
+        order = np.insert(best, at, [-1 if k is None else k for k in tops])
+        events = np.insert(np.ones(len(best), dtype=np.int64), at, 0)
+        moved = np.flatnonzero(
+            np.diff(order, prepend=-1 if before is None else before))
+        if len(moved):
+            self.stability_count = int(events[moved[-1]:].sum())
+        else:
+            self.stability_count += len(best)
         self._pending = []
         self._flushes = []
-
-    def _settle(self, indices: np.ndarray, before: Optional[int]) -> None:
-        """Advance the stable run over the argmax after each of a run of
-        ingested events; `before` is the argmax before the run."""
-        # the run of equal argmaxes that ends the batch
-        last = int(indices[-1])
-        changed = np.flatnonzero(indices != last)
-        if len(changed):
-            self.stability_count = len(indices) - 1 - int(changed[-1])
-        elif last == before:
-            self.stability_count += len(indices)
-        else:
-            self.stability_count = len(indices)
-
-    def stability_check(self) -> bool:
-        # pending events cannot reach p_stable before the drain that
-        # their window ends with, so the last drain's count decides
-        return self.stability_count >= self.cfg.p_stable
+        array = self._array
+        if array.held and (array.held[0].t - array.t_ref_us) * max(
+                np.abs(array.col_vu).max(),
+                np.abs(array.row_vv).max()) >= _REBUILD_PX * 1e6:
+            self._array = MetricArray(self.cfg)
+            self._array.fill(array.held)
+            # a rebuild that moves the argmax restarts the run, as a flush
+            if self._array.argmax_index != array.argmax_index:
+                self.stability_count = 0
 
     def try_emit(self) -> Optional[PlaneSeed]:
         """Extract, refine coarse-to-fine, emit; rebuild with the remainder.
 
-        Association runs once on the stable top-level array; the
-        refinement levels re-project only the associated events and
-        sharpen the flow through their argmax.  The drained array is
-        dropped before the refinement arrays and the rebuild are filled,
-        so its store never coexists with theirs.  Returns a PlaneSeed,
-        or None when not stable or when association failed (the
-        stability counter resets in the failure case).
+        `ingest` calls it once the stable run reaches p_stable; it does
+        not check the run itself.  Association runs once on the drained
+        top-level array; the refinement levels re-project only the
+        associated events and sharpen the flow through their argmax.
+        The drained array is dropped before the refinement arrays and
+        the rebuild are filled, so its store never coexists with theirs.
+        Returns a PlaneSeed, or None when association failed.  Either
+        way the stable run restarts.
         """
-        if not self.stability_check():
-            return None
         try:
             assoc = extract_associated(self.array)
         except AssociationError:

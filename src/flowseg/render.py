@@ -4,7 +4,9 @@ Labeled events are bucketed into fixed-length intervals and each bucket
 becomes one image: flow mode colors pixels by flow direction (hue) and
 speed (saturation), segment mode colors by plane id, count mode is a
 grayscale event-count image.  Output is binary PPM (P6) or PGM (P5),
-chosen by mode, so no imaging dependency is needed.
+chosen by mode, so no imaging dependency is needed.  Frames are drawn
+and written one at a time, so memory holds one frame however many the
+records span.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import colorsys
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,71 +79,65 @@ def _check_records(records: Sequence[FlowLabeledEvent],
 
 def render_frames(records: Sequence[FlowLabeledEvent],
                   geometry: SensorGeometry = DEFAULT_GEOMETRY,
-                  cfg: RenderConfig = None) -> list[np.ndarray]:
-    """One array per interval: (H, W, 3) uint8, or (H, W) for count mode;
-    records must lie inside `geometry`, in non-decreasing time order."""
+                  cfg: RenderConfig = None) -> Iterator[np.ndarray]:
+    """The frames of `records`, one per interval, drawn one at a time in
+    time order: (H, W, 3) uint8, or (H, W) for count mode.  Records must
+    lie inside `geometry`, in non-decreasing time order; a bad record
+    raises here, before any frame is drawn."""
     cfg = cfg or RenderConfig()
+    if records:
+        _check_records(records, geometry)
+    return _draw(records, (geometry.height, geometry.width), cfg)
+
+
+def _draw(records, shape, cfg: RenderConfig) -> Iterator[np.ndarray]:
     if not records:
-        return []
-    _check_records(records, geometry)
-    h, w = geometry.height, geometry.width
+        return
     dt_us = int(cfg.frame_dt_s * 1e6)
     t0 = records[0].t
-    n_frames = (records[-1].t - t0) // dt_us + 1
-    if cfg.mode == "count":
-        frames = [np.zeros((h, w), dtype=np.int64) for _ in range(n_frames)]
-        for rec in records:
-            frames[(rec.t - t0) // dt_us][rec.v, rec.u] += 1
-        out = []
-        for counts in frames:
-            peak = counts.max()
-            if peak == 0:
-                out.append(np.zeros((h, w), dtype=np.uint8))
+    count = cfg.mode == "count"
+    i = 0
+    for frame_end in range(t0 + dt_us, records[-1].t + dt_us + 1, dt_us):
+        frame = np.zeros(shape if count else shape + (3,),
+                         dtype=np.int64 if count else np.uint8)
+        while i < len(records) and records[i].t < frame_end:
+            rec = records[i]
+            i += 1
+            if count:
+                frame[rec.v, rec.u] += 1
+            elif rec.segment == UNLABELED or not (math.isfinite(rec.v_u)
+                                                  and math.isfinite(rec.v_v)):
+                frame[rec.v, rec.u] = UNLABELED_GRAY
+            elif cfg.mode == "segment":
+                frame[rec.v, rec.u] = segment_color(rec.segment)
             else:
-                out.append((counts * 255 // peak).astype(np.uint8))
-        return out
-
-    frames = [np.zeros((h, w, 3), dtype=np.uint8) for _ in range(n_frames)]
-    for rec in records:
-        frame = frames[(rec.t - t0) // dt_us]
-        if rec.segment == UNLABELED or not (math.isfinite(rec.v_u)
-                                            and math.isfinite(rec.v_v)):
-            frame[rec.v, rec.u] = UNLABELED_GRAY
-        elif cfg.mode == "segment":
-            frame[rec.v, rec.u] = segment_color(rec.segment)
-        else:
-            frame[rec.v, rec.u] = flow_color(rec.v_u, rec.v_v, cfg.v_sat)
-    return frames
+                frame[rec.v, rec.u] = flow_color(rec.v_u, rec.v_v, cfg.v_sat)
+        if count:
+            frame = (frame * 255 // max(1, frame.max())).astype(np.uint8)
+        yield frame
 
 
-def write_ppm(path, image: np.ndarray) -> None:
-    """Binary P6; image is (H, W, 3) uint8."""
+def write_pnm(path, image: np.ndarray) -> None:
+    """Binary PGM (P5) of an (H, W) image, or PPM (P6) of an (H, W, 3)
+    one; uint8."""
     h, w = image.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(image.astype(np.uint8).tobytes())
-
-
-def write_pgm(path, image: np.ndarray) -> None:
-    """Binary P5; image is (H, W) uint8."""
-    h, w = image.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(f"{'P5' if image.ndim == 2 else 'P6'}\n{w} {h}\n255\n"
+                 .encode("ascii"))
         fh.write(image.astype(np.uint8).tobytes())
 
 
 def render_to_dir(records: Sequence[FlowLabeledEvent], out_dir,
                   geometry: SensorGeometry = DEFAULT_GEOMETRY,
                   cfg: RenderConfig = None) -> list[str]:
-    """Write numbered frames into out_dir; returns the paths written."""
+    """Write numbered frames into out_dir, each as soon as it is drawn;
+    returns the paths written."""
     cfg = cfg or RenderConfig()
     frames = render_frames(records, geometry, cfg)
     os.makedirs(out_dir, exist_ok=True)
     ext = "pgm" if cfg.mode == "count" else "ppm"
-    writer = write_pgm if cfg.mode == "count" else write_ppm
     paths = []
     for i, frame in enumerate(frames):
-        path = os.path.join(out_dir, f"frame_{i:05d}.{ext}")
-        writer(path, frame)
-        paths.append(path)
+        paths.append(os.path.join(out_dir, f"frame_{i:05d}.{ext}"))
+        write_pnm(paths[-1], frame)
     return paths

@@ -227,6 +227,18 @@ def test_cli_error_codes(tmp_path, capsys):
         f"error: {labeled}: line 1: expected 7 fields, got 6\n")
 
 
+def test_cli_reports_input_too_large_for_memory(tmp_path, capsys):
+    # each of the plane fit's two timestamp surfaces of this valid
+    # geometry takes 728 TiB, more than a 48-bit address space holds,
+    # so it fails at once; it ended in a MemoryError traceback, exit 1
+    events = tmp_path / "huge.txt"
+    events.write_text("geometry 10000000 10000000\n100 5 5 1\n")
+    assert run_cli("lk", str(events), "--out", str(tmp_path / "lk.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 728. TiB")
+    assert err.count("\n") == 1
+
+
 def test_cli_object_spec_errors(tmp_path, capsys):
     out = str(tmp_path / "events.txt")
     assert run_cli("synth", "--out", out, "--object", "shape=triangle,width=5",

@@ -120,15 +120,22 @@ def test_emission_frees_the_drained_store_before_the_rebuild(monkeypatch,
     tracemalloc.start()
     try:
         plane = FlowPlane(cfg)
-        for ev in emitting_scene():
-            plane.ingest(ev)
-            if not plane.stability_check():
-                continue
+        try_emit = plane.try_emit
+
+        def measured_try_emit():
+            # `ingest` calls it right after its drain
+            nonlocal drained, before, peak
             drained = store_bytes(plane.array)
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            seed = plane.try_emit()
+            emitted = try_emit()
             peak = tracemalloc.get_traced_memory()[1]
+            return emitted
+
+        drained = before = peak = None
+        plane.try_emit = measured_try_emit
+        for ev in emitting_scene():
+            seed = plane.ingest(ev)
             if seed is not None:
                 break
     finally:
@@ -147,14 +154,18 @@ def test_flow_plane_without_refinement_emits_the_association(monkeypatch):
     monkeypatch.setattr(flow_plane, "_DEPTH_MAX", 0)
     cfg = FlowPlaneConfig(p_stable=400)
     plane = FlowPlane(cfg)
-    seed = None
-    for ev in emitting_scene():
-        plane.ingest(ev)
-        if not plane.stability_check():
-            continue
+    try_emit = plane.try_emit
+
+    def recording_try_emit():
+        nonlocal held, assoc
         held = list(plane.array.held)
         assoc = extract_associated(plane.array)
-        seed = plane.try_emit()
+        return try_emit()
+
+    held = assoc = seed = None
+    plane.try_emit = recording_try_emit
+    for ev in emitting_scene():
+        seed = plane.ingest(ev)
         if seed is not None:
             break
     assert seed is not None

@@ -401,16 +401,15 @@ def flush_now(plane, now_us):
 
 
 def offer(plane, ev, eager):
-    """Ingest one event as the engine does and try to emit; with `eager`,
-    read the array first, which drains the pending event on its own."""
-    plane.ingest(ev)
+    """Ingest one event as the engine does and return its seed's flow and
+    events; with `eager`, then read the array, which drains the event
+    on its own if `ingest` left it pending."""
+    seed = plane.ingest(ev)
     if eager:
         plane.array
-    if plane.stability_check():
-        seed = plane.try_emit()
-        if seed is not None:
-            return seed.flow, seed.events
-    return None
+        # `ingest` drains once the run could reach p_stable
+        assert plane.stability_count < plane.cfg.p_stable
+    return None if seed is None else (seed.flow, seed.events)
 
 
 def stable_run(plane):

@@ -210,12 +210,10 @@ def test_flow_plane_emits_accurate_seed():
     seed = None
     ingested = 0
     for ev in stream.events:
-        plane.ingest(ev)
+        seed = plane.ingest(ev)
         ingested += 1
-        if plane.stability_check():
-            seed = plane.try_emit()
-            if seed is not None:
-                break
+        if seed is not None:
+            break
     assert seed is not None
     speed = math.hypot(seed.flow.v_u, seed.flow.v_v)
     true_speed = math.hypot(58.0, 10.0)
@@ -268,6 +266,100 @@ def test_flow_plane_noise_flush_waits_for_next_drain():
     for k, flow in enumerate(array_flows(array.col_vu, array.row_vv)):
         assert array.metrics[k] == metric_bruteforce(events[stale:], flow,
                                                      array.t_ref_us)
+
+
+def drained_run(plane, events):
+    """Ingest `events`, drain them with a read of the array, and return
+    the stable run and the argmax."""
+    for ev in events:
+        assert plane.ingest(ev) is None
+    argmax = plane.array.argmax_index
+    return plane.stability_count, argmax
+
+
+# at n = 3 the array's speeds are -173, 0 and 173 px/s, so events 10 ms
+# apart on one pixel raise the still grid 4 above the others, and a
+# burst at one pixel and time ties every grid, which goes to grid 0
+def still(t0_us, count):
+    return [Event(5, 5, t0_us + 10_000 * i, 1) for i in range(count)]
+
+
+def burst(t_us, count):
+    return [Event(5, 5, t_us, 1)] * count
+
+
+def test_first_event_of_a_drain_is_compared_with_the_argmax_before():
+    plane = FlowPlane(FlowPlaneConfig(n=3, p_stable=100))
+    assert drained_run(plane, still(0, 1)) == (1, 0)
+    # grid 4 from the drain's first event on: a new run of 3, not 1 + 3
+    assert drained_run(plane, still(10_000, 3)) == (3, 4)
+    # grid 4 still: the run goes on
+    assert drained_run(plane, still(40_000, 2)) == (5, 4)
+
+
+def test_flush_that_keeps_the_argmax_keeps_the_run():
+    plane = FlowPlane(FlowPlaneConfig(n=3, p_stable=100,
+                                      noise_lifespan_s=0.1))
+    assert drained_run(plane, still(0, 3)) == (2, 4)
+    later = still(300_000, 3)
+    for ev in later:
+        plane.ingest(ev)
+    # retracts the 3 held events behind the pending ones; grid 4 holds
+    assert plane.flush_noise(later[-1].t) == 3
+    assert drained_run(plane, []) == (5, 4)
+
+
+def test_flush_that_empties_the_array_restarts_the_run():
+    plane = FlowPlane(FlowPlaneConfig(n=3, p_stable=100,
+                                      noise_lifespan_s=0.1))
+    assert drained_run(plane, burst(0, 3)) == (3, 0)
+    assert plane.flush_noise(1_000_000) == 3
+    # grid 0 before and after, but the empty array between restarts it
+    assert drained_run(plane, burst(1_000_000, 2)) == (2, 0)
+
+
+def noise(rng, t0_us, count, span_us):
+    times = sorted(rng.randrange(span_us) for _ in range(count))
+    return [Event(rng.randrange(240), rng.randrange(180), t0_us + t,
+                  rng.choice((-1, 1))) for t in times]
+
+
+def wrong_grids(array):
+    return sum(metric != metric_bruteforce(array.held, flow, array.t_ref_us)
+               for metric, flow in zip(array.metrics,
+                                       array_flows(array.col_vu,
+                                                   array.row_vv)))
+
+
+def test_drain_rebuilds_the_array_before_its_keys_overflow():
+    # a grid key holds a projected column below 2**21 px: the fastest
+    # candidate, 1,271 px/s, passes that 1,650 s after t_ref.  Without
+    # the rebuild, 59 of the 400 grids went wrong at 1,800 s
+    rng = random.Random(46)
+    plane = FlowPlane(FlowPlaneConfig(p_stable=10**6))
+    for t0_s in (0, 1800, 3600):
+        block = noise(rng, t0_s * 10**6, 2000, 100_000)
+        for ev in block:
+            plane.ingest(ev)
+        plane.flush_noise(block[-1].t)
+        assert plane.array.held == block
+        assert wrong_grids(plane.array) == 0
+        assert plane.array.t_ref_us == block[0].t
+
+
+def test_sparse_long_stream_keeps_its_metrics_exact():
+    # ten events a second for 1,900 s, flushed as the engine flushes:
+    # 41 of the 400 grids went wrong without the rebuild
+    rng = random.Random(47)
+    plane = FlowPlane(FlowPlaneConfig(p_stable=10**6, noise_lifespan_s=20))
+    events = noise(rng, 0, 19_000, 1_900 * 10**6)
+    for i, ev in enumerate(events, 1):
+        plane.ingest(ev)
+        if i % 1000 == 0:
+            plane.flush_noise(ev.t)
+    cutoff = events[-1].t - 20 * 10**6
+    assert plane.array.held == [e for e in events if e.t >= cutoff]
+    assert wrong_grids(plane.array) == 0
 
 
 def test_config_validation():

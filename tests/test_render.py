@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from flowseg.engine import FlowLabeledEvent, UNLABELED
 from flowseg.events import GeometryError, OrderingError, SensorGeometry
 from flowseg.render import (RenderConfig, UNLABELED_GRAY, flow_color,
-                            render_frames, segment_color, write_ppm)
+                            render_frames, render_to_dir, segment_color,
+                            write_pnm)
 
 
 def test_flow_color_direction_and_saturation():
@@ -34,16 +37,16 @@ def test_render_frames_places_events():
         FlowLabeledEvent(5, 7, 40_000, 1, UNLABELED, math.nan, math.nan),
     ]
     cfg = RenderConfig(mode="flow", frame_dt_s=0.033)
-    frames = render_frames(records, geom, cfg)
+    frames = list(render_frames(records, geom, cfg))
     assert len(frames) == 2
     assert frames[0].shape == (12, 16, 3)
     assert tuple(frames[0][3, 2]) != (0, 0, 0)
     assert tuple(frames[1][7, 5]) == UNLABELED_GRAY
-    assert render_frames([], geom, cfg) == []
+    assert list(render_frames([], geom, cfg)) == []
     # 1 us, the shortest frame whole-microsecond timestamps tell apart
     records[1] = records[1]._replace(t=3)
-    frames = render_frames(records, geom,
-                           RenderConfig(mode="count", frame_dt_s=1e-6))
+    frames = list(render_frames(records, geom,
+                                RenderConfig(mode="count", frame_dt_s=1e-6)))
     assert [int(frame.sum()) for frame in frames] == [255, 0, 0, 255]
 
 
@@ -85,7 +88,52 @@ def test_render_config_refuses_unusable_settings(field, value, message):
 def test_write_ppm_header(tmp_path):
     img = np.zeros((4, 6, 3), dtype=np.uint8)
     path = tmp_path / "frame.ppm"
-    write_ppm(str(path), img)
+    write_pnm(str(path), img)
     data = path.read_bytes()
     assert data.startswith(b"P6\n6 4\n255\n")
     assert len(data) == len(b"P6\n6 4\n255\n") + 4 * 6 * 3
+    # a gray image is a PGM
+    write_pnm(str(path), img[:, :, 0])
+    data = path.read_bytes()
+    assert data == b"P5\n6 4\n255\n" + bytes(4 * 6)
+
+
+TWO_RECORDS = [FlowLabeledEvent(2, 3, 0, 1, 0, 40.0, 0.0),
+               FlowLabeledEvent(5, 7, 50_000, 1, 0, 40.0, 0.0)]
+
+
+@pytest.mark.parametrize("mode", ["flow", "count"])
+def test_frames_are_drawn_one_at_a_time(mode):
+    # 501 frames of 240x180: all of them at once took about 65 MB
+    cfg = RenderConfig(mode=mode, frame_dt_s=1e-4)
+    frame_bytes = 240 * 180 * (3 if mode == "flow" else 8)
+    drawn = 0
+    tracemalloc.start()
+    try:
+        for frame in render_frames(TWO_RECORDS, cfg=cfg):
+            drawn += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn == 501
+    assert peak < 4 * frame_bytes
+
+
+def test_render_to_dir_writes_each_frame_as_drawn(tmp_path):
+    # 51 frames, each written before the next is drawn
+    tracemalloc.start()
+    try:
+        paths = render_to_dir(TWO_RECORDS, tmp_path,
+                              cfg=RenderConfig(frame_dt_s=1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [os.path.basename(path) for path in paths] == [
+        f"frame_{i:05d}.ppm" for i in range(51)]
+    assert peak < 4 * 240 * 180 * 3
+    # the first frame holds the first record, the last the second
+    header = len(b"P6\n240 180\n255\n")
+    first = (tmp_path / "frame_00000.ppm").read_bytes()
+    last = (tmp_path / "frame_00050.ppm").read_bytes()
+    assert first[header + 3 * (3 * 240 + 2)] != 0
+    assert last[header + 3 * (7 * 240 + 5)] != 0
