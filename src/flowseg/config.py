@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import __version__
 from .engine import EngineConfig
+from .events import ParseError, read_ascii
 from .flow_plane import FlowPlaneConfig
 from .track_plane import TrackPlaneConfig
 
@@ -89,12 +90,15 @@ def load_config(source: Union[str, Iterable[str]],
                 overrides: Optional[Sequence[str]] = None) -> EngineConfig:
     """EngineConfig from defaults, then a key = value file (or lines, none
     for the defaults), then `overrides` (`section.key=value`); '#'
-    starts a comment.  An error about a line names it (and the file),
-    and an error about a value names its key."""
+    starts a comment.  A file must be ASCII (`read_ascii`).  An error
+    about a line names it (and the file), and an error about a value
+    names its key."""
     if isinstance(source, str):
-        with open(source) as fh:
-            lines = fh.readlines()
         origin = f"{source}: "
+        try:
+            lines = read_ascii(source).split("\n")
+        except ParseError as exc:
+            raise ConfigError(f"{origin}{exc}") from None
     else:
         lines = list(source)
         origin = ""

@@ -148,7 +148,7 @@ def report_lines(labeled: Sequence[FlowLabeledEvent],
     """Human-readable evaluation report used by the eval command.
 
     Raises ValueError, naming it, for a bin width that is not positive
-    and finite."""
+    and finite, or so small that an error's bin index overflows."""
     for name, width in (("mag_bin", mag_bin), ("angle_bin", angle_bin)):
         if not 0 < width < math.inf:                    # NaN fails too
             raise ValueError(f"{name} must be positive and finite, "
@@ -163,6 +163,12 @@ def report_lines(labeled: Sequence[FlowLabeledEvent],
                  f"cross_label_fraction={cross_label_fraction(errors):.4f}")
     mags = [err.mag_pct for err in errors]
     angles = [err.angle_deg for err in errors]
+    # here, not in `summarize`, whose ValueError reads "none finite"
+    for name, width, values in (("mag_bin", mag_bin, mags),
+                                ("angle_bin", angle_bin, angles)):
+        if any(math.isinf(v / width) for v in values if math.isfinite(v)):
+            raise ValueError(f"{name} is too small to bin these errors, "
+                             f"got {width}")
     try:
         lines.extend(summarize(mags, mag_bin).lines("magnitude_error", "%"))
     except ValueError:

@@ -16,10 +16,10 @@ row store right after projecting onto it: a batch still rewrites every
 row store, but one row (about 1/n of the cells) at a time, while it is
 in cache, and once per slice.  A slice has one form whether or not
 its rows repeat (`_Slice`).  Speed rows share no store and no metric,
-so on a machine with two CPUs a large enough drain splits each slice's
+so on a machine with two CPUs a large enough batch splits each slice's
 rows between the calling thread and a worker thread opened for that
 slice alone, which numpy's kernels let run at once
-(`MetricArray.apply_batch`).  A noise flush rides the next batch as
+(`MetricArray._apply`).  A noise flush rides the next batch as
 retractions at its own place in it.  Once the argmax cell has been
 stable for p_stable consecutive events, the events backing the winning
 projection are extracted (statistical threshold over cell values plus
@@ -27,8 +27,9 @@ projection are extracted (statistical threshold over cell values plus
 narrower arrays (`_RANGE_SHRINK` per level).
 The final association seeds a tracking plane; everything else is
 re-projected into a fresh level-0 array.  The drained array is freed
-first, and these rebuilds (`MetricArray.fill`) write each projected
-speed row into its row store as it comes.
+first, and these rebuilds (`MetricArray.fill`) take the same slices
+and kernel as a drain without the replay, and sum each grid's metric
+from its row store once the last slice is in.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ import numpy as np
 from .events import Event
 from .projection import (_HALF, _K_SHIFT, MAX_GRIDS, NEIGHBORS_8,
                          FlowVector, event_columns, grid_edges, grid_flow,
-                         grid_pairs, grid_sums, group_starts, project_keys,
-                         runs)
+                         grid_pairs, group_starts, project_keys, runs)
 
 
 class AssociationError(Exception):
@@ -129,11 +129,11 @@ _THREAD_ROW_CELLS = 24_000
 
 
 class _Slice(NamedTuple):
-    """One slice of the rows of `apply_batch`, as `_drain_rows` takes
-    it, in one form whether or not its rows repeat.  Each run of
-    identical rows (`projection.runs`, at least one row) is projected
-    once, at its first row, and weighs its length times its sign; its
-    rows share that sign.  The replay keeps one column per row: the d-th
+    """One slice of the rows of `_apply`, as `_drain_rows` takes it, in
+    one form whether or not its rows repeat.  Each run of identical
+    rows (`projection.runs`, at least one row) is projected once, at its
+    first row, and weighs its length times its sign; its rows share
+    that sign.  The replay keeps one column per row: the d-th
     row after a run's first finds its cell d signs further along, so its
     metric delta is the first row's plus 2 * d."""
     us: np.ndarray          # u, v and dt of each run's first row
@@ -159,6 +159,14 @@ class _Slice(NamedTuple):
                    sources, steps, compact)
 
 
+def _running_argmax(b: int, replay: bool):
+    """The argmax after each of b rows and its metric, before any grid
+    is applied; (None, None) without the replay."""
+    if not replay:
+        return None, None
+    return np.zeros(b, dtype=np.int64), np.full(b, -1, dtype=np.int64)
+
+
 def _cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -179,18 +187,19 @@ class MetricArray:
     `projection.grid_edges`) of grids j*n .. j*n + n - 1 and their
     values (`row_values[j]`, int32), 12 bytes a cell.  A value is at
     most the number of events held; the metrics and every delta to
-    them are int64.  A drain writes every row store, one at a time:
+    them are int64.  A drain (`apply_batch`) and a fill write the
+    array by one path (`_apply`); a fill only skips the replay of the
+    argmax after each event.  It writes every row store, one at a time:
     each lookup, merge and compaction runs over about 1/n of the cells,
-    while they are in cache, and no pass runs over the whole store.  A
-    row store takes one merge per slice of a drain (`_insert`).  A
-    cell may hold 0 until the next batch that retracts events compacts
-    its row.  An event counts by the sign of its polarity, and a run of
-    k identical events counts once, by k times that sign, in a fill and
-    in a drain.  `held` is in time order.  No two speed rows share a
-    store or a metric, so a drain may write the lower half of the rows
-    on the calling thread while a worker thread, which lives for one
-    slice, writes the upper half (`apply_batch`); fills and every other
-    method run on the calling thread alone.
+    while they are in cache.  A row store takes one merge per slice
+    (`_insert`).  A cell may hold 0 until the next batch that retracts
+    events compacts its row.  An event counts by the sign of its
+    polarity, and a run of k identical events counts once, by k times
+    that sign.  `held` is in time order.  No two speed rows share a
+    store or a metric, so a drain or a fill may write the lower half of
+    the rows on the calling thread while a worker thread, which lives
+    for one slice, writes the upper half; every other method runs on
+    the calling thread alone.
     """
 
     def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
@@ -300,16 +309,32 @@ class MetricArray:
 
         Returns the argmax after each event, and after each flush (None
         when the flush empties the array), as applying one event or one
-        flush at a time would.  The events and retractions are the rows
-        of the kernel, in order, taken in consecutive slices of at most
-        _BLOCK_PAIRS // n rows; each slice writes its cells to the row
-        stores before the next one looks them up.  A slice projects,
-        sorts, groups, sums and looks up one pair per (candidate, run of
-        identical rows), weighted by the run's length times its sign
-        (`_Slice`); a retraction and its event, or two polarities, are
-        never one run.  The replay of each grid's metric keeps one column
-        per row, so the argmax after each row is that of one row at a
-        time.  A kernel block is one speed row of such pairs: its cells
+        flush at a time would (`_apply`, with the replay)."""
+        return self._apply(events, flushes, True)
+
+    def fill(self, events: Sequence[Event]) -> None:
+        """Accumulate an event list into the array (order preserved for
+        held): `apply_batch` without the replay, so no argmax is kept
+        per event and after the last slice the metric of each grid is
+        set to the sum of its cells' squares."""
+        self._apply(events, (), False)
+
+    def _apply(self, events: Sequence[Event],
+               flushes: Sequence[tuple[int, int]], replay: bool):
+        """The one write path of the array: `apply_batch`'s batch, and
+        with `replay` its argmax after each event and each flush.
+
+        The events and retractions are the rows of the kernel, in order,
+        taken in consecutive slices of at most _BLOCK_PAIRS // n rows;
+        each slice writes its cells to the row stores before the next
+        one looks them up.  A slice projects, sorts, groups, sums and
+        looks up one pair per (candidate, run of identical rows),
+        weighted by the run's length times its sign (`_Slice`); a
+        retraction and its event, or two polarities, are never one run.
+        The replay of each grid's metric keeps one column per row, so
+        the argmax after each row is that of one row at a time; without
+        it, the metrics are summed from the row stores after the last
+        slice.  A kernel block is one speed row of such pairs: its cells
         are looked up and added to the cells its store holds, and once
         the block's temporaries are freed its new cells go into the
         store in one merge, so a slice merges into each row store once.
@@ -318,19 +343,18 @@ class MetricArray:
         0.  A retraction from a cell no longer stored reads it as 0:
         its events had cancelled.
 
-        A slice drains its speed rows on two threads when (a) the
-        process may run on at least two CPUs, (b) its two blocks in
-        flight fit in one block's budget (2 * rows * n <= _BLOCK_PAIRS)
-        and (c) the row stores hold at least `_THREAD_ROW_CELLS` cells
-        a row on average; otherwise it drains them in order on the
-        calling thread.  On two threads the calling thread drains rows
-        [0, n // 2) and a worker thread, opened for that slice and
-        closed before the next, rows [n // 2, n), each in row order
-        with its own running argmax; the upper half's replaces the
-        lower's only where strictly greater, so ties still go to the
-        lowest grid and the result is the serial one.  No thread
-        outlives the drain, and an exception from either half propagates
-        once both have finished.
+        A slice takes its speed rows on two threads when (a) the process
+        may run on at least two CPUs, (b) its two blocks in flight fit
+        in one block's budget (2 * rows * n <= _BLOCK_PAIRS) and (c) the
+        row stores hold at least `_THREAD_ROW_CELLS` cells a row on
+        average; otherwise it takes them in order on the calling thread.
+        On two threads the calling thread takes rows [0, n // 2) and a
+        worker thread, opened for that slice and closed before the next,
+        rows [n // 2, n), each in row order with its own running argmax;
+        the upper half's replaces the lower's only where strictly
+        greater, so ties still go to the lowest grid and the result is
+        the serial one.  No thread outlives the call, and an exception
+        from either half propagates once both have finished.
 
         Stored cells are int32 and metrics int64.  A cell's value is at
         most the number of events held, so a batch after which more than
@@ -360,8 +384,7 @@ class MetricArray:
             retract[end + 1 - count:end + 1] = True
         us, vs, dt, ss = self._columns(rows)
         sign = np.where((ss > 0) != retract, np.int32(1), np.int32(-1))
-        best = np.zeros(len(rows), dtype=np.int64)
-        best_metric = np.full(len(rows), -1, dtype=np.int64)
+        best, best_metric = _running_argmax(len(rows), replay)
         n = self.cfg.n
         step = max(1, _BLOCK_PAIRS // n)
         for r0 in range(0, len(rows), step):
@@ -370,7 +393,8 @@ class MetricArray:
             kernel = _Slice.of(us[r0:r1], vs[r0:r1], dt[r0:r1], sign[r0:r1],
                                compact)
             # views: the argmax after each of the slice's rows
-            top_index, top_so_far = best[r0:r1], best_metric[r0:r1]
+            top_index, top_so_far = ((best[r0:r1], best_metric[r0:r1])
+                                     if replay else (None, None))
             if not self._two_threads(r1 - r0):
                 self._drain_rows(0, n, kernel, top_index, top_so_far)
                 continue
@@ -379,43 +403,45 @@ class MetricArray:
             # 14.0 ms over 15 passes each), though no thread had started
             from concurrent.futures import ThreadPoolExecutor
             # the worker lives for this slice alone: leaving the block
-            # waits for it, and no thread outlives the drain
+            # waits for it, and no thread outlives the call
             with ThreadPoolExecutor(1) as worker:
-                upper = worker.submit(
-                    self._drain_rows, n // 2, n, kernel,
-                    np.zeros(r1 - r0, dtype=np.int64),
-                    np.full(r1 - r0, -1, dtype=np.int64))
+                upper = worker.submit(self._drain_rows, n // 2, n, kernel,
+                                      *_running_argmax(r1 - r0, replay))
                 self._drain_rows(0, n // 2, kernel, top_index, top_so_far)
             upper_index, upper_metric = upper.result()
-            # strict: a tie keeps the lower half's lower index
-            better = upper_metric > top_so_far
-            top_index[better] = upper_index[better]
-            top_so_far[better] = upper_metric[better]
-        tops = [None if empty else int(best[end])
-                for end, empty in zip(ends, emptied)]
+            if replay:
+                # strict: a tie keeps the lower half's lower index
+                better = upper_metric > top_so_far
+                top_index[better] = upper_index[better]
+                top_so_far[better] = upper_metric[better]
         held.extend(events)
         del held[:retired]
-        return best[~retract], tops
+        if replay:
+            return best[~retract], [None if empty else int(best[end])
+                                    for end, empty in zip(ends, emptied)]
+        for j in range(n):
+            self._metrics[j * n:j * n + n] = self._grid_squares(j)
 
     def _two_threads(self, b: int) -> bool:
-        """Whether a slice of b rows drains on two threads: the process
-        may run on two CPUs, the two blocks in flight fit in one block's
-        budget, and the row stores are large enough to pay for the
-        hand-off (`_THREAD_ROW_CELLS`)."""
+        """Whether a slice of b rows takes its speed rows on two threads:
+        the process may run on two CPUs, the two blocks in flight fit in
+        one block's budget, and the row stores are large enough to pay
+        for the hand-off (`_THREAD_ROW_CELLS`)."""
         n = self.cfg.n
         return (2 * b * n <= _BLOCK_PAIRS
                 and sum(map(len, self.row_keys)) >= _THREAD_ROW_CELLS * n
                 and _cpus() >= 2)
 
     def _drain_rows(self, lo: int, hi: int, kernel: _Slice,
-                    top_index: np.ndarray, top_so_far: np.ndarray):
-        """Drain speed rows [lo, hi) of one slice of `apply_batch` in
-        row order: per row, its `grid_pairs` block of the slice's runs,
+                    top_index: Optional[np.ndarray],
+                    top_so_far: Optional[np.ndarray]):
+        """Write speed rows [lo, hi) of one slice of `_apply` in row
+        order: per row, its `grid_pairs` block of the slice's runs,
         `_apply_block` and `_insert`.  `top_index` and `top_so_far` are
         the running argmax over these rows' grids after each row of the
-        slice, advanced in place and returned.  Touches only these rows'
-        stores and metrics, so two calls over disjoint rows may run at
-        once."""
+        slice, advanced in place and returned, or None without the
+        replay.  Touches only these rows' stores and metrics, so two
+        calls over disjoint rows may run at once."""
         bits = max(1, (len(kernel.weights) - 1).bit_length())
         for j, pairs in grid_pairs(kernel.us, kernel.vs, kernel.dt,
                                    self.col_vu, self.row_vv[lo:hi],
@@ -428,31 +454,36 @@ class MetricArray:
         return top_index, top_so_far
 
     def _apply_block(self, j: int, pairs: np.ndarray, bits: int,
-                     kernel: _Slice, top_index: np.ndarray,
-                     top_so_far: np.ndarray) -> tuple:
-        """Speed row j's `grid_pairs` block of a slice of `apply_batch`,
-        one pair per (candidate, run): look its cells up in row store j
-        (`_lookup`), and advance the metrics of the row's grids and the
-        argmax after each row of the slice.  Returns the cells the store
-        lacks, for `_insert`; its temporaries die on return."""
+                     kernel: _Slice, top_index: Optional[np.ndarray],
+                     top_so_far: Optional[np.ndarray]) -> tuple:
+        """Speed row j's `grid_pairs` block of a slice of `_apply`, one
+        pair per (candidate, run): look its cells up in row store j
+        (`_lookup`) and, with the replay (`top_index` not None), advance
+        the metrics of the row's grids and the argmax after each row of
+        the slice.  Returns the cells the store lacks, for `_insert`;
+        its temporaries die on return."""
         n, b = self.cfg.n, len(kernel.weights)
         k0 = j * n
         cells = pairs >> bits
         # in place: the pairs are not read again
         row = np.bitwise_and(pairs, (1 << bits) - 1, out=pairs)
         w = kernel.weights[row]
-        s = np.sign(w)                  # the sign of each of the run's rows
         starts = group_starts(cells)
+        keys = cells[starts] + ((k0 << _K_SHIFT) - _HALF)
+        adds = np.add.reduceat(w, starts, dtype=np.int32)
+        if top_index is None:
+            del cells, row, w, starts   # not kept through the lookup
+            return self._lookup(j, keys, adds)
         old = np.zeros(len(starts), dtype=np.int64)
-        missing = self._lookup(j, cells[starts] + ((k0 << _K_SHIFT) - _HALF),
-                               np.add.reduceat(w, starts, dtype=np.int32),
-                               old)
+        missing = self._lookup(j, keys, adds, old)
+        del keys, adds
         # each pair's cell value before its run: the stored value plus the
         # earlier runs of the slice in that cell
         before = np.cumsum(w)
         before -= w
         old -= before[starts]
         before += np.repeat(old, np.diff(starts, append=len(cells)))
+        s = np.sign(w)                  # the sign of each of the run's rows
         del starts, old, w
         # metric of each grid after each row: running sum of deltas, a
         # run's copies each 2 above the row before
@@ -473,43 +504,6 @@ class MetricArray:
         top_index[better] = top[better] + k0
         top_so_far[better] = top_metric[better]
         return missing
-
-    def fill(self, events: Sequence[Event]) -> None:
-        """Accumulate an event list into the array, which must hold no
-        events yet (order preserved for held).
-
-        Projects at most _BLOCK_PAIRS // n events at a time, each run of
-        identical events once with its length times its sign as weight
-        (`projection.runs`, `grid_sums`), one speed row per kernel
-        block: the first slice's cells of a row are its
-        store, a later slice's go in through `_lookup` and `_insert`,
-        and the last slice sets the metric of each of the row's grids to
-        the sum of its cells' squares.  No temporary spans more than one
-        block or one row store."""
-        # a second write path on purpose: `apply_batch` on a fresh array
-        # gives the same store, metrics and argmax, but builds the metric
-        # after every row, which only drains need, and took 2.2-2.8x as
-        # long over the fills of perfbench's hexagon, bars and noise
-        if not events:
-            return
-        n = self.cfg.n
-        step = max(1, _BLOCK_PAIRS // n)
-        us, vs, dt, ss = self._columns(events)
-        sign = np.where(ss > 0, np.int32(1), np.int32(-1))
-        for e0 in range(0, len(events), step):
-            e1 = min(e0 + step, len(events))
-            first, weights = runs(us[e0:e1], vs[e0:e1], dt[e0:e1],
-                                  sign[e0:e1])
-            first += e0
-            for j, keys, values in grid_sums(us[first], vs[first], dt[first],
-                                             weights, self.col_vu,
-                                             self.row_vv):
-                missing = [self._lookup(j, keys, values)]
-                del keys, values
-                self._insert(j, missing, False)
-                if e1 == len(events):
-                    self._metrics[j * n:j * n + n] = self._grid_squares(j)
-        self.held.extend(events)
 
     def _grid_squares(self, j: int) -> np.ndarray:
         """The sum of the squares of each of row j's grids' stored cells."""

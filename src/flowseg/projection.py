@@ -11,13 +11,11 @@ and, written out for speed, `TrackPlane.try_match`.  A grid's owner
 keeps its flow and reference time.  A candidate array is stored as its
 two speed axes, grid k's flow is `grid_flow(col_vu, row_vv, k)`, and
 batches of events are projected onto a whole array one speed row of
-candidates at a time (`grid_pairs`), discovery's kernel; a tracking
-plane projects along its one flow with `project_keys`.  `grid_sums`
-groups each row into grid cells as it comes, so its callers hold one
-row's temporaries at a time; discovery bounds a row's size by how many
-events it projects at once.  Consecutive events of the same u, v, t and
-sign project to the same cell along every flow, so discovery projects
-each such run once, weighted by its length (`runs`).
+candidates at a time (`grid_pairs`), discovery's kernel, so that its
+caller holds one row's temporaries at a time; a tracking plane projects
+along its one flow with `project_keys`.  Consecutive events of the same
+u, v, t and sign project to the same cell along every flow, so
+discovery projects each such run once, weighted by its length (`runs`).
 
 Timestamps are integer microseconds everywhere; they become float seconds
 only inside the projection arithmetic.
@@ -95,7 +93,7 @@ class AccumulatorGrid:
 
     def accumulate_batch(self, keys: np.ndarray, sums: np.ndarray) -> None:
         """Add a projected batch: unique packed cells, ascending, and the
-        signed polarity sum of the batch in each (see `grid_sums`)."""
+        signed polarity sum of the batch in each."""
         cells = self.cells
         if not cells:
             # untouched grid: keys are unique, build the dict in one shot
@@ -210,31 +208,3 @@ def grid_pairs(us, vs, dt, col_vu, row_vv, low: np.ndarray, bits: int):
         yield j, pairs.ravel()
         del pairs                       # not kept while the next is made
 
-
-def grid_sums(us, vs, dt, weights, col_vu, row_vv):
-    """Per speed row j of `grid_pairs`: (j, keys, sums), the grid keys
-    its grids touch, ascending, and the sum of the events' weights in
-    each (int32).
-
-    A column of +-1 polarities is the weight-1 case, in which an event
-    counts by the sign of its polarity; discovery's fill passes each run
-    of identical events once, weighted by its length times its sign
-    (`runs`).  Each event's index rides below its cell in the sort keys,
-    so n * len(us) <= 2**19 keeps them within int64.  The rows come in
-    grid order, so the caller consumes each row's cells while only that
-    row's temporaries are alive.
-    """
-    n = len(col_vu)
-    weights = np.asarray(weights, dtype=np.int32)
-    bits = max(1, (len(weights) - 1).bit_length())
-    for j, pairs in grid_pairs(us, vs, dt, col_vu, row_vv,
-                               np.arange(len(weights)), bits):
-        cells = pairs >> bits
-        starts = group_starts(cells)
-        keys = cells[starts] + ((j * n << _K_SHIFT) - _HALF)
-        del cells
-        # each pair's event, in place: the pairs are not read again
-        np.bitwise_and(pairs, (1 << bits) - 1, out=pairs)
-        sums = np.add.reduceat(weights.take(pairs), starts, dtype=np.int32)
-        del pairs, starts               # not kept while the caller works
-        yield j, keys, sums

@@ -1,6 +1,6 @@
 """Synthetic event generation with exact ground truth.
 
-Shapes are closed contours sampled at sub-pixel spacing (default 0.5 px)
+Shapes are closed contours sampled at sub-pixel spacing (CONTOUR_SPACING)
 with outward unit normals.  A motion model moves the contour; an event is
 emitted when a contour point crosses an integer pixel boundary into a pixel
 no other contour point currently occupies (a sliding edge does not change
@@ -43,8 +43,7 @@ class ShapeContour:
         return len(self.points)
 
 
-def _polygon_contour(vertices: Sequence[tuple[float, float]],
-                     spacing: float) -> ShapeContour:
+def _polygon_contour(vertices: Sequence[tuple[float, float]]) -> ShapeContour:
     verts = np.asarray(vertices, dtype=np.float64)
     centroid = verts.mean(axis=0)
     pts: list[np.ndarray] = []
@@ -55,7 +54,7 @@ def _polygon_contour(vertices: Sequence[tuple[float, float]],
         b = verts[(i + 1) % n_v]
         edge = b - a
         length = float(np.hypot(*edge))
-        n_seg = max(1, math.ceil(length / spacing))
+        n_seg = max(1, math.ceil(length / CONTOUR_SPACING))
         direction = edge / length
         normal = np.array([direction[1], -direction[0]])
         if np.dot(normal, (a + b) / 2 - centroid) < 0:
@@ -66,15 +65,16 @@ def _polygon_contour(vertices: Sequence[tuple[float, float]],
     return ShapeContour(np.array(pts), np.array(nrm))
 
 
-def _check_diameter(shape: str, diameter: float, spacing: float,
+def _check_diameter(shape: str, diameter: float,
                     geometry: SensorGeometry) -> None:
     """Raise GeometryError before sampling a shape whose `diameter`
-    less 2 * `spacing` exceeds the sensor's diagonal.  Sample points
-    lie within `spacing` of the diameter's two ends, so the extent of
-    such a shape's samples would fail the sensor-size check too, which
-    runs only after sampling has taken time and memory in proportion to
-    the contour's length."""
-    if diameter - 2 * spacing > math.hypot(geometry.width, geometry.height):
+    less 2 * `CONTOUR_SPACING` exceeds the sensor's diagonal.  Sample
+    points lie within one spacing of the diameter's two ends, so the
+    extent of such a shape's samples would fail the sensor-size check
+    too, which runs only after sampling has taken time and memory in
+    proportion to the contour's length."""
+    if diameter - 2 * CONTOUR_SPACING > math.hypot(geometry.width,
+                                                   geometry.height):
         raise GeometryError(
             f"{shape} diameter {diameter:.1f} exceeds the diagonal of "
             f"sensor {geometry.width}x{geometry.height}")
@@ -85,47 +85,42 @@ def build_contour(shape: str, *, radius: float | None = None,
                   length: float | None = None, thickness: float | None = None,
                   center: tuple[float, float] = (120.0, 90.0),
                   rotate_deg: float = 0.0,
-                  spacing: float = CONTOUR_SPACING,
                   geometry: SensorGeometry = DEFAULT_GEOMETRY) -> ShapeContour:
     """Build a contour for one of: circle, hexagon, rectangle, bar.
 
     circle(radius); hexagon(width = extent across opposite corners);
-    rectangle(width, height); bar(length, thickness).  The shape is placed
-    at `center` and optionally rotated.  A shape larger than the sensor is
-    a geometry error, raised before sampling when the shape's diameter
-    alone shows it (`_check_diameter`).
+    rectangle(width, height); bar(length, thickness), a thickness x
+    length rectangle.  The shape is placed at `center` and optionally
+    rotated.  A shape larger than the sensor is a geometry error, raised
+    before sampling when the shape's diameter alone shows it
+    (`_check_diameter`).
     """
     if shape == "circle":
         if radius is None or radius <= 0:
             raise ValueError("circle needs a positive radius")
-        _check_diameter(shape, 2 * radius, spacing, geometry)
-        n = max(3, math.ceil(2 * math.pi * radius / spacing))
+        _check_diameter(shape, 2 * radius, geometry)
+        n = max(3, math.ceil(2 * math.pi * radius / CONTOUR_SPACING))
         ang = 2 * math.pi * np.arange(n) / n
         ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         contour = ShapeContour(radius * ring, ring.copy())
     elif shape == "hexagon":
         if width is None or width <= 0:
             raise ValueError("hexagon needs a positive width")
-        _check_diameter(shape, width, spacing, geometry)
+        _check_diameter(shape, width, geometry)
         r = width / 2.0
         verts = [(r * math.cos(math.radians(60 * k)),
                   r * math.sin(math.radians(60 * k))) for k in range(6)]
-        contour = _polygon_contour(verts, spacing)
-    elif shape == "rectangle":
+        contour = _polygon_contour(verts)
+    elif shape in ("rectangle", "bar"):
+        sizes = "width and height"
+        if shape == "bar":
+            sizes, width, height = "length and thickness", thickness, length
         if width is None or height is None or width <= 0 or height <= 0:
-            raise ValueError("rectangle needs positive width and height")
-        _check_diameter(shape, math.hypot(width, height), spacing, geometry)
+            raise ValueError(f"{shape} needs positive {sizes}")
+        _check_diameter(shape, math.hypot(width, height), geometry)
         w2, h2 = width / 2.0, height / 2.0
         contour = _polygon_contour(
-            [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)], spacing)
-    elif shape == "bar":
-        if length is None or thickness is None or length <= 0 or thickness <= 0:
-            raise ValueError("bar needs positive length and thickness")
-        _check_diameter(shape, math.hypot(length, thickness), spacing,
-                        geometry)
-        w2, h2 = thickness / 2.0, length / 2.0
-        contour = _polygon_contour(
-            [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)], spacing)
+            [(-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2)])
     else:
         raise ValueError(f"unknown shape {shape!r}")
 

@@ -10,6 +10,8 @@ parser.
 
 from typing import Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 from flowseg.engine import FlowLabeledEvent
 from flowseg.events import (DEFAULT_GEOMETRY, Event, EventStream,
                             GeometryError, OrderingError, ParseError,
@@ -74,6 +76,16 @@ def bruteforce_image(events: Iterable[Event], flow,
     return image
 
 
+def image_batch(events: Iterable[Event], flow,
+                t_ref_us: int) -> tuple[np.ndarray, np.ndarray]:
+    """`bruteforce_image` as `AccumulatorGrid.accumulate_batch` takes
+    it: the packed cells ascending, and the sum in each."""
+    image = bruteforce_image(events, flow, t_ref_us)
+    keys = sorted(image)
+    return (np.array(keys, dtype=np.int64),
+            np.array([image[key] for key in keys], dtype=np.int64))
+
+
 def array_flows(col_vu, row_vv) -> list[tuple[float, float]]:
     """The candidate flows of a Cartesian array in grid order: row by
     row, and within a row column by column."""
@@ -88,7 +100,7 @@ def bruteforce_row_images(events: Iterable[Event], col_vu, row_vv,
                           t_ref_us: int) -> list[dict[int, int]]:
     """Per speed row j of a Cartesian array, the `bruteforce_image` of
     each of its grids k = j*n + i, keyed by grid key k * 2**43 + packed
-    (the key layout of `flowseg.projection.grid_sums`)."""
+    (the key layout of a `MetricArray` row store)."""
     n = len(col_vu)
     rows = []
     for j, vv in enumerate(row_vv):

@@ -208,7 +208,7 @@ def test_cli_error_codes(tmp_path, capsys):
     gt = tmp_path / "gt.txt"
     gt.write_text("100 58.0 0.0 0\n")
     assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 2
-    labeled.write_text("100 5 5 1 0 58.0 0.0\n")
+    labeled.write_text("100 5 5 1 0 58.0 3.0\n")
     assert run_cli("eval", "--labeled", str(labeled), "--gt", str(gt)) == 0
     capsys.readouterr()
     gt.write_text("100 58.0 0.0\n")
@@ -299,7 +299,7 @@ def test_cli_synth_rejects_non_finite_options(tmp_path, capsys, flag, value,
 @pytest.fixture
 def tiny_truth(tmp_path):
     labeled = tmp_path / "labeled.txt"
-    labeled.write_text("100 5 5 1 0 58.0 0.0\n")
+    labeled.write_text("100 5 5 1 0 58.0 3.0\n")
     gt = tmp_path / "gt.txt"
     gt.write_text("100 50.0 0.0 0\n")
     return str(labeled), str(gt)
@@ -309,10 +309,16 @@ def tiny_truth(tmp_path):
     ("--mag-bin", "0", "mag_bin must be positive and finite, got 0.0"),
     ("--mag-bin", "nan", "mag_bin must be positive and finite, got nan"),
     ("--mag-bin", "-5", "mag_bin must be positive and finite, got -5.0"),
-    ("--angle-bin", "inf", "angle_bin must be positive and finite, got inf")])
+    ("--angle-bin", "inf", "angle_bin must be positive and finite, got inf"),
+    ("--mag-bin", "1e-320",
+     "mag_bin is too small to bin these errors, got 1e-320"),
+    ("--angle-bin", "1e-320",
+     "angle_bin is too small to bin these errors, got 1e-320")])
 def test_cli_eval_rejects_unusable_bin_widths(tiny_truth, capsys, flag, value,
                                               message):
-    # 0 ended in a ZeroDivisionError traceback; the others exited 0
+    # 0 and 1e-320, which an error over it makes infinite, ended in a
+    # ZeroDivisionError and an OverflowError traceback; the others
+    # exited 0
     labeled, gt = tiny_truth
     assert run_cli("eval", "--labeled", labeled, "--gt", gt,
                    flag, value) == 2
@@ -424,6 +430,18 @@ def test_cli_config_file_line_without_value_names_its_line(tmp_path,
                    "--config", str(config)) == 2
     assert capsys.readouterr().err == (
         f"error: {config}: line 3: expected key = value\n")
+
+
+def test_cli_config_file_non_ascii_byte_names_its_line(tmp_path,
+                                                      tiny_events, capsys):
+    # read in the locale's encoding, this exited 2 with a codec error
+    # that named neither the file nor the line
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"flow_plane.n = 12\n# caf\xe9\n")
+    assert run_cli("run", tiny_events, "--out", str(tmp_path / "out.txt"),
+                   "--config", str(config)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: line 2: non-ASCII byte 0xe9\n")
 
 
 def test_load_config_lines_name_the_line():

@@ -4,13 +4,15 @@
 A kernel block is the (candidate, event) pairs of one speed row, and
 `MetricArray.fill` and `apply_batch` project at most
 `_BLOCK_PAIRS // n` events or retractions at a time, so a block never
-holds more than `_BLOCK_PAIRS` pairs.  A fill consumes the kernel one
-block at a time, so its temporaries above the store it builds are a
-few blocks, and with more than one slice, the merge of one row.  An
-emission frees the drained array's store before it fills the new one,
-so two level-0 stores never coexist.  A drain frees each block's
-temporaries before it merges the block's row, once per slice, so its
-transient is a few blocks plus the merge of one row.
+holds more than `_BLOCK_PAIRS` pairs.  A fill takes a drain's slices
+and blocks without the replay of the argmax: it keeps only a block's
+grid keys and sums through its lookup, and no per-event argmax, so its
+temporaries above the store it builds are a few blocks, and with more
+than one slice, the merge of one row.  An emission frees the drained
+array's store before it fills the new one, so two level-0 stores never
+coexist.  A drain frees each block's temporaries before it merges the
+block's row, once per slice, so its transient is a few blocks plus the
+merge of one row.
 """
 
 import random
@@ -31,8 +33,9 @@ from test_projection import random_events
 # bytes of one kernel block of int64 (candidate, event) pairs (512 KiB)
 BLOCK_BYTES = 8 * flow_plane._BLOCK_PAIRS
 # a fill's temporaries, each at most one block: the projected x of every
-# column, the pairs of one speed row, their cells, group starts, grid
-# keys and sums
+# column, the pairs of one speed row (reused for their rows), their
+# cells, weights and group starts, then the grid keys and sums that the
+# lookup takes, and the cells it finds missing
 FILL_TRANSIENT_BOUND = 6 * BLOCK_BYTES
 
 

@@ -180,8 +180,7 @@ def test_ingest_and_flush_match_bruteforce(drain, events, ops, n, block):
         at += size
         with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block), \
                 drain_path(drain):
-            # `fill` is for an array that holds nothing
-            if by_fill and not array.held:
+            if by_fill:
                 array.fill(batch)
             else:
                 array.apply_batch(batch)
@@ -588,9 +587,10 @@ def test_concurrent_callers_each_drain_on_their_own_worker(case):
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [expected] * callers
-    # three drains of each caller split every slice, and no caller
-    # drained an upper half itself
-    assert len(uppers) == 3 * callers
+    # each caller's fill and three drains split every slice (a fill
+    # takes a drain's path without the replay), and no caller drained
+    # an upper half itself
+    assert len(uppers) == 4 * callers
     assert not set(threads) & set(uppers)
 
 

@@ -3,7 +3,9 @@ and no definition that nothing names."""
 
 import ast
 import importlib.util
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -65,21 +67,45 @@ def module_level_names(tree):
                     yield name.id, node.lineno, node.end_lineno
 
 
+def code_of(text):
+    """A module's source with its docstrings and comments blanked out,
+    line for line and column for column."""
+    lines = text.splitlines()
+    spans = [(token.start, token.end) for token in tokenize.generate_tokens(
+        io.StringIO(text).readline) if token.type == tokenize.COMMENT]
+    spans += [((node.lineno, node.col_offset),
+               (node.end_lineno, node.end_col_offset))
+              for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Expr)
+              and isinstance(node.value, ast.Constant)
+              and isinstance(node.value.value, str)]
+    for (first, start), (last, end) in spans:
+        for at in range(first - 1, last):
+            line = lines[at]
+            lo = start if at == first - 1 else 0
+            hi = end if at == last - 1 else len(line)
+            lines[at] = line[:lo] + " " * (hi - lo) + line[hi:]
+    return "\n".join(lines)
+
+
 def unnamed_elsewhere(named):
     """The `named(tree)` entries of the package (dunders aside) that are
-    not named, as a whole word, outside their own lines: in the package,
-    the demos, the benchmark or the README.  Tests do not count, so code
-    only they use shows up here."""
+    not named, as a whole word, outside their own lines: in the code of
+    the package, not its docstrings or comments, or in the demos, the
+    benchmark or the README.  Tests do not count, so code only they use
+    shows up here, and so does code only the package's docs name."""
     package = sorted((ROOT / "src" / "flowseg").glob("*.py"))
     sources = [*package, *sorted((ROOT / "demos").glob("*.py")),
                *sorted((ROOT / "perfbench").glob("*.py")),
                *sorted((ROOT / "perfbench").glob("*.md")), ROOT / "README.md"]
     texts = {path: path.read_text() for path in sources}
+    trees = {path: ast.parse(texts[path]) for path in package}
+    texts.update((path, code_of(texts[path])) for path in package)
     unnamed = []
     for path in package:
         lines = texts[path].splitlines()
         others = [text for other, text in texts.items() if other != path]
-        for name, first, last in named(ast.parse(texts[path])):
+        for name, first, last in named(trees[path]):
             if re.fullmatch(r"__\w+__", name):
                 continue
             word = re.compile(rf"\b{name}\b")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from flowseg.events import Event
+from flowseg.flow_plane import FlowPlaneConfig, MetricArray
 from flowseg.projection import (AccumulatorGrid, ConsistencyError, FlowVector,
-                                KEY_M, event_columns, grid_flow, grid_sums,
-                                project_keys, round_half_away, runs,
-                                unpack_cell)
+                                KEY_M, event_columns, grid_flow, project_keys,
+                                round_half_away, runs, unpack_cell)
 
 from oracles import (array_flows, bruteforce_image, bruteforce_keys,
-                     bruteforce_row_images, metric_bruteforce, pack_cell,
-                     sum_squares)
+                     bruteforce_row_images, image_batch, metric_bruteforce,
+                     pack_cell, sum_squares)
 
 
 def random_events(rng, count, t_span_us=500_000, width=240, height=180):
@@ -22,6 +22,25 @@ def random_events(rng, count, t_span_us=500_000, width=240, height=180):
         out.append(Event(rng.randrange(width), rng.randrange(height), t,
                          rng.choice((1, -1))))
     return out
+
+
+def filled(events, col_vu, row_vv, t_ref_us):
+    """A `MetricArray` with the n speeds `col_vu` and `row_vv` as its
+    axes and `t_ref_us` as its reference, filled with `events`; and per
+    speed row j, its grids' (grid key, value) cells in key order, read
+    through `MetricArray.grid` and keyed as `bruteforce_row_images`
+    keys them."""
+    n = len(col_vu)
+    array = MetricArray(FlowPlaneConfig(n=n))
+    array.col_vu = np.array(col_vu, dtype=np.float64)
+    array.row_vv = np.array(row_vv, dtype=np.float64)
+    array.t_ref_us = t_ref_us
+    array.fill(events)
+    rows = [[((k << 43) + cell, value)
+             for k in range(j * n, j * n + n)
+             for cell, value in zip(*(a.tolist() for a in array.grid(k)))]
+            for j in range(n)]
+    return array, rows
 
 
 def test_round_half_away():
@@ -51,13 +70,8 @@ def test_project_keys_shift_against_flow():
 
 
 def add(grid, events, flow, t_ref_us):
-    """Accumulate the batch image of events along one flow: the one row
-    of a 1 x 1 `grid_sums` array, in which a grid key is the packed
-    cell."""
-    us, vs, ts, ss = event_columns(events)
-    ((_, keys, sums),) = grid_sums(us, vs, (ts - t_ref_us) * 1e-6, ss,
-                                   [flow[0]], [flow[1]])
-    grid.accumulate_batch(keys, sums)
+    """Accumulate the batch image of events along one flow."""
+    grid.accumulate_batch(*image_batch(events, flow, t_ref_us))
 
 
 def remove(grid, events, flow, t_ref_us):
@@ -216,12 +230,9 @@ def test_grid_flow_is_column_speed_and_row_speed(n):
         # numpy scalars would print as np.float64(...) in label files
         assert type(got.v_u) is float and type(got.v_v) is float
     # and the kernel projects grid k's events along that same flow
-    us, vs, ts, ss = event_columns(events)
-    rows = list(grid_sums(us, vs, (ts - 1234) * 1e-6, ss, col_vu, row_vv))
-    assert [j for j, _, _ in rows] == list(range(n))
-    for (_, keys, sums), expected in zip(
-            rows, bruteforce_row_images(events, col_vu, row_vv, 1234)):
-        assert dict(zip(keys.tolist(), sums.tolist())) == expected
+    _, rows = filled(events, col_vu, row_vv, 1234)
+    assert rows == [sorted(image.items()) for image in
+                    bruteforce_row_images(events, col_vu, row_vv, 1234)]
 
 
 def test_runs_split_where_any_column_changes():
@@ -237,21 +248,20 @@ def test_runs_split_where_any_column_changes():
     assert weights.dtype == np.int32
 
 
-def test_weighted_grid_sums_match_repeated_events():
-    # a run of k identical events summed once with weight k (times its
-    # sign) gives the cells of the k events each summed with weight 1
+def test_weighted_runs_match_repeated_events():
+    # a fill projects a run of k identical events once, with weight k
+    # (times its sign): it must give the cells and metrics of the k
+    # events each counted once
     rng = random.Random(5)
     events = [e for e in random_events(rng, 40)
               for _ in range(rng.randint(1, 4))]
-    col_vu, row_vv = np.array([-40.0, 0.0, 35.0]), np.array([-20.0, 25.0])
+    col_vu, row_vv = [-40.0, 0.0, 35.0], [-20.0, 25.0, 60.0]
     us, vs, ts, ss = event_columns(events)
-    dt = (ts - 77) * 1e-6
     signs = np.where(ss > 0, np.int32(1), np.int32(-1))
-    first, weights = runs(us, vs, dt, signs)
+    first, _ = runs(us, vs, (ts - 77) * 1e-6, signs)
     assert len(first) < len(events)
-    rows = list(grid_sums(us[first], vs[first], dt[first], weights, col_vu,
-                          row_vv))
-    assert [j for j, _, _ in rows] == [0, 1]
-    for (_, keys, sums), expected in zip(
-            rows, bruteforce_row_images(events, col_vu, row_vv, 77)):
-        assert dict(zip(keys.tolist(), sums.tolist())) == expected
+    array, rows = filled(events, col_vu, row_vv, 77)
+    assert rows == [sorted(image.items()) for image in
+                    bruteforce_row_images(events, col_vu, row_vv, 77)]
+    assert array.metrics == [metric_bruteforce(events, flow, 77)
+                             for flow in array_flows(col_vu, row_vv)]

@@ -14,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowseg.events import Event
-from flowseg.projection import (AccumulatorGrid, event_columns, grid_sums,
-                                project_keys)
+from flowseg.projection import AccumulatorGrid, event_columns, project_keys
 from flowseg.track_plane import TrackPlane, TrackPlaneConfig
 
 from oracles import (bruteforce_image, bruteforce_keys,
-                     bruteforce_row_images, metric_bruteforce, sum_squares)
+                     bruteforce_row_images, image_batch, metric_bruteforce,
+                     sum_squares)
+from test_projection import filled
 
 # 150 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -215,10 +216,7 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
             for u, v, dt, s in op[1]:
                 t += dt
                 batch.append(Event(u, v, t, s))
-            us, vs, ts, ss = event_columns(batch)
-            ((_, keys, sums),) = grid_sums(us, vs, ts * 1e-6, ss,
-                                           [flow[0]], [flow[1]])
-            batched.accumulate_batch(keys, sums)
+            batched.accumulate_batch(*image_batch(batch, flow, 0))
             live.extend(batch)
             touched.update(bruteforce_image(batch, flow, 0))
         else:
@@ -238,7 +236,7 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
 
 
 @SETTINGS
-@given(m=st.sampled_from((1, 3, 5)),
+@given(m=st.sampled_from((2, 3, 5)),
        speeds=st.lists(st.floats(-300.0, 300.0), min_size=10, max_size=10),
        t_ref=st.integers(-200_000, 200_000),
        events=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
@@ -246,30 +244,19 @@ def test_accumulator_batches_match_scalar_path(flow, ops):
                                  st.sampled_from((1, -1))),
                        max_size=40))
 def test_grid_kernel_matches_per_flow_projection(m, speeds, t_ref, events):
-    # grid k = j*m + i of the kernel is the flow (col[i], row[j]), and
-    # holds every cell its events touch, cancelled ones included; each
-    # speed row's grid keys come ascending, one row after another.  The
-    # keys a tracking plane keeps are `project_keys` along one flow, one
-    # per event, and a 1 x 1 array's grid keys are those packed cells
+    # grid k = j*m + i of a filled array is the flow (col[i], row[j]),
+    # and holds every cell its events touch, cancelled ones included, in
+    # key order.  The keys a tracking plane keeps are `project_keys`
+    # along one flow, one per event
     col, row = speeds[:m], speeds[5:5 + m]
     t = 0
     batch = []
     for u, v, dt, s in events:
         t += dt
         batch.append(Event(u, v, t, s))
-    if not batch:
-        return                          # grid_sums takes at least one event
     us, vs, ts, ss = event_columns(batch)
-    dt = (ts - t_ref) * 1e-6
-    keys = project_keys(us, vs, dt, col[0], row[0])
+    keys = project_keys(us, vs, (ts - t_ref) * 1e-6, col[0], row[0])
     assert keys.tolist() == bruteforce_keys(batch, (col[0], row[0]), t_ref)
-    ((_, cells, sums),) = grid_sums(us, vs, dt, ss, col[:1], row[:1])
-    expected = bruteforce_image(batch, (col[0], row[0]), t_ref)
-    assert cells.tolist() == sorted(expected)
-    assert sums.tolist() == [expected[key] for key in sorted(expected)]
-    rows = list(grid_sums(us, vs, dt, ss, col, row))
-    assert [j for j, _, _ in rows] == list(range(m))
-    for (_, keys, sums), expected in zip(
-            rows, bruteforce_row_images(batch, col, row, t_ref)):
-        assert keys.tolist() == sorted(expected)
-        assert sums.tolist() == [expected[key] for key in sorted(expected)]
+    _, rows = filled(batch, col, row, t_ref)
+    assert rows == [sorted(image.items()) for image in
+                    bruteforce_row_images(batch, col, row, t_ref)]
