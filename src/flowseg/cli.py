@@ -40,11 +40,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _geometry(text: str) -> SensorGeometry:
     try:
-        w, h = text.lower().split("x")
-        return SensorGeometry(int(w), int(h))
+        w, h = map(int, text.lower().split("x"))
     except (ValueError, TypeError):
         raise argparse.ArgumentTypeError(
             f"geometry must look like 240x180, got {text!r}") from None
+    if w <= 0 or h <= 0:
+        raise argparse.ArgumentTypeError(
+            f"geometry must be at least 1x1, got {text!r}")
+    return SensorGeometry(w, h)
 
 
 _SHAPE_KEYS = {

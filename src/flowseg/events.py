@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import io
+import math
 import os
 import re
 import warnings
@@ -266,6 +267,26 @@ def _table_columns(lines: Iterable[str],
 # records `write_records` joins into one write: about 5% faster than a
 # write per line, and about 4 kB of text, so that little memory is held
 _WRITE_CHUNK = 64
+# the types whose equal values `str` writes alike, but for the sign of 0
+_FLOAT_TYPES = {float, np.float64}
+# the texts after which a `write_records` call writes floats as if
+# uncached: a run's labels hold a few dozen distinct flows, a rotation's
+# truth file tens of thousands, which a cache would hold and miss on
+_FLOAT_TEXTS_MAX = 1024
+
+
+class _FloatText(dict):
+    """`str` of each float value one `write_records` call writes, made
+    once: a run's labels hold a few dozen distinct flows, and formatting
+    them on every line took half of `write_labeled`.  0.0 and -0.0 are
+    equal keys with two texts and no NaN equals another, so neither is
+    kept; the engine's `math.nan` is found as itself."""
+
+    def __missing__(self, value) -> str:
+        text = str(value)
+        if value and value == value:
+            self[value] = text
+        return text
 
 
 def write_records(destination: Union[str, os.PathLike, io.TextIOBase],
@@ -274,7 +295,9 @@ def write_records(destination: Union[str, os.PathLike, io.TextIOBase],
     """Write `header`, if any, then one line of `fmt` per record, to a
     path (as ASCII) or an open text file; returns the record count.  Ints
     are written by ``%d`` and floats by `str`, so a numpy scalar writes
-    as the equal Python scalar, and every float reads back as itself."""
+    as the equal Python scalar, and every float reads back as itself.
+    Each distinct float value is formatted once a call (`_FloatText`),
+    until the call has kept `_FLOAT_TEXTS_MAX` of them."""
     if isinstance(destination, (str, os.PathLike)):
         with open(destination, "w", encoding="ascii") as fh:
             return write_records(fh, fmt, header, records)
@@ -283,10 +306,20 @@ def write_records(destination: Union[str, os.PathLike, io.TextIOBase],
     line = (" ".join("%d" if kind is int else "%s" for kind in fmt.types)
             + "\n").__mod__
     line_order = itemgetter(*map(fmt.fields.index, range(len(fmt.fields))))
+    floats = [field for field, kind in enumerate(fmt.types) if kind is float]
+    texts = _FloatText({math.nan: "nan"})
     records = iter(records)
     count = 0
     while chunk := list(islice(records, _WRITE_CHUNK)):
-        destination.write("".join(map(line, map(line_order, chunk))))
+        rows = map(line_order, chunk)
+        if len(texts) < _FLOAT_TEXTS_MAX:
+            columns = list(zip(*rows))
+            for field in floats:
+                # an int or a float32 may equal a float whose text differs
+                if _FLOAT_TYPES.issuperset(map(type, columns[field])):
+                    columns[field] = map(texts.__getitem__, columns[field])
+            rows = zip(*columns)
+        destination.write("".join(map(line, rows)))
         count += len(chunk)
     return count
 

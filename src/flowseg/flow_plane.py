@@ -1,8 +1,11 @@
 """Flow initialization: an n x n array of perturbed projections.
 
-Candidate flows are laid out on a tan-mapped angular grid around a center
-flow; every incoming event is accumulated into all n*n grids and the
-sharpness metric argmax is tracked per event.  Events are accumulated in
+A candidate array (`MetricArray`) is its two speed axes, and it only
+scores: grid k = j*n + i holds the events projected along (col_vu[i],
+row_vv[j]), and its metric is their contrast.  `FlowPlane` lays out its
+top array once, a tan-mapped angular grid around zero flow
+(`axis_speeds`); every incoming event is accumulated into all n*n
+grids and the argmax is tracked per event.  Events are accumulated in
 batches: numpy projects a slice of a batch onto all candidates and
 groups the projections by sorting, one speed row of candidates at a
 time.  A run of identical consecutive rows (the same u, v, t and
@@ -10,26 +13,23 @@ signed row: one burst of events, or of their retractions) projects to
 the same cell of every grid, so it is projected once, as one row
 weighted by its length; the replay of the argmax after each event
 still keeps one column per row.  The cells of each speed row's n grids
-share one sorted row store
-(int64 keys, int32 values), and a batch looks up, merges and compacts a
-row store right after projecting onto it: a batch still rewrites every
-row store, but one row (about 1/n of the cells) at a time, while it is
-in cache, and once per slice.  A slice has one form whether or not
-its rows repeat (`_Slice`).  Speed rows share no store and no metric,
-so on a machine with two CPUs a large enough batch splits each slice's
-rows between the calling thread and a worker thread opened for that
-slice alone, which numpy's kernels let run at once
-(`MetricArray._apply`).  A noise flush rides the next batch as
-retractions at its own place in it.  Once the argmax cell has been
-stable for p_stable consecutive events, the events backing the winning
-projection are extracted (statistical threshold over cell values plus
-8-connected flood fill) and re-projected through progressively
-narrower arrays (`_RANGE_SHRINK` per level).
-The final association seeds a tracking plane; everything else is
-re-projected into a fresh level-0 array.  The drained array is freed
-first, and these rebuilds (`MetricArray.fill`) take the same slices
-and kernel as a drain without the replay, and sum each grid's metric
-from its row store once the last slice is in.
+share one sorted row store (int64 keys, int32 values), and a batch
+looks up, merges and compacts a row store right after projecting onto
+it, one row (about 1/n of the cells) at a time, once per slice.  Speed
+rows share no store and no metric, so on a machine with two CPUs a
+large enough batch splits each slice's rows between the calling thread
+and a worker thread opened for that slice alone (`MetricArray._apply`).
+A noise flush rides the next batch as retractions at its own place in
+it.  Once the argmax has been stable for p_stable consecutive events,
+the events backing the winning projection are extracted (statistical
+threshold over cell values plus 8-connected flood fill), and
+`refined_flow` sharpens their flow through `_DEPTH_MAX` levels, each a
+`refine` over axes it lays out around the previous level's flow, with
+a range `_RANGE_SHRINK` times narrower.  The final association seeds a
+tracking plane; everything else is re-projected into a fresh top
+array.  The drained array is freed first, and these rebuilds
+(`MetricArray.fill`) take the same slices and kernel as a drain
+without the replay.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class FlowPlaneConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.n * self.n > MAX_GRIDS:
-            raise ValueError(f"n must be at most {math.isqrt(MAX_GRIDS)}: "
+        if self.n > _N_MAX:
+            raise ValueError(f"n must be at most {_N_MAX}: "
                              f"the keys of n*n grids must fit in int64")
         if self.p_stable < 1:
             raise ValueError("p_stable must be at least 1")
@@ -86,6 +86,8 @@ _DEPTH_MAX = 3
 # SOFAS's seed threshold w: a seed cell's |value| exceeds mu + w * sigma
 # of the winning grid's nonzero cells (at 0, any cell above the mean)
 _SEED_W = 2.0
+# the most speeds an axis holds: the keys of n*n grids must fit in int64
+_N_MAX = math.isqrt(MAX_GRIDS)
 
 
 def axis_speeds(center: float, angular_range: float,
@@ -178,42 +180,42 @@ def _cpus() -> int:
 class MetricArray:
     """n x n sparse accumulation grids sharing one event set.
 
-    The array is its two speed axes, `col_vu` and `row_vv`, laid out
-    around the center flow over the angular range: grid k = j*n + i
-    (row-major) has flow `grid_flow(col_vu, row_vv, k)`, and the argmax
-    ties break to the lowest (j, i).  All grids share t_ref, frozen at
-    the first event.  Cells are kept in n sorted row stores, one per
-    speed row: row store j holds the grid keys (`row_keys[j]`, int64;
-    `projection.grid_edges`) of grids j*n .. j*n + n - 1 and their
-    values (`row_values[j]`, int32), 12 bytes a cell.  A value is at
-    most the number of events held; the metrics and every delta to
-    them are int64.  A drain (`apply_batch`) and a fill write the
-    array by one path (`_apply`); a fill only skips the replay of the
-    argmax after each event.  It writes every row store, one at a time:
-    each lookup, merge and compaction runs over about 1/n of the cells,
-    while they are in cache.  A row store takes one merge per slice
-    (`_insert`).  A cell may hold 0 until the next batch that retracts
-    events compacts its row.  An event counts by the sign of its
-    polarity, and a run of k identical events counts once, by k times
-    that sign.  `held` is in time order.  No two speed rows share a
-    store or a metric, so a drain or a fill may write the lower half of
-    the rows on the calling thread while a worker thread, which lives
-    for one slice, writes the upper half; every other method runs on
-    the calling thread alone.
+    The array is its two speed axes, `col_vu` and `row_vv`, n speeds
+    each in any order, kept as read-only float64 copies; the caller
+    lays them out.  Grid k = j*n + i (row-major) has flow
+    `grid_flow(col_vu, row_vv, k)`, and the argmax ties break to the
+    lowest (j, i).  All grids share t_ref, frozen at the first event.
+    Cells are kept in n sorted row stores, one per speed row: row store
+    j holds the grid keys (`row_keys[j]`, int64; `projection.grid_edges`)
+    of grids j*n .. j*n + n - 1 and their values (`row_values[j]`,
+    int32), 12 bytes a cell.  A value is at most the number of events
+    held; the metrics and every delta to them are int64.  A drain
+    (`apply_batch`) and a fill write the array by one path (`_apply`);
+    a fill only skips the replay of the argmax after each event.  It
+    writes every row store, one at a time: each lookup, merge and
+    compaction runs over about 1/n of the cells, while they are in
+    cache.  A row store takes one merge per slice (`_insert`).  A cell
+    may hold 0 until the next batch that retracts events compacts its
+    row.  An event counts by the sign of its polarity, and a run of k
+    identical events counts once, by k times that sign.  `held` is in
+    time order.  No two speed rows share a store or a metric, so a
+    drain or a fill may write the lower half of the rows on the calling
+    thread while a worker thread, which lives for one slice, writes the
+    upper half; every other method runs on the calling thread alone.
     """
 
-    def __init__(self, cfg: FlowPlaneConfig, center_flow=(0.0, 0.0),
-                 angular_range: float = _ANGULAR_RANGE):
-        self.cfg = cfg
-        self.angular_range = angular_range
-        self.col_vu = np.array(axis_speeds(float(center_flow[0]),
-                                           self.angular_range, cfg))
-        self.row_vv = np.array(axis_speeds(float(center_flow[1]),
-                                           self.angular_range, cfg))
-        self._edges = grid_edges(cfg.n * cfg.n)
-        self.row_keys = [np.zeros(0, dtype=np.int64) for _ in range(cfg.n)]
-        self.row_values = [np.zeros(0, dtype=np.int32) for _ in range(cfg.n)]
-        self._metrics = np.zeros(cfg.n * cfg.n, dtype=np.int64)
+    def __init__(self, col_vu: Sequence[float], row_vv: Sequence[float]):
+        self.n = n = len(col_vu)
+        if len(row_vv) != n or not 0 < n <= _N_MAX:
+            raise ValueError(f"the axes must hold 1 to {_N_MAX} speeds each,"
+                             f" got {n} and {len(row_vv)}")
+        axes = np.array([col_vu, row_vv], dtype=np.float64)
+        axes.flags.writeable = False
+        self.col_vu, self.row_vv = axes
+        self._edges = grid_edges(n * n)
+        self.row_keys = [np.zeros(0, dtype=np.int64) for _ in range(n)]
+        self.row_values = [np.zeros(0, dtype=np.int32) for _ in range(n)]
+        self._metrics = np.zeros(n * n, dtype=np.int64)
         self.held: list[Event] = []
         self.t_ref_us: Optional[int] = None
 
@@ -232,7 +234,7 @@ class MetricArray:
 
     def grid(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Grid k's stored cells: packed cell keys ascending, and values."""
-        j = k // self.cfg.n
+        j = k // self.n
         keys = self.row_keys[j]
         lo, hi = np.searchsorted(keys, self._edges[k:k + 2])
         return keys[lo:hi] - (k << _K_SHIFT), self.row_values[j][lo:hi]
@@ -385,7 +387,7 @@ class MetricArray:
         us, vs, dt, ss = self._columns(rows)
         sign = np.where((ss > 0) != retract, np.int32(1), np.int32(-1))
         best, best_metric = _running_argmax(len(rows), replay)
-        n = self.cfg.n
+        n = self.n
         step = max(1, _BLOCK_PAIRS // n)
         for r0 in range(0, len(rows), step):
             r1 = min(r0 + step, len(rows))
@@ -427,7 +429,7 @@ class MetricArray:
         the process may run on two CPUs, the two blocks in flight fit in
         one block's budget, and the row stores are large enough to pay
         for the hand-off (`_THREAD_ROW_CELLS`)."""
-        n = self.cfg.n
+        n = self.n
         return (2 * b * n <= _BLOCK_PAIRS
                 and sum(map(len, self.row_keys)) >= _THREAD_ROW_CELLS * n
                 and _cpus() >= 2)
@@ -462,7 +464,7 @@ class MetricArray:
         the metrics of the row's grids and the argmax after each row of
         the slice.  Returns the cells the store lacks, for `_insert`;
         its temporaries die on return."""
-        n, b = self.cfg.n, len(kernel.weights)
+        n, b = self.n, len(kernel.weights)
         k0 = j * n
         cells = pairs >> bits
         # in place: the pairs are not read again
@@ -507,18 +509,13 @@ class MetricArray:
 
     def _grid_squares(self, j: int) -> np.ndarray:
         """The sum of the squares of each of row j's grids' stored cells."""
-        n = self.cfg.n
+        n = self.n
         keys, values = self.row_keys[j], self.row_values[j]
         total = np.zeros(len(values) + 1, dtype=np.int64)
         np.square(values, out=total[1:], dtype=np.int64)
         np.cumsum(total, out=total)
         bounds = np.searchsorted(keys, self._edges[j * n:j * n + n + 1])
         return total[bounds[1:]] - total[bounds[:-1]]
-
-    @property
-    def argmax_flow(self) -> Optional[FlowVector]:
-        k = self.argmax_index
-        return None if k is None else grid_flow(self.col_vu, self.row_vv, k)
 
 
 @dataclass
@@ -597,25 +594,25 @@ def extract_associated(array: MetricArray) -> AssociationResult:
         mu=mu, sigma=sigma, threshold=threshold)
 
 
-def refine(assoc: AssociationResult, cfg: FlowPlaneConfig, parent_range: float,
-           center_flow) -> MetricArray:
-    """Re-project associated events through an array of the parent's
-    range over `_RANGE_SHRINK` around `center_flow`: the association's
-    flow at the first level, the previous level's argmax flow below it."""
-    child = MetricArray(cfg, center_flow, parent_range / _RANGE_SHRINK)
-    child.fill(assoc.events)
-    return child
+def refine(events: Sequence[Event], col_vu: Sequence[float],
+           row_vv: Sequence[float]) -> FlowVector:
+    """One refinement level: the flow of greatest contrast among those
+    that the axes span, over `events` (at least one).  The level's array
+    is freed on return."""
+    level = MetricArray(col_vu, row_vv)
+    level.fill(events)
+    return grid_flow(level.col_vu, level.row_vv, level.argmax_index)
 
 
 def refined_flow(assoc: AssociationResult, cfg: FlowPlaneConfig) -> FlowVector:
-    """The association's flow sharpened through the `_DEPTH_MAX`
-    refinement levels below the top-level array; the last level's array
-    is freed on return."""
-    flow, parent_range = assoc.flow, _ANGULAR_RANGE
+    """The association's flow sharpened by `_DEPTH_MAX` `refine` levels
+    of its events, each around the previous level's flow (the
+    association's first) over 1/`_RANGE_SHRINK` of its range."""
+    flow, angular_range = assoc.flow, _ANGULAR_RANGE
     for _ in range(_DEPTH_MAX):
-        deeper = refine(assoc, cfg, parent_range, center_flow=flow)
-        parent_range = deeper.angular_range
-        flow = deeper.argmax_flow
+        angular_range /= _RANGE_SHRINK
+        flow = refine(assoc.events, *(axis_speeds(float(center), angular_range,
+                                                  cfg) for center in flow))
     return flow
 
 
@@ -646,7 +643,9 @@ class FlowPlane:
 
     def __init__(self, cfg: Optional[FlowPlaneConfig] = None):
         self.cfg = cfg or FlowPlaneConfig()
-        self._array = MetricArray(self.cfg)
+        # the top array's axes, laid out once: the same n speeds around 0
+        self._top_axes = (axis_speeds(0.0, _ANGULAR_RANGE, self.cfg),) * 2
+        self._array = MetricArray(*self._top_axes)
         self._pending: list[Event] = []
         # (pending events before the flush, events it retracts)
         self._flushes: list[tuple[int, int]] = []
@@ -691,7 +690,7 @@ class FlowPlane:
         if array.held and (array.held[0].t - array.t_ref_us) * max(
                 np.abs(array.col_vu).max(),
                 np.abs(array.row_vv).max()) >= _REBUILD_PX * 1e6:
-            self._array = MetricArray(self.cfg)
+            self._array = MetricArray(*self._top_axes)
             self._array.fill(array.held)
             # a rebuild that moves the argmax restarts the run, as a flush
             if self._array.argmax_index != array.argmax_index:
@@ -719,7 +718,7 @@ class FlowPlane:
                      if i not in taken]
         # nothing else refers to the drained array: its store is freed
         # here (no local may keep it)
-        self._array = MetricArray(self.cfg)
+        self._array = MetricArray(*self._top_axes)
         flow = refined_flow(assoc, self.cfg)
         self._array.fill(remaining)
         self.stability_count = 0

@@ -16,6 +16,8 @@ from flowseg.engine import FlowLabeledEvent
 from flowseg.events import (DEFAULT_GEOMETRY, Event, EventStream,
                             GeometryError, OrderingError, ParseError,
                             SensorGeometry)
+from flowseg.flow_plane import (_ANGULAR_RANGE, FlowPlaneConfig, MetricArray,
+                                axis_speeds)
 from flowseg.projection import KEY_M
 
 
@@ -111,6 +113,25 @@ def bruteforce_row_images(events: Iterable[Event], col_vu, row_vv,
                 row[((j * n + i) << 43) + key] = s
         rows.append(row)
     return rows
+
+
+def top_array(cfg: FlowPlaneConfig) -> MetricArray:
+    """An empty `MetricArray` over the axes of a `FlowPlane`'s top
+    array for `cfg`: the same n speeds around zero flow on both."""
+    speeds = axis_speeds(0.0, _ANGULAR_RANGE, cfg)
+    return MetricArray(speeds, speeds)
+
+
+def write_records_per_line(fmt, header, records) -> str:
+    """Oracle for `events.write_records`: the text it writes, one field
+    at a time, ints by ``%d`` and every other value by `str`."""
+    lines = [] if header is None else [header]
+    for record in records:
+        # line field i holds the record field that `fields` sends to i
+        values = [record[fmt.fields.index(i)] for i in range(len(fmt.types))]
+        lines.append(" ".join("%d" % value if kind is int else str(value)
+                              for value, kind in zip(values, fmt.types)))
+    return "".join(line + "\n" for line in lines)
 
 
 def decode_event_per_line(record: str, line: int = 0) -> Event:

@@ -18,8 +18,7 @@ import pytest
 from flowseg.engine import Engine, EngineConfig, UNLABELED, write_labeled
 from flowseg.evaluation import cross_label_fraction, flow_errors
 from flowseg.events import Event
-from flowseg.flow_plane import (_ANGULAR_RANGE, FlowPlaneConfig, MetricArray,
-                                axis_speeds)
+from flowseg.flow_plane import _ANGULAR_RANGE, FlowPlaneConfig, axis_speeds
 from flowseg.projection import (AccumulatorGrid, FlowVector, event_columns,
                                 project_keys)
 from flowseg.synth import (ConstantMotion, PendulumMotion, RotationMotion,
@@ -28,7 +27,7 @@ from flowseg.track_plane import (_LIFETIME_PX, TrackPlaneConfig,
                                  event_lifetime_s)
 
 from conftest import HEXAGON_SETTLED_US, angled, hexagon_scene
-from oracles import metric_bruteforce, sum_squares
+from oracles import metric_bruteforce, sum_squares, top_array
 
 
 def median_errors(errors, t_cut_us):
@@ -80,7 +79,7 @@ def test_02_metric_argmax_lands_on_true_flow():
         objects=[(contour, ConstantMotion(58.0, 0.0))], duration=2.0, seed=1)
     events = list(stream.events)[:20_000]
     cfg = FlowPlaneConfig()
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     array.fill(events)
     # the cells whose flow is closest to the truth (symmetric ties allowed)
     speeds = axis_speeds(0.0, _ANGULAR_RANGE, cfg)

@@ -173,6 +173,28 @@ def test_cli_render_empty_is_ok(tmp_path, capsys):
     assert "wrote 0 frames" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("geometry", ["0x0", "-5x10", "240x0"])
+def test_cli_refuses_non_positive_geometry(tmp_path, capsys, geometry):
+    # synth blamed the object ("circle extent 10.0x10.0 exceeds sensor
+    # -5x10", exit 2), and render of a header-only file wrote 0 frames
+    # and exited 0; an event file's "geometry 0 0" header is refused too
+    message = (f"error: argument --geometry: geometry must be at least "
+               f"1x1, got {geometry!r}\n")
+    events = tmp_path / "events.txt"
+    assert run_cli("synth", "--out", str(events), "--duration", "0.5",
+                   "--object", "shape=circle,radius=5,vu=50",
+                   f"--geometry={geometry}") == 1
+    assert capsys.readouterr().err.endswith(message)
+    assert not events.exists()
+    labeled = tmp_path / "labeled.txt"
+    labeled.write_text("# t u v s segment v_u v_v\n")
+    frames = tmp_path / "frames"
+    assert run_cli("render", "--labeled", str(labeled),
+                   "--out-dir", str(frames), f"--geometry={geometry}") == 1
+    assert capsys.readouterr().err.endswith(message)
+    assert not frames.exists()
+
+
 @pytest.mark.parametrize("record, message", [
     ("100 500 5 1 0 58.0 0.0", "record 1: coordinate (500, 5) outside 10x10"),
     ("100 -3 5 1 0 58.0 0.0", "record 1: coordinate (-3, 5) outside 10x10"),

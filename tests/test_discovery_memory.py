@@ -23,10 +23,10 @@ import numpy.ma  # noqa: F401  (see ASSOCIATION_SLACK)
 import pytest
 
 from flowseg import flow_plane
-from flowseg.flow_plane import (FlowPlane, FlowPlaneConfig, MetricArray,
-                                extract_associated)
+from flowseg.flow_plane import FlowPlane, FlowPlaneConfig, extract_associated
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
+from oracles import top_array
 from test_discovery_properties import drain_path, upper_halves
 from test_projection import random_events
 
@@ -56,7 +56,7 @@ def store_bytes(array):
 def fill_transient(cfg, events):
     """The traced peak of one `fill` of `events` into a fresh array, less
     what was traced before it and what the filled array holds."""
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -90,7 +90,7 @@ def test_multi_slice_fill_transient_is_blocks_plus_one_row_merge():
     # merges its new cells into every row store, and the last sums the
     # squares of each row (about 3.6 blocks a row here)
     events = random_events(random.Random(71), 8000)
-    array = MetricArray(FlowPlaneConfig())
+    array = top_array(FlowPlaneConfig())
     array.fill(events)
     largest_row = max(row_bytes(array))
     assert (fill_transient(FlowPlaneConfig(), events)
@@ -179,7 +179,7 @@ def test_flow_plane_without_refinement_emits_the_association(monkeypatch):
     taken = set(assoc.event_indices)
     remainder = [e for i, e in enumerate(held) if i not in taken]
     assert plane.array.held == remainder
-    rebuilt = MetricArray(cfg)
+    rebuilt = top_array(cfg)
     rebuilt.fill(remainder)
     assert plane.array.metrics == rebuilt.metrics
     assert plane.array.argmax_index == rebuilt.argmax_index
@@ -221,7 +221,7 @@ def test_drain_transient_is_blocks_plus_one_row_merge(held, ingested,
                                                       events_of):
     events = events_of(random.Random(73), held + ingested,
                        t_span_us=2_000_000)
-    array = MetricArray(FlowPlaneConfig())
+    array = top_array(FlowPlaneConfig())
     array.fill(events[:held])
     rows = row_bytes(array)
     tracemalloc.start()
@@ -258,7 +258,7 @@ class CountingList(list):
 def test_row_stores_are_replaced_once_per_slice():
     cfg = FlowPlaneConfig()
     events = random_events(random.Random(79), 900)
-    sliced, whole = MetricArray(cfg), MetricArray(cfg)
+    sliced, whole = top_array(cfg), top_array(cfg)
     sliced.fill(events[:300])
     whole.fill(events[:300])
     sliced.row_keys = CountingList(sliced.row_keys)

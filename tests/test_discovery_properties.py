@@ -28,7 +28,8 @@ from flowseg.events import Event
 from flowseg.flow_plane import FlowPlane, FlowPlaneConfig, MetricArray
 
 from conftest import hexagon_scene
-from oracles import array_flows, bruteforce_image, metric_bruteforce
+from oracles import (array_flows, bruteforce_image, metric_bruteforce,
+                     top_array)
 
 # 60 examples in the default profile (tests/conftest.py), scaled with
 # the active one
@@ -153,9 +154,9 @@ def flush_before(array, cutoff_us):
        n=st.integers(2, 4), block=BLOCKS)
 def test_ingest_batch_splits_match_single_events(events, cuts, n, block):
     cfg = FlowPlaneConfig(n=n)
-    single = MetricArray(cfg)
+    single = top_array(cfg)
     expected = [ingest_one(single, e) for e in events]
-    batched = MetricArray(cfg)
+    batched = top_array(cfg)
     got = []
     with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
         for batch in split(events, cuts):
@@ -173,7 +174,7 @@ def test_ingest_batch_splits_match_single_events(events, cuts, n, block):
                               st.integers(0, 100)), min_size=1, max_size=12),
        n=st.integers(2, 3), block=BLOCKS)
 def test_ingest_and_flush_match_bruteforce(drain, events, ops, n, block):
-    array = MetricArray(FlowPlaneConfig(n=n))
+    array = top_array(FlowPlaneConfig(n=n))
     at = 0
     for size, by_fill, cutoff_pct in ops:
         batch = events[at:at + size]
@@ -201,27 +202,40 @@ RANGES = st.one_of(st.sampled_from([flow_plane._ANGULAR_RANGE
                                     / flow_plane._RANGE_SHRINK ** level
                                     for level in range(4)]),
                    st.floats(1e-3, math.pi))
-CENTERS = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+SPEEDS = st.floats(-1500.0, 1500.0)
+
+
+@st.composite
+def speed_axes(draw):
+    """Two axes of n speeds each: laid out by `axis_speeds` around an
+    off-center flow at the range of a plane's top array, of one of its
+    refinement levels or another, or arbitrary speeds, unsorted, far
+    off center and often repeated."""
+    n = draw(st.integers(1, 5))
+    if n > 1 and draw(st.booleans()):
+        cfg, angular_range = FlowPlaneConfig(n=n), draw(RANGES)
+        return [flow_plane.axis_speeds(draw(st.floats(-300.0, 300.0)),
+                                       angular_range, cfg)
+                for _ in range(2)]
+    repeats = draw(st.lists(SPEEDS, min_size=1, max_size=2))
+    speed = st.one_of(st.sampled_from(repeats), SPEEDS)
+    return [draw(st.lists(speed, min_size=n, max_size=n)) for _ in range(2)]
 
 
 @SETTINGS
-@given(events=event_streams(span=40), n=st.integers(2, 5), center=CENTERS,
-       angular_range=RANGES, block=BLOCKS,
+@given(events=event_streams(span=40), axes=speed_axes(), block=BLOCKS,
        cuts=st.lists(st.integers(0, 60), max_size=4))
-def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
-                                            block, cuts):
+def test_off_center_arrays_match_bruteforce(events, axes, block, cuts):
     # every grid rounds its column's v_u and its row's v_v once per
-    # event; around any center and at any range, each candidate must
-    # still see its own flow
-    cfg = FlowPlaneConfig(n=n)
-    filled, ingested = (MetricArray(cfg, center, angular_range)
-                        for _ in range(2))
+    # event; over any axes, each candidate must still see its own flow
+    filled, ingested = (MetricArray(*axes) for _ in range(2))
     with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
         filled.fill(events)
         for batch in split(events, cuts):
             ingested.apply_batch(batch)
+    assert [a.tolist() for a in (filled.col_vu, filled.row_vv)] == axes
     expected = [metric_bruteforce(events, flow, events[0].t)
-                for flow in flows(filled)]
+                for flow in array_flows(*axes)]
     for array in (filled, ingested):
         assert array.metrics == expected
     images = bruteforce_grids(filled)
@@ -237,7 +251,7 @@ def test_off_center_arrays_match_bruteforce(events, n, center, angular_range,
 def test_fill_of_bursts_matches_bruteforce(events, n, block):
     # a fill projects each run of identical events once, weighted by its
     # length; the small blocks put slice boundaries inside runs
-    array = MetricArray(FlowPlaneConfig(n=n))
+    array = top_array(FlowPlaneConfig(n=n))
     with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block):
         array.fill(events)
     for k, flow in enumerate(flows(array)):
@@ -270,7 +284,7 @@ def test_ordered_batch_matches_one_operation_at_a_time(drain, events, prefill,
     # the operations applied one at a time, each checked against brute
     # force, give the argmax after every event and every flush
     cfg = FlowPlaneConfig(n=n)
-    single = MetricArray(cfg)
+    single = top_array(cfg)
     single.fill(events[:prefill])
     at = prefill
     batch, flushes, expected, expected_flushes = [], [], [], []
@@ -291,7 +305,7 @@ def test_ordered_batch_matches_one_operation_at_a_time(drain, events, prefill,
                 flushes.append((len(batch), count))
                 expected_flushes.append(single.argmax_index)
     # the same operations as one ordered batch
-    batched = MetricArray(cfg)
+    batched = top_array(cfg)
     batched.fill(events[:prefill])
     with mock.patch.object(flow_plane, "_BLOCK_PAIRS", block), \
             drain_path(drain):
@@ -313,7 +327,7 @@ def row_store_faults(array, retracted):
     ascending, hold only its own speed row's grid keys and, after a
     batch that retracted events, no 0; together they must be the
     brute-force store of the held events (ignoring 0 cells otherwise)."""
-    n = array.cfg.n
+    n = array.n
     edges = projection.grid_edges(n * n)[::n]
     faults = []
     for j, (keys, values) in enumerate(zip(array.row_keys, array.row_values)):
@@ -356,7 +370,7 @@ def test_row_stores_stay_sorted_and_own_their_rows(drain, events, batches, n,
                                                    block):
     # each batch ingests `size` events and, once `where` of them are in,
     # retracts `pct` percent of the events then held
-    array = MetricArray(FlowPlaneConfig(n=n))
+    array = top_array(FlowPlaneConfig(n=n))
     at = 0
     for size, where, pct in batches:
         batch = events[at:at + size]
@@ -375,7 +389,7 @@ def test_cancelled_cell_retracts_after_compaction():
     z = Event(50, 50, 0, 1)
     a = Event(5, 5, 1, 1)
     b = Event(5, 5, 10, -1)
-    array = MetricArray(FlowPlaneConfig(n=3))
+    array = top_array(FlowPlaneConfig(n=3))
     array.fill([z, a, b])
     assert flush_before(array, 1) == 1
     assert all(len(array.grid(k)[0]) == 0 for k in range(9))
@@ -473,7 +487,7 @@ def test_two_thread_drains_match_serial(events, batches, n, block):
     # the halves are uneven at n = 3: one row on the calling thread, two
     # on the worker.  Every batch must give both paths the same argmax
     # after each event and each flush, and leave the same array
-    arrays = {drain: MetricArray(FlowPlaneConfig(n=n))
+    arrays = {drain: top_array(FlowPlaneConfig(n=n))
               for drain in ("serial", "two-thread")}
     at = 0
     for size, where, pct in batches:
@@ -524,7 +538,7 @@ def test_engine_and_a_drain_under_the_threshold_start_no_thread():
             upper_halves() as uppers:
         threads = threading.active_count()
         Engine(cfg)
-        array = MetricArray(cfg.flow_plane)
+        array = top_array(cfg.flow_plane)
         array.fill(events[:200])
         assert (sum(map(len, array.row_keys))
                 < flow_plane._THREAD_ROW_CELLS * cfg.flow_plane.n)
@@ -536,7 +550,7 @@ def test_engine_and_a_drain_under_the_threshold_start_no_thread():
 def drain_three_batches(cfg, events):
     """Fill an array with 300 events, then drain three batches of 100
     with a flush in each; the argmaxes and the array they leave."""
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     array.fill(events[:300])
     results = [array.apply_batch(events[at:at + 100], [(50, 40)])[0].tolist()
                for at in range(300, 600, 100)]
@@ -599,7 +613,7 @@ def test_a_failing_half_raises_once_both_halves_end(failing):
     # the other half, slowed down, must have ended by the time the error
     # reaches the caller, and its worker with it
     cfg, events = SMALL_PATCH
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     array.fill(events[:300])
     drain_rows = MetricArray._drain_rows
     ended = []
@@ -627,7 +641,7 @@ def test_forked_child_drains_on_its_own_worker():
     # thread: its own split drains must still drain the upper half on a
     # worker, or wait forever for one that does not exist
     events, cfg = hexagon_cut()
-    array = MetricArray(cfg.flow_plane)
+    array = top_array(cfg.flow_plane)
     array.fill(events[:300])
     with drain_path("two-thread"), upper_halves() as uppers:
         expected = array.apply_batch(events[300:600])[0].tolist()
@@ -637,7 +651,7 @@ def test_forked_child_drains_on_its_own_worker():
             code = 1
             try:
                 del uppers[:]
-                again = MetricArray(cfg.flow_plane)
+                again = top_array(cfg.flow_plane)
                 again.fill(events[:300])
                 got = again.apply_batch(events[300:600])[0].tolist()
                 code = 0 if (got == expected and uppers and

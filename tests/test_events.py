@@ -19,7 +19,7 @@ from flowseg.synth import ConstantMotion, build_contour, generate_scene
 from flowseg.synth import GT_FORMAT, GroundTruth, read_gt, write_gt
 
 from oracles import (load_stream_per_line, read_gt_per_line,
-                     read_labeled_per_line)
+                     read_labeled_per_line, write_records_per_line)
 
 
 def test_decode_basic():
@@ -154,14 +154,57 @@ def test_write_records_round_trip(name, data):
     fmt, header, records, read = ROUND_TRIPS[name]
     records = data.draw(records)
     texts = []
-    for written in (records, as_numpy(records)):
+    # each float is formatted once a call: Python and numpy scalars of
+    # one value, 0.0 and -0.0, and NaNs, mixed in one call too
+    mixed = records + as_numpy(records) + records
+    for written in (records, as_numpy(records), mixed):
         buf = io.StringIO()
-        assert write_records(buf, fmt, header, written) == len(records)
+        assert write_records(buf, fmt, header, written) == len(written)
         texts.append(buf.getvalue())
+        assert texts[-1] == write_records_per_line(fmt, header, written)
     # a numpy scalar writes the bytes of the equal Python scalar
     assert texts[0] == texts[1]
     # repr shows the types, -0.0, and that a nan reads back as nan
     assert repr(read(io.StringIO(texts[0]))) == repr(records)
+
+
+def test_write_records_keeps_each_value_its_own_text():
+    # values equal to a float written before them, in one call: an int,
+    # a float32, a -0.0 after a 0.0, and NaNs that are not `math.nan`
+    # (t, structure, v_u, v_v), written as ``t v_u v_v structure``
+    records = [(1, 7, 3.0, 0.0), (2, 7, 3, -0.0), (3, 7, np.float32(0.1), 0.5),
+               (4, 7, np.float64(np.float32(0.1)), np.float32(0.5)),
+               (5, 7, math.nan, float("nan")), (6, 7, np.float64("nan"), -0.0),
+               (7, 7, 0.0, -math.inf)] * 3
+    buf = io.StringIO()
+    write_records(buf, GT_FORMAT, None, records)
+    text = buf.getvalue()
+    assert text == write_records_per_line(GT_FORMAT, None, records)
+    assert text.splitlines()[:7] == [
+        "1 3.0 0.0 7", "2 3 -0.0 7", "3 0.1 0.5 7",
+        "4 0.10000000149011612 0.5 7", "5 nan nan 7", "6 nan -0.0 7",
+        "7 0.0 -inf 7"]
+
+
+def test_write_records_caps_its_float_texts(monkeypatch):
+    # a call keeps at most one chunk's floats past `_FLOAT_TEXTS_MAX`,
+    # then writes each value as it comes, in every record and type
+    caches = []
+
+    class Kept(events._FloatText):
+        def __init__(self, *args):
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(events, "_FloatText", Kept)
+    monkeypatch.setattr(events, "_FLOAT_TEXTS_MAX", 100)
+    records = [(t, 7, t / 7, -t / 3) for t in range(1, 1000)]
+    records += [(1000, 7, 3, -0.0), (1001, 7, np.float32(0.1), math.nan),
+                (1002, 7, np.float64(0.5), 0.0), (1003, 7, 1 / 7, -1 / 3)]
+    buf = io.StringIO()
+    write_records(buf, GT_FORMAT, None, records)
+    assert buf.getvalue() == write_records_per_line(GT_FORMAT, None, records)
+    assert 100 <= len(caches[0]) < 100 + 2 * events._WRITE_CHUNK
 
 
 # the loader reference test: generated line soups through `load_stream`

@@ -7,14 +7,15 @@ import pytest
 
 from flowseg import flow_plane
 from flowseg.events import Event
-from flowseg.flow_plane import (AssociationError, FlowPlane, FlowPlaneConfig,
-                                MetricArray, axis_speeds, cell_value_stats,
-                                extract_associated, flood_fill_cells)
-from flowseg.projection import grid_flow
+from flowseg.flow_plane import (AssociationError, AssociationResult, FlowPlane,
+                                FlowPlaneConfig, MetricArray, axis_speeds,
+                                cell_value_stats, extract_associated,
+                                flood_fill_cells)
+from flowseg.projection import FlowVector, grid_flow
 from flowseg.synth import ConstantMotion, build_contour, generate_scene
 
 from oracles import (array_flows, bruteforce_image, metric_bruteforce,
-                     pack_cell)
+                     pack_cell, top_array)
 from test_projection import random_events
 
 
@@ -37,11 +38,58 @@ def test_axis_speeds_symmetry_and_offset():
     assert axis_speeds(-4.0, math.pi, cfg)[2] == pytest.approx(-4.0)
 
 
+def test_metric_array_refuses_unusable_axes():
+    # grid k = j*n + i keys its cells from bit 43 up, so an axis holds
+    # at most isqrt(MAX_GRIDS) = 1024 speeds
+    for col_vu, row_vv in (([1.0, 2.0], [1.0]), ([], []),
+                           ([0.0] * 1025, [0.0] * 1025)):
+        with pytest.raises(ValueError, match="^the axes must hold 1 to 1024 "):
+            MetricArray(col_vu, row_vv)
+    array = MetricArray([5.0, -3.0, 5.0], [0.0, 1.0, 2.0])
+    assert array.n == 3
+    with pytest.raises(ValueError, match="read-only"):
+        array.col_vu[0] = 1.0
+
+
+def test_refine_scores_the_flows_its_axes_span():
+    # unsorted, with a repeated speed: the argmax ties go to the lower grid
+    events = random_events(random.Random(30), 300)
+    col_vu, row_vv = [40.0, -25.0, 40.0, 3.5], [-7.0, 12.0, 0.0, 12.0]
+    flows = array_flows(col_vu, row_vv)
+    metrics = [metric_bruteforce(events, flow, events[0].t) for flow in flows]
+    assert (flow_plane.refine(events, col_vu, row_vv)
+            == flows[metrics.index(max(metrics))])
+
+
+def test_refined_flow_lays_each_level_around_the_last(monkeypatch):
+    # each level spans 1/_RANGE_SHRINK of the range before it, around the
+    # flow the level before it returned; `refine` is looked up by name
+    cfg = FlowPlaneConfig(n=4)
+    levels = []
+
+    def spy(events, col_vu, row_vv):
+        levels.append((col_vu, row_vv))
+        return FlowVector(col_vu[1], row_vv[2])
+
+    monkeypatch.setattr(flow_plane, "refine", spy)
+    assoc = AssociationResult([0], [Event(1, 2, 3, 1)],
+                              FlowVector(10.0, -5.0), 1.0, 0.0, 1.0)
+    flow = flow_plane.refined_flow(assoc, cfg)
+    center, angular_range = assoc.flow, flow_plane._ANGULAR_RANGE
+    for col_vu, row_vv in levels:
+        angular_range /= flow_plane._RANGE_SHRINK
+        assert col_vu == axis_speeds(center.v_u, angular_range, cfg)
+        assert row_vv == axis_speeds(center.v_v, angular_range, cfg)
+        center = FlowVector(col_vu[1], row_vv[2])
+    assert len(levels) == flow_plane._DEPTH_MAX
+    assert flow == center
+
+
 def test_metric_array_matches_bruteforce():
     rng = random.Random(31)
     events = random_events(rng, 500)
     cfg = FlowPlaneConfig(n=4, p_stable=10)
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     for e in events:
         array.apply_batch([e])
     for k, flow in enumerate(array_flows(array.col_vu, array.row_vv)):
@@ -54,10 +102,10 @@ def test_metric_array_fill_equals_ingest():
     rng = random.Random(32)
     events = random_events(rng, 400)
     cfg = FlowPlaneConfig(n=4)
-    one = MetricArray(cfg)
+    one = top_array(cfg)
     for e in events:
         one.apply_batch([e])
-    two = MetricArray(cfg)
+    two = top_array(cfg)
     two.fill(events)
     assert one.metrics == two.metrics
     assert one.argmax_index == two.argmax_index
@@ -79,7 +127,7 @@ def test_hot_pixel_squares_pass_int32_exactly():
     # of 50,000 (stored as int32), whose square 2.5e9 is past int32
     events = [Event(7, 9, 1000, 1)] * 50_000
     cfg = FlowPlaneConfig(n=2)
-    batched, filled = MetricArray(cfg), MetricArray(cfg)
+    batched, filled = top_array(cfg), top_array(cfg)
     batched.apply_batch(events[:25_000])
     batched.apply_batch(events[25_000:])
     filled.fill(events)
@@ -95,7 +143,7 @@ def test_hot_pixel_squares_pass_int32_exactly():
 
 def test_batch_past_the_held_limit_raises_before_any_work():
     events = random_events(random.Random(37), 10)
-    array = MetricArray(FlowPlaneConfig(n=2))
+    array = top_array(FlowPlaneConfig(n=2))
     with mock.patch.object(flow_plane, "_HELD_MAX", 8):
         array.apply_batch(events[:5])
         stores = [a.tolist() for a in array.row_keys + array.row_values]
@@ -114,7 +162,7 @@ def test_largest_array_keeps_its_last_rows_exact():
     # n = 1024 gives 2**20 grids, the most whose keys k * 2**43 + packed
     # fit in int64: the last row store ends just below 2**63
     cfg = FlowPlaneConfig(n=1024)
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     events = [Event(3, 4, 0, 1), Event(200, 170, 2000, -1),
               Event(3, 5, 4000, 1), Event(0, 0, 9000, 1)]
     array.apply_batch(events[:3])
@@ -138,7 +186,7 @@ def test_flush_retracts_exactly():
     rng = random.Random(33)
     events = random_events(rng, 600)
     cfg = FlowPlaneConfig(n=3)
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     array.fill(events)
     stale = len(events) // 2
     survivors = events[stale:]
@@ -183,7 +231,7 @@ def test_extract_associated_selects_crisp_cluster():
         t += 500
         events.append(Event(rng.randrange(200), 120 + rng.randrange(50), t,
                             rng.choice((1, -1))))
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     array.fill(events)
     assoc = extract_associated(array)
     assert abs(assoc.flow.v_u) < 1e-9 and abs(assoc.flow.v_v) < 1e-9
@@ -195,7 +243,7 @@ def test_extract_associated_selects_crisp_cluster():
 def test_extract_associated_raises_without_seeds(monkeypatch):
     monkeypatch.setattr(flow_plane, "_SEED_W", 50.0)   # unreachable threshold
     cfg = FlowPlaneConfig(n=3)
-    array = MetricArray(cfg)
+    array = top_array(cfg)
     array.fill(random_events(random.Random(8), 50))
     with pytest.raises(AssociationError):
         extract_associated(array)

@@ -11,8 +11,13 @@ from pathlib import Path
 import pytest
 
 import flowseg
+import flowseg.events
+from flowseg import flow_plane
 from flowseg.config import config_lines, manifest_lines
-from flowseg.engine import EngineConfig
+from flowseg.engine import Engine, EngineConfig
+from flowseg.events import DEFAULT_GEOMETRY, EventStream, save_stream
+
+from conftest import hexagon_scene
 
 ROOT = Path(__file__).resolve().parent.parent
 FROM_FLOWSEG = re.compile(r"^from flowseg import (?:\(([^)]*)\)|(.*))$", re.M)
@@ -185,19 +190,50 @@ def test_every_instance_attribute_is_read():
     assert unread == []
 
 
-def test_perfbench_traced_names_resolve(monkeypatch):
-    # `perfbench/run.py --trace 1` wraps each (owner, attribute) of
-    # measure.TRACED by name; one deleted or renamed breaks traced runs,
-    # and the benchmark's own self-test is not part of this suite
+def perfbench_measure(monkeypatch):
+    """perfbench's measure.py, imported from its directory."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location(
         "perfbench_measure", ROOT / "perfbench" / "measure.py")
     measure = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(measure)
+    return measure
+
+
+def test_perfbench_traced_names_resolve(monkeypatch):
+    # `perfbench/run.py --trace 1` wraps each (owner, attribute) of
+    # measure.TRACED by name; one deleted or renamed breaks traced runs,
+    # and the benchmark's own self-test is not part of this suite
+    measure = perfbench_measure(monkeypatch)
     assert len(measure.TRACED) >= 14
     missing = [f"{name}: {attr}" for name, owner, attr, _ in measure.TRACED
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_perfbench_traced_layers_are_reached(monkeypatch, tmp_path):
+    # a name that resolves but that the engine no longer calls, or calls
+    # through a local alias bound before the wrappers, reads 0 s in a
+    # traced run: every span must count calls on a run that emits.  The
+    # first 6,000 events of the hexagon emit at events 3,139 and 5,622
+    measure = perfbench_measure(monkeypatch)
+    tracer = measure.Tracer()
+    for name, owner, attr, count in measure.TRACED:
+        monkeypatch.setattr(owner, attr,
+                            tracer._wrap(name, getattr(owner, attr), count))
+    events, _, cfg = hexagon_scene(11)
+    path = tmp_path / "hexagon.txt"
+    save_stream(EventStream(DEFAULT_GEOMETRY, events[:6000]), str(path))
+    # through the module attribute, which holds the wrapper
+    stream = flowseg.events.load_stream(str(path))
+    assert stream.events == events[:6000]
+    Engine(cfg).run(stream.events)
+    spans = tracer.spans
+    assert len(spans) == len(measure.TRACED) == 14
+    assert [name for name, span in spans.items() if not span["calls"]] == []
+    assert spans["flow_plane.try_emit"]["count"] == 2
+    assert (spans["flow_plane.refine"]["calls"]
+            == flow_plane._DEPTH_MAX * spans["flow_plane.try_emit"]["count"])
 
 
 def test_perfbench_workload_configs_build():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowseg.events import Event
-from flowseg.flow_plane import FlowPlaneConfig, MetricArray
+from flowseg.flow_plane import MetricArray
 from flowseg.projection import (AccumulatorGrid, ConsistencyError, FlowVector,
                                 KEY_M, event_columns, grid_flow, project_keys,
                                 round_half_away, runs, unpack_cell)
@@ -31,9 +31,7 @@ def filled(events, col_vu, row_vv, t_ref_us):
     through `MetricArray.grid` and keyed as `bruteforce_row_images`
     keys them."""
     n = len(col_vu)
-    array = MetricArray(FlowPlaneConfig(n=n))
-    array.col_vu = np.array(col_vu, dtype=np.float64)
-    array.row_vv = np.array(row_vv, dtype=np.float64)
+    array = MetricArray(col_vu, row_vv)
     array.t_ref_us = t_ref_us
     array.fill(events)
     rows = [[((k << 43) + cell, value)
